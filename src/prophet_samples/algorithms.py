@@ -142,18 +142,21 @@ def run_static_threshold(values: Sequence[float], t: float, rng=None) -> float:
 # -- exact evaluators -----------------------------------------------------------
 
 
-def beta_moments(alpha: int, beta: int, upto: int) -> np.ndarray:
+def beta_moments(alpha, beta, upto: int) -> np.ndarray:
     """E[U^j] for U ~ Beta(alpha, beta) and j = 0..upto.
 
     The ratio recurrence E[U^j] = E[U^(j-1)] * (alpha + j - 1)/(alpha + beta
     + j - 1) is stable for arbitrarily large integer parameters, which is how
-    tie laws with thousands of tied samples stay exact.
+    tie laws with thousands of tied samples stay exact. Integer arrays
+    broadcast against each other and give shape ``(..., upto + 1)``, one row
+    per rank law; each row has the bits of the scalar call.
     """
-    if alpha < 1 or beta < 1:
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    if (alpha < 1).any() or (beta < 1).any():
         raise ValueError("rank-law parameters must be positive integers")
-    out = np.ones(upto + 1)
+    out = np.ones(np.broadcast_shapes(alpha.shape, beta.shape) + (upto + 1,))
     for j in range(1, upto + 1):
-        out[j] = out[j - 1] * (alpha + j - 1) / (alpha + beta + j - 1)
+        out[..., j] = out[..., j - 1] * (alpha + j - 1) / (alpha + beta + j - 1)
     return out
 
 
@@ -175,23 +178,23 @@ def _walk_value_poly(inst: Instance, t: float) -> np.ndarray:
     return acc
 
 
-def threshold_value_with_rank_law(
-    inst: Instance, t: float, alpha: int = 1, beta: int = 1
-) -> float:
+def threshold_value_with_rank_law(inst: Instance, t: float, alpha=1, beta=1):
     """Exact expected value of the static-threshold walk at threshold t.
 
     The threshold's latent rank is Beta(alpha, beta) distributed: (1, 1) for a
     fresh rank (explicit thresholds), and (m + 1 - j, j) when the threshold is
     the j-th ranked of m tied samples. The walk value is a polynomial in the
     rank quantile, so pairing its coefficients with Beta moments is exact.
+    Integer arrays give one value per rank law from a single polynomial;
+    scalars give a float.
     """
+    moments = beta_moments(alpha, beta, inst.n)
     if all(box.mass_at(t) == 0.0 for box in inst.boxes):
-        if alpha < 1 or beta < 1:
-            raise ValueError("rank-law parameters must be positive integers")
-        ts = np.asarray([t])
-        return float(static_threshold_values(inst, ts)[0])
-    poly = _walk_value_poly(inst, t)
-    return float(np.dot(poly, beta_moments(alpha, beta, len(poly) - 1)))
+        vals = np.full(moments.shape[:-1], static_threshold_values(inst, np.asarray([t]))[0])
+    else:
+        # vecdot runs np.dot's kernel on each row; matmul would move the last bits
+        vals = np.vecdot(moments, _walk_value_poly(inst, t))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def exact_static_threshold_value(inst: Instance, t: float) -> float:

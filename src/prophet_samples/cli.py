@@ -19,7 +19,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import evaluation, hardness, stats
-from .algorithms import ExplicitT, OrdinalRank, rule_from_config, rule_to_config
+from .algorithms import ExplicitT, effective_rank, rule_from_config, rule_to_config
 from .distributions import Instance, instance_from_json, instance_to_json, load_instance
 from .evaluation import (
     RATIO_CSV_HEADER,
@@ -126,7 +126,11 @@ def _resolve_instances(payload: Mapping) -> list[tuple[str, Instance]]:
     entries = _require(payload, "instances")
     if not isinstance(entries, list) or not entries:
         raise _fail("instances", "must be a nonempty list")
-    return [_resolve_instance(entry, i) for i, entry in enumerate(entries)]
+    resolved = [_resolve_instance(entry, i) for i, entry in enumerate(entries)]
+    for inst_id, inst in resolved:
+        if all(hi == 0.0 for box in inst.boxes for w, _, hi in box.segments if w > 0.0):
+            raise _fail("instances", f"instance {inst_id!r} is 0 in every box, so its prophet value is 0")
+    return resolved
 
 
 def _resolve_rule(payload: Mapping):
@@ -166,6 +170,13 @@ def _run_eval(config: ExperimentConfig, out: io.TextIOBase) -> None:
     method = payload.get("method", "mc")
     if method not in ("mc", "semi_exact"):
         raise _fail("method", f"must be 'mc' or 'semi_exact', got {method!r}")
+    rank = effective_rank(rule)
+    for inst_id, inst in instances:
+        if rank is not None and rank > inst.n * min(ks):
+            raise _fail(
+                "rule.rank",
+                f"rank {rank} exceeds n*k = {inst.n * min(ks)} samples of instance {inst_id!r}",
+            )
     lines = [RATIO_CSV_HEADER]
     for idx, (inst_id, inst) in enumerate(instances):
         for k in ks:
@@ -173,7 +184,6 @@ def _run_eval(config: ExperimentConfig, out: io.TextIOBase) -> None:
             if method == "semi_exact":
                 if isinstance(rule, ExplicitT):
                     raise _fail("method", "semi_exact requires an ordinal rule")
-                rank = rule.rank if isinstance(rule, OrdinalRank) else 1
                 report = semi_exact_ordinal(
                     inst, k, rank, reps, run_seed, threads=config.threads
                 )
@@ -237,8 +247,8 @@ def _run_ordinal_sweep(config: ExperimentConfig, out: io.TextIOBase) -> None:
     k = _require_int(payload, "k", 2)
     ranks = _int_list(payload, "ranks")
     for rank in ranks:
-        if rank > k * max(2, evaluation.default_case2_boxes(k)):
-            raise _fail("ranks", f"rank {rank} exceeds the pooled sample count")
+        if rank > 2 * k:
+            raise _fail("ranks", f"rank {rank} exceeds the 2k = {2 * k} samples of case1")
     reps = _need_reps(config)
     seed = _need_seed(config)
     rows = ordinal_upper_bound_sweep(k, ranks, reps, seed, threads=config.threads)

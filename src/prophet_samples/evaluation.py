@@ -145,6 +145,8 @@ def _finalize_ratio(
     reps: int,
     seed: int,
 ) -> RatioReport:
+    if not prophet > 0.0:
+        raise ValueError(f"prophet value {prophet!r} must be positive to form a ratio")
     total = math.fsum(p[1] for p in parts)
     total_sq = math.fsum(p[2] for p in parts)
     alg = total / reps
@@ -311,7 +313,9 @@ def semi_exact_ordinal(
     Per replication the rank-th highest sample is drawn from its exact law
     (stratum counts, then an order-statistic Beta within the stratum) and the
     walk value at that threshold is evaluated in closed form, including tie
-    masses when the threshold lands on an atom. The confidence interval
+    masses when the threshold lands on an atom. Atom thresholds cost one walk
+    polynomial per atom level per chunk: every row at that level pairs it with
+    the Beta moments of its own (count, rank) law. The confidence interval
     reflects threshold randomness alone.
     """
     if reps < 1:
@@ -321,15 +325,6 @@ def semi_exact_ordinal(
     prophet = inst.prophet_expectation()
     struct = _level_structure(inst)
     chunks = (reps + _SEMI_CHUNK - 1) // _SEMI_CHUNK
-    atom_cache: dict[tuple[int, int, int], float] = {}
-
-    def atom_value(level: int, count: int, r: int) -> float:
-        key = (level, count, r)
-        if key not in atom_cache:
-            atom_cache[key] = threshold_value_with_rank_law(
-                inst, float(struct.los[level]), alpha=count + 1 - r, beta=r
-            )
-        return atom_cache[key]
 
     def worker(c: int) -> tuple[int, float, float]:
         rows = min(_SEMI_CHUNK, reps - c * _SEMI_CHUNK)
@@ -353,14 +348,11 @@ def semi_exact_ordinal(
             pos = rng.beta(n_i + 1.0 - r_i, r_i)
             thresholds = a + (b - a) * pos
             out[interval] = static_threshold_values(inst, thresholds)
-        atom_rows = np.nonzero(~interval)[0]
-        if atom_rows.size:
-            triples = np.stack(
-                [lvl[atom_rows], n_at[atom_rows], r[atom_rows]], axis=1
+        for level in np.unique(lvl[~interval]):
+            hit = lvl == level
+            out[hit] = threshold_value_with_rank_law(
+                inst, float(struct.los[level]), alpha=n_at[hit] + 1 - r[hit], beta=r[hit]
             )
-            uniq, inverse = np.unique(triples, axis=0, return_inverse=True)
-            vals = np.array([atom_value(int(a_), int(b_), int(c_)) for a_, b_, c_ in uniq])
-            out[atom_rows] = vals[inverse]
         return rows, float(np.sum(out)), float(np.sum(out * out))
 
     parts = _map_chunks(worker, chunks, threads)

@@ -146,6 +146,43 @@ def test_beta_moments_match_uniform():
     assert np.allclose(m, [1.0, 1 / 2, 1 / 3, 1 / 4, 1 / 5], atol=1e-15)
 
 
+def test_beta_moments_arrays_match_scalar_rows():
+    alpha = np.array([[1, 7, 4000], [2, 2, 3]])
+    beta = np.array([1, 5, 1000])
+    m = beta_moments(alpha, beta, 4)
+    assert m.shape == (2, 3, 5)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(m[i, j], beta_moments(int(alpha[i, j]), int(beta[j]), 4))
+
+
+@pytest.mark.parametrize("alpha, beta", [(np.array([1, 0, 2]), 1), (3, np.array([2, 1, -1]))])
+def test_rank_law_arrays_reject_nonpositive(instance_a, alpha, beta):
+    with pytest.raises(ValueError):
+        beta_moments(alpha, beta, 3)
+    with pytest.raises(ValueError):
+        threshold_value_with_rank_law(instance_a, 1.0, alpha, beta)  # on an atom
+    with pytest.raises(ValueError):
+        threshold_value_with_rank_law(instance_a, 1.5, alpha, beta)  # off every atom
+
+
+def test_rank_law_arrays_match_scalar_calls(instance_a):
+    counts = np.array([1, 2, 5, 40, 3000])
+    ranks = np.array([1, 2, 3, 17, 2999])
+    alpha, beta = counts + 1 - ranks, ranks
+    on_atom = threshold_value_with_rank_law(instance_a, 2.0, alpha, beta)
+    assert on_atom.shape == (5,)
+    for a, b, v in zip(alpha, beta, on_atom):
+        assert threshold_value_with_rank_law(instance_a, 2.0, int(a), int(b)) == v
+    assert len(set(on_atom.tolist())) > 1
+    off_atom = threshold_value_with_rank_law(instance_a, 1.5, alpha, beta)
+    fixed = static_threshold_values(instance_a, np.array([1.5]))[0]
+    assert off_atom.shape == (5,)
+    assert np.all(off_atom == fixed)
+    assert threshold_value_with_rank_law(instance_a, 1.5, 3, 2) == fixed
+    assert isinstance(threshold_value_with_rank_law(instance_a, 2.0, 3, 2), float)
+
+
 def test_exceedance_closed_form(instance_a):
     assert static_threshold_exceedance(instance_a, 1.5, 2.0) == pytest.approx(0.5)
     assert static_threshold_exceedance(instance_a, 1.5, 1.0) == pytest.approx(0.5)

@@ -104,6 +104,48 @@ def test_eval_bad_rule_is_config_error(tmp_path, capsys):
     assert "rule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["mc", "semi_exact"])
+def test_eval_rank_above_pool_is_config_error(tmp_path, capsys, method):
+    # instance A has n = 2 boxes, so k = 10 pools only 20 samples
+    cfg = write_json(
+        tmp_path / "rank.json",
+        {
+            "command": "eval",
+            "instances": [INSTANCE_A],
+            "rule": {"rule": "ordinal", "rank": 50},
+            "method": method,
+            "k": [10, 40],
+            "reps": 100,
+            "seed": 1,
+        },
+    )
+    assert run_cli(["eval", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "field 'rule.rank'" in err
+    assert "internal error" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "dominance"])
+def test_all_zero_instance_is_config_error(tmp_path, capsys, command):
+    zero = {"id": "zero", "boxes": [{"segments": [[1.0, 0.0, 0.0]]}, {"segments": [[1.0, 0.0, 0.0]]}]}
+    cfg = write_json(
+        tmp_path / "zero.json",
+        {
+            "command": command,
+            "instances": [INSTANCE_A, zero],
+            "rule": {"rule": "max_sample"},
+            "k": 1,
+            "gamma": 0.5,
+            "reps": 100,
+            "seed": 1,
+        },
+    )
+    assert run_cli([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "field 'instances'" in err
+    assert "'zero'" in err
+
+
 def test_eval_generator_instances(tmp_path):
     cfg = write_json(
         tmp_path / "gen.json",
@@ -168,6 +210,22 @@ def test_ordinal_sweep(tmp_path):
     lines = out1.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("k,l,case1_ratio")
+
+
+def test_ordinal_sweep_rank_bounded_by_case1_pool(tmp_path, capsys):
+    # case1 has two boxes, so k = 100 pools 200 samples even where case2 pools more
+    def sweep(ranks):
+        cfg = write_json(
+            tmp_path / "sweep.json",
+            {"command": "ordinal-sweep", "k": 100, "ranks": ranks, "reps": 50, "seed": 3},
+        )
+        return run_cli(["ordinal-sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")])
+
+    assert sweep([10, 250]) == 2
+    err = capsys.readouterr().err
+    assert "field 'ranks'" in err
+    assert "internal error" not in err
+    assert sweep([200]) == 0
 
 
 def test_hardness_verify_zero_policy(tmp_path):

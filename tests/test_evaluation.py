@@ -128,6 +128,49 @@ def test_semi_exact_agrees_with_mc_at_scale():
     assert 0.40 <= mc.ratio <= 0.46
 
 
+def _heavy_atom_mixtures():
+    two = Instance(
+        (
+            ValueDist(((0.7, 1.0, 1.0), (0.3, 0.0, 2.0))),
+            ValueDist(((0.5, 0.5, 1.5), (0.5, 2.0, 2.0))),
+        )
+    )
+    three = Instance(
+        (
+            ValueDist(((0.6, 1.0, 1.0), (0.4, 0.0, 2.0))),
+            ValueDist(((0.5, 0.5, 1.5), (0.3, 2.0, 2.0), (0.2, 1.0, 1.0))),
+            ValueDist(((1.0, 0.0, 3.0),)),
+        )
+    )
+    return two, three
+
+
+@pytest.mark.parametrize(
+    "which, rank, reps, threads, alg_hex, ci_hex",
+    [
+        # the rank lands on the heavy atom at 1.0 in nearly every replication
+        (0, 220, 1000, 1, "0x1.4748911d2ad14p+0", "0x1.76fbc0d90c534p-11"),
+        (1, 380, 1000, 1, "0x1.4ee2923c2c361p+0", "0x1.41eac1ce3aa6dp-10"),
+        # the rank straddles the atom at 2.0 and the interval below; three chunks
+        (1, 120, 10_000, 2, "0x1.248592625b2cep+0", "0x1.025d338fbc568p-10"),
+    ],
+)
+def test_semi_exact_atom_path_golden(which, rank, reps, threads, alg_hex, ci_hex):
+    # bits recorded from the per-key evaluator; batching by atom level keeps them
+    inst = _heavy_atom_mixtures()[which]
+    report = semi_exact_ordinal(inst, 200, rank, reps, seed=17, threads=threads)
+    assert report.alg_value.hex() == alg_hex
+    assert report.ci_halfwidth.hex() == ci_hex
+
+
+def test_all_zero_instance_has_no_ratio():
+    inst = Instance((ValueDist.atom(0.0), ValueDist.atom(0.0)))
+    with pytest.raises(ValueError, match="prophet value"):
+        semi_exact_ordinal(inst, 2, 1, 100, seed=1)
+    with pytest.raises(ValueError, match="prophet value"):
+        mc_ratio(inst, MaxSample(), 1, 100, seed=1)
+
+
 # -- exact single-sample ---------------------------------------------------------------
 
 
