@@ -22,6 +22,7 @@ from . import evaluation, hardness, stats
 from .algorithms import ExplicitT, effective_rank, rule_from_config, rule_to_config
 from .distributions import Instance, instance_from_json, instance_to_json, load_instance
 from .evaluation import (
+    MC_POOL_CAP,
     RATIO_CSV_HEADER,
     derive_seed,
     dominance_check,
@@ -149,6 +150,16 @@ def _need_seed(config: ExperimentConfig) -> int:
     return config.seed
 
 
+def _check_mc_pool(instances: list[tuple[str, Instance]], k: int) -> None:
+    for inst_id, inst in instances:
+        if inst.n * k > MC_POOL_CAP:
+            raise _fail(
+                "k",
+                f"n*k = {inst.n * k} samples of instance {inst_id!r} exceed the "
+                f"Monte Carlo pool cap of {MC_POOL_CAP}",
+            )
+
+
 def _need_reps(config: ExperimentConfig) -> int:
     if config.reps is None:
         raise _fail("reps", "is required")
@@ -177,6 +188,8 @@ def _run_eval(config: ExperimentConfig, out: io.TextIOBase) -> None:
                 "rule.rank",
                 f"rank {rank} exceeds n*k = {inst.n * min(ks)} samples of instance {inst_id!r}",
             )
+    if method == "mc":
+        _check_mc_pool(instances, max(ks))
     lines = [RATIO_CSV_HEADER]
     for idx, (inst_id, inst) in enumerate(instances):
         for k in ks:
@@ -210,6 +223,7 @@ def _run_dominance(config: ExperimentConfig, out: io.TextIOBase) -> None:
     if mode == "mc":
         reps = _need_reps(config)
         seed = _need_seed(config)
+        _check_mc_pool(instances, k)
     lines = ["instance_id,rule,k,gamma,mode,worst_x,worst_ratio,passed,reps,seed"]
     for idx, (inst_id, inst) in enumerate(instances):
         report = dominance_check(

@@ -35,6 +35,11 @@ _TAG_SEMI = 0x5345
 _TAG_DOM = 0x444F
 
 _SEMI_CHUNK = 4096
+# Array entries per Monte Carlo chunk; a replication costs about n * (k + 2).
+_MC_CHUNK_BUDGET = 1 << 21
+# Largest pooled sample n * k a replication may draw, so that even a one-row
+# chunk stays near the chunk budget.
+MC_POOL_CAP = _MC_CHUNK_BUDGET
 _DOM_TOL = 1e-9
 _EXACT_ENUM_CAP = 300_000
 
@@ -60,8 +65,14 @@ def _substream(seed: int, tag: int, chunk: int) -> np.random.Generator:
 
 
 def _mc_chunk_size(n: int, k: int) -> int:
-    """Rows per chunk; a pure function of the config so schedules cannot vary it."""
-    return max(1, min(65536, (1 << 21) // max(1, n * (k + 2))))
+    """Rows per chunk; a pure function of the config so schedules cannot vary it.
+
+    Raises ValueError when the pooled sample n * k exceeds MC_POOL_CAP, before
+    anything is drawn or allocated.
+    """
+    if n * k > MC_POOL_CAP:
+        raise ValueError(f"pooled sample n*k = {n * k} exceeds the cap of {MC_POOL_CAP}")
+    return max(1, min(65536, _MC_CHUNK_BUDGET // max(1, n * (k + 2))))
 
 
 def _map_chunks(worker: Callable[[int], tuple], chunks: int, threads: int) -> list:
@@ -168,6 +179,28 @@ def _finalize_ratio(
 # -- full Monte Carlo -------------------------------------------------------------
 
 
+def _select_pooled(
+    samples: np.ndarray, sample_ranks: np.ndarray | None, pos: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Per row, the entry at column `pos` of the pool sorted by (value, rank).
+
+    Returns (value, latent rank); the rank is None when `sample_ranks` is.
+    A partition gives the value. Its samples strictly below fix how many of
+    the tied entries precede the pick, so sorting the ranks of the tied
+    entries alone finds it: the same element a full lexsort would read.
+    Overwrites `sample_ranks`.
+    """
+    part = np.partition(samples, pos, axis=1)
+    thresh = part[:, pos].copy()
+    if sample_ranks is None:
+        return thresh, None
+    below = np.count_nonzero(part[:, :pos] < thresh[:, None], axis=1)
+    del part
+    sample_ranks[samples != thresh[:, None]] = np.inf
+    sample_ranks.sort(axis=1)
+    return thresh, sample_ranks[np.arange(len(thresh)), pos - below]
+
+
 def _simulate_chunk(
     inst: Instance,
     rule: ThresholdRule,
@@ -180,6 +213,11 @@ def _simulate_chunk(
     Draw order is fixed per configuration: pooled samples, sample ranks,
     values, value ranks, then any threshold rank. Latent ranks are drawn only
     when the instance has atoms; without atoms ties are a null event.
+
+    An ordinal rule's threshold is the pooled entry at column n*k - rank in
+    (value, latent rank) order. `_select_pooled` finds it with a partition on
+    the values, then a sort of the latent ranks of the entries tied with the
+    threshold value, every other rank masked to inf.
     """
     n = inst.n
     ranked = inst.has_atoms
@@ -188,24 +226,16 @@ def _simulate_chunk(
     if rank is not None:
         if not 1 <= rank <= n * k:
             raise ValueError(f"rank {rank} outside [1, {n * k}]")
-        samples = np.concatenate(
-            [box.sample_many(rng, (rows, k)) for box in inst.boxes], axis=1
-        )
+        samples = np.empty((rows, n * k))
+        for i, box in enumerate(inst.boxes):
+            samples[:, i * k : (i + 1) * k] = box.sample_many(rng, (rows, k))
         sample_ranks = rng.random((rows, n * k)) if ranked else None
 
     values = np.stack([box.sample_many(rng, rows) for box in inst.boxes], axis=1)
     value_ranks = rng.random((rows, n)) if ranked else None
 
     if rank is not None:
-        if ranked:
-            order = np.lexsort((sample_ranks, samples), axis=-1)
-            pick = order[:, n * k - rank]
-            rows_idx = np.arange(rows)
-            thresh = samples[rows_idx, pick]
-            thresh_rank = sample_ranks[rows_idx, pick]
-        else:
-            thresh = np.partition(samples, n * k - rank, axis=1)[:, n * k - rank]
-            thresh_rank = None
+        thresh, thresh_rank = _select_pooled(samples, sample_ranks, n * k - rank)
     else:
         thresh = np.full(rows, rule.t)
         thresh_rank = rng.random(rows) if ranked else None

@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from prophet_samples import cli
+from prophet_samples.evaluation import MC_POOL_CAP
 
 INSTANCE_A = {
     "id": "instA",
@@ -144,6 +146,36 @@ def test_all_zero_instance_is_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "field 'instances'" in err
     assert "'zero'" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "dominance"])
+def test_mc_pool_above_cap_is_config_error(tmp_path, capsys, command):
+    cfg = write_json(
+        tmp_path / "cap.json",
+        {
+            "command": command,
+            "instances": [INSTANCE_A],
+            "rule": {"rule": "max_sample"},
+            "k": MC_POOL_CAP // 2 + 1,
+            "gamma": 0.5,
+            "mode": "mc",
+            "reps": 1,
+            "seed": 1,
+        },
+    )
+    assert run_cli([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "field 'k'" in err
+    assert "internal error" not in err
+
+
+def test_eval_reproduces_committed_artifact(tmp_path, monkeypatch):
+    # 1e6 max-sample replications on instance A, which has atoms
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    out = tmp_path / "eval_instance_a.csv"
+    assert run_cli(["eval", "--config", "configs/eval_instance_a.json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (root / "results" / "eval_instance_a.csv").read_bytes()
 
 
 def test_eval_generator_instances(tmp_path):

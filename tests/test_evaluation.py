@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from prophet_samples import (
@@ -18,8 +19,11 @@ from prophet_samples import (
     semi_exact_ordinal,
 )
 from prophet_samples.evaluation import (
+    MC_POOL_CAP,
     RATIO_CSV_HEADER,
     _exact_selected_distribution,
+    _mc_chunk_size,
+    _select_pooled,
     derive_seed,
     diagnostics_sandwich_sweep,
     random_discrete_instance,
@@ -161,6 +165,121 @@ def test_semi_exact_atom_path_golden(which, rank, reps, threads, alg_hex, ci_hex
     report = semi_exact_ordinal(inst, 200, rank, reps, seed=17, threads=threads)
     assert report.alg_value.hex() == alg_hex
     assert report.ci_halfwidth.hex() == ci_hex
+
+
+def _mc_golden_instances():
+    heavy = _heavy_atom_mixtures()[1]
+    free = Instance(
+        (
+            ValueDist(((0.6, 0.0, 1.0), (0.4, 1.5, 2.5))),
+            ValueDist(((0.5, 0.5, 1.5), (0.5, 2.0, 3.0))),
+            ValueDist(((1.0, 0.0, 3.0),)),
+        )
+    )
+    inst_a = Instance((ValueDist.atom(1.0), ValueDist.discrete({2.0: 0.5, 0.0: 0.5})))
+    # every value is shared by several boxes, so the max sample ties often
+    ties = Instance(
+        (
+            ValueDist.discrete({0.0: 0.2, 1.0: 0.5, 2.0: 0.3}),
+            ValueDist.discrete({1.0: 0.6, 2.0: 0.4}),
+            ValueDist.atom(1.0),
+            ValueDist.discrete({0.0: 0.5, 2.0: 0.5}),
+        )
+    )
+    return {"heavy": heavy, "free": free, "a": inst_a, "ties": ties}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "which, rule, k, reps, alg_hex, ci_hex, ratio_hex",
+    [
+        # heavy-atom mixture, n = 3, k = 100: ranks 1, ceil(rho k - k^(2/3)) = 36
+        # and n k; 8000 replications are two chunks
+        ("heavy", OrdinalRank(1), 100, 8000,
+         "0x1.11f72437751b6p-5", "0x1.c24fa3c74b408p-8", "0x1.25c658e534cf6p-6"),
+        ("heavy", OrdinalRank(36), 100, 8000,
+         "0x1.b6bb0ff552131p-1", "0x1.aac103d1df847p-6", "0x1.d67423562bd1fp-2"),
+        ("heavy", OrdinalRank(300), 100, 8000,
+         "0x1.0125b0011374dp+0", "0x1.0722b79fc6368p-7", "0x1.13bd950f5159cp-1"),
+        ("free", OrdinalRank(36), 100, 8000,
+         "0x1.d71d2f990980ep-1", "0x1.d5fdf318c3486p-6", "0x1.a7e73baf1cc43p-2"),
+        # max sample at k = 1; 150000 replications are three chunks
+        ("a", MaxSample(), 1, 150_000,
+         "0x1.7f61d6fc424cfp-1", "0x1.130c55140d28bp-8", "0x1.ff2d1ea5adbbfp-2"),
+        ("ties", MaxSample(), 1, 150_000,
+         "0x1.e438088509bfap-1", "0x1.41d2448b9e4abp-8", "0x1.0e836a4d2eebcp-1"),
+    ],
+)
+def test_mc_pool_path_golden(which, rule, k, reps, alg_hex, ci_hex, ratio_hex, threads):
+    # bits recorded from the lexsort selection; the partition selection keeps them
+    inst = _mc_golden_instances()[which]
+    report = mc_ratio(inst, rule, k, reps, seed=23, threads=threads)
+    assert report.alg_value.hex() == alg_hex
+    assert report.ci_halfwidth.hex() == ci_hex
+    assert report.ratio.hex() == ratio_hex
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_pool_path_golden_dominance(threads):
+    inst = _mc_golden_instances()["a"]
+    report = dominance_check(inst, MaxSample(), 1, 0.5, mode="mc", reps=150_000, seed=29, threads=threads)
+    assert report.worst_x == 2.0
+    assert report.worst_ratio.hex() == "0x1.fd6a95f60554dp-2"
+
+
+def lexsort_select_oracle(samples, sample_ranks, pos):
+    """Reference selection: sort each row fully by (value, latent rank)."""
+    order = np.lexsort((sample_ranks, samples), axis=-1)
+    pick = order[:, pos]
+    rows_idx = np.arange(len(samples))
+    return samples[rows_idx, pick], sample_ranks[rows_idx, pick]
+
+
+def _tie_run_rows(rng, rows, below, tied, above):
+    """Rows holding `below` values under 1.0, `tied` copies of 1.0, `above` over it."""
+    base = np.concatenate(
+        [rng.uniform(0.0, 0.5, below), np.ones(tied), rng.uniform(1.5, 2.0, above)]
+    )
+    return rng.permuted(np.tile(base, (rows, 1)), axis=1)
+
+
+def _selection_cases():
+    rng = np.random.default_rng(404)
+    cases = {
+        "all tied": (np.full((50, 12), 3.0), [0, 5, 11]),
+        "no ties": (rng.permutation(np.arange(600.0)).reshape(50, 12), [0, 5, 11]),
+        # pos 4, 7 and 10 are the lowest, a middle and the highest slot of the run
+        "tie run": (_tie_run_rows(rng, 50, 4, 7, 5), [4, 7, 10]),
+        "few values": (rng.integers(0, 3, (200, 9)).astype(float), list(range(9))),
+        "one row": (rng.integers(0, 2, (1, 7)).astype(float), list(range(7))),
+    }
+    for name, (samples, positions) in cases.items():
+        for pos in positions:
+            yield pytest.param(samples, pos, id=f"{name}-pos{pos}")
+
+
+@pytest.mark.parametrize("samples, pos", list(_selection_cases()))
+def test_select_pooled_matches_lexsort(samples, pos):
+    ranks = np.random.default_rng(pos).random(samples.shape)
+    want_value, want_rank = lexsort_select_oracle(samples, ranks, pos)
+    value, rank = _select_pooled(samples.copy(), ranks.copy(), pos)
+    assert np.all(value == want_value)
+    assert np.all(rank == want_rank)
+    free_value, free_rank = _select_pooled(samples.copy(), None, pos)
+    assert free_rank is None
+    assert np.all(free_value == want_value)
+
+
+def test_mc_pool_cap_rejects_before_drawing(instance_a):
+    n = instance_a.n
+    assert _mc_chunk_size(n, MC_POOL_CAP // n) == 1
+    k = MC_POOL_CAP // n + 1
+    with pytest.raises(ValueError, match="cap"):
+        _mc_chunk_size(n, k)
+    with pytest.raises(ValueError, match="cap"):
+        mc_ratio(instance_a, MaxSample(), k, 1, seed=1)
+    with pytest.raises(ValueError, match="cap"):
+        dominance_check(instance_a, MaxSample(), k, 0.5, mode="mc", reps=1, seed=1)
 
 
 def test_all_zero_instance_has_no_ratio():
