@@ -2,7 +2,7 @@
 
 Library layout:
 
-- distributions: uniform-mixture value models, instances, sample pools
+- distributions: uniform-mixture value models and instances
 - algorithms: threshold rules, the omega-constant rank recipe, exact walks
 - stats: integer-support distributions, TV distances, tail checks
 - evaluation: Monte Carlo and exact competitive-ratio machinery
@@ -19,17 +19,13 @@ from .algorithms import (
     exact_static_threshold_value,
     omega_rho,
     recommended_rank,
-    run_static_threshold,
-    select_threshold,
     static_threshold_exceedance,
     threshold_diagnostics,
     threshold_value_with_rank_law,
 )
 from .distributions import (
     Instance,
-    SampleSet,
     ValueDist,
-    draw_sample_set,
     instance_from_json,
     instance_to_json,
     load_instance,

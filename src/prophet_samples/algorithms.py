@@ -4,18 +4,19 @@ The tie convention used throughout: every sample and every realized value
 carries an independent latent uniform rank, and comparisons between equal
 numbers are decided by comparing ranks. Exact evaluators never perturb values;
 they integrate the latent rank out in closed form (the integrands are
-polynomials in the threshold's rank quantile, so a fixed Gauss rule is exact).
+polynomials in the threshold's rank quantile, so pairing their coefficients
+with the Beta moments of that rank is exact).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Union
 
 import numpy as np
 
-from .distributions import Instance, SampleSet
+from .distributions import Instance
 
 
 # -- rules --------------------------------------------------------------------
@@ -105,40 +106,6 @@ def recommended_rank(k: int) -> int:
     return max(1, math.ceil(omega_rho() * k - k ** (2.0 / 3.0)))
 
 
-# -- applying rules to sample pools --------------------------------------------
-
-
-def select_threshold(samples: SampleSet, rule: ThresholdRule) -> float:
-    """Threshold value a rule picks from a sample pool.
-
-    Rank ties among equal samples do not change the returned value; the
-    latent-rank law of the chosen sample matters only to exact evaluators,
-    which recover it from the pool's tie multiplicities.
-    """
-    if isinstance(rule, ExplicitT):
-        return rule.t
-    rank = effective_rank(rule)
-    if not 1 <= rank <= len(samples):
-        raise ValueError(f"rank {rank} outside [1, {len(samples)}]")
-    return samples.values[rank - 1]
-
-
-def run_static_threshold(values: Sequence[float], t: float, rng=None) -> float:
-    """First value exceeding t, else 0.
-
-    "Exceeds" is strict; with an rng, a value equal to t wins against the
-    threshold's fresh latent rank (probability 1/2 for a single tie). Without
-    an rng ties lose deterministically.
-    """
-    u_t = rng.random() if rng is not None else None
-    for v in values:
-        if v > t:
-            return float(v)
-        if v == t and u_t is not None and rng.random() > u_t:
-            return float(v)
-    return 0.0
-
-
 # -- exact evaluators -----------------------------------------------------------
 
 
@@ -160,21 +127,60 @@ def beta_moments(alpha, beta, upto: int) -> np.ndarray:
     return out
 
 
-def _walk_value_poly(inst: Instance, t: float) -> np.ndarray:
-    """Walk value as a polynomial in the threshold's latent rank quantile u.
+def poly_times_linear(poly: np.ndarray, a, b) -> np.ndarray:
+    """Coefficients of poly(u) * (a + b * u), one degree up, lowest first.
 
-    stay_i(u) = Pr[v_i < t] + Pr[v_i = t] * u and the payoff collects both the
-    strict tail and the tie-win mass t * Pr[v_i = t] * (1 - u); the result has
-    degree at most n.
+    Each coefficient is a sum of at most two products, formed as np.convolve
+    forms it, so batching thresholds along the trailing axes moves no bits.
     """
-    acc = np.zeros(inst.n + 1)
-    alive = np.array([1.0])
-    for box in inst.boxes:
-        m = box.mass_at(t)
-        payoff = np.array([box.tail_expectation(t) + t * m, -t * m])
-        contrib = np.convolve(alive, payoff)
-        acc[: len(contrib)] += contrib
-        alive = np.convolve(alive, np.array([box.cdf(t) - m, m]))
+    out = np.empty((len(poly) + 1,) + poly.shape[1:])
+    out[0] = poly[0] * a
+    out[1:-1] = poly[1:] * a + poly[:-1] * b
+    out[-1] = poly[-1] * b
+    return out
+
+
+def walk_terms(inst: Instance, ts) -> Iterator[tuple[np.ndarray, np.ndarray | float]]:
+    """The static-threshold walk at every threshold in ts, box by box.
+
+    Yields (reach, mass) for each box in arrival order: reach holds
+    Pr[the walk reaches the box] as a polynomial in the threshold's latent
+    rank quantile u, lowest coefficient first, shape (d + 1,) + ts.shape, and
+    mass is the box's atom mass at ts. The walk stays past a box with
+    probability Pr[v < t] + Pr[v = t] * u. The degree d is n when some
+    threshold sits on an atom of the instance. Otherwise d is 0, mass is 0
+    and reach is the product of the earlier boxes' CDFs; an instance without
+    atoms is never asked for its atom masses.
+    """
+    ts = np.asarray(ts, dtype=float)
+    masses = [box.mass_at(ts) for box in inst.boxes] if inst.has_atoms else None
+    if masses is None or not any(np.any(m > 0.0) for m in masses):
+        reach = np.ones((1,) + ts.shape)
+        for box in inst.boxes:
+            yield reach, 0.0
+            reach = reach * box.cdf(ts)
+        return
+    reach = np.zeros((inst.n + 1,) + ts.shape)
+    reach[0] = 1.0
+    for box, mass in zip(inst.boxes, masses):
+        yield reach, mass
+        reach = poly_times_linear(reach, box.cdf(ts) - mass, mass)[:-1]
+
+
+def _walk_value(inst: Instance, ts) -> np.ndarray:
+    """Walk value as a polynomial in u, shaped like walk_terms' reach.
+
+    A box pays its strict tail, plus t * mass * (1 - u) when its value ties
+    the threshold and its own fresh rank beats u.
+    """
+    ts = np.asarray(ts, dtype=float)
+    acc = 0.0
+    for box, (reach, mass) in zip(inst.boxes, walk_terms(inst, ts)):
+        tail = box.tail_expectation(ts)
+        if len(reach) == 1:
+            acc = acc + reach * tail
+        else:
+            acc = acc + poly_times_linear(reach, tail + ts * mass, -ts * mass)[:-1]
     return acc
 
 
@@ -189,11 +195,9 @@ def threshold_value_with_rank_law(inst: Instance, t: float, alpha=1, beta=1):
     scalars give a float.
     """
     moments = beta_moments(alpha, beta, inst.n)
-    if all(box.mass_at(t) == 0.0 for box in inst.boxes):
-        vals = np.full(moments.shape[:-1], static_threshold_values(inst, np.asarray([t]))[0])
-    else:
-        # vecdot runs np.dot's kernel on each row; matmul would move the last bits
-        vals = np.vecdot(moments, _walk_value_poly(inst, t))
+    poly = _walk_value(inst, t)
+    # vecdot runs np.dot's kernel on each row; matmul would move the last bits
+    vals = np.vecdot(moments[..., : len(poly)], poly)
     return float(vals) if vals.ndim == 0 else vals
 
 
@@ -207,18 +211,18 @@ def exact_static_threshold_value(inst: Instance, t: float) -> float:
 
 
 def static_threshold_values(inst: Instance, ts: np.ndarray) -> np.ndarray:
-    """Vectorized tie-free evaluator over an array of thresholds.
+    """exact_static_threshold_value at every threshold in ts, with its bits.
 
-    Assumes no box has an atom exactly at any entry of ts (how thresholds
-    drawn from continuous strata always land).
+    A threshold on an atom gets a fresh latent rank, so a tied value wins
+    half the time. When no threshold sits on an atom this is the tie-free sum
+    alone, without any Beta moments.
     """
-    ts = np.asarray(ts, dtype=float)
-    acc = np.zeros_like(ts)
-    alive = np.ones_like(ts)
-    for box in inst.boxes:
-        acc = acc + alive * box.tail_expectation(ts)
-        alive = alive * box.cdf(ts)
-    return acc
+    poly = _walk_value(inst, ts)
+    if len(poly) == 1:
+        return poly[0]
+    # strided rows would move the last bits against the scalar call
+    rows = np.ascontiguousarray(np.moveaxis(poly, 0, -1))
+    return np.vecdot(beta_moments(1, 1, inst.n), rows)
 
 
 def static_threshold_exceedance(inst: Instance, t: float, x: float) -> float:

@@ -23,12 +23,10 @@ from .algorithms import ExplicitT, effective_rank, rule_from_config, rule_to_con
 from .distributions import Instance, instance_from_json, instance_to_json, load_instance
 from .evaluation import (
     MC_POOL_CAP,
-    RATIO_CSV_HEADER,
     derive_seed,
     dominance_check,
     mc_ratio,
     ordinal_upper_bound_sweep,
-    ratio_csv_row,
     semi_exact_ordinal,
 )
 
@@ -160,6 +158,21 @@ def _check_mc_pool(instances: list[tuple[str, Instance]], k: int) -> None:
             )
 
 
+def _csv_row(*fields: Any) -> str:
+    """One CSV line: floats by repr, booleans lower-case, None as an empty field."""
+    out = []
+    for f in fields:
+        if f is None:
+            out.append("")
+        elif isinstance(f, bool):
+            out.append(str(f).lower())
+        elif isinstance(f, float):
+            out.append(repr(float(f)))
+        else:
+            out.append(str(f))
+    return ",".join(out)
+
+
 def _need_reps(config: ExperimentConfig) -> int:
     if config.reps is None:
         raise _fail("reps", "is required")
@@ -190,7 +203,7 @@ def _run_eval(config: ExperimentConfig, out: io.TextIOBase) -> None:
             )
     if method == "mc":
         _check_mc_pool(instances, max(ks))
-    lines = [RATIO_CSV_HEADER]
+    lines = ["instance_id,rule,k,l,reps,seed,alg_value,prophet_value,ratio,ci"]
     for idx, (inst_id, inst) in enumerate(instances):
         for k in ks:
             run_seed = derive_seed(seed, idx, k)
@@ -202,7 +215,10 @@ def _run_eval(config: ExperimentConfig, out: io.TextIOBase) -> None:
                 )
             else:
                 report = mc_ratio(inst, rule, k, reps, run_seed, threads=config.threads)
-            lines.append(ratio_csv_row(inst_id, rule, k, report))
+            lines.append(_csv_row(
+                inst_id, rule_to_config(rule)["rule"], k, rank, report.reps, report.seed,
+                report.alg_value, report.prophet_value, report.ratio, report.ci_halfwidth,
+            ))
             print(f"eval {inst_id} k={k}: ratio={report.ratio:.6f}", file=sys.stderr)
     out.write("\n".join(lines) + "\n")
 
@@ -236,22 +252,10 @@ def _run_dominance(config: ExperimentConfig, out: io.TextIOBase) -> None:
             seed=derive_seed(seed, idx) if mode == "mc" else 0,
             threads=config.threads,
         )
-        lines.append(
-            ",".join(
-                [
-                    inst_id,
-                    rule_to_config(rule)["rule"],
-                    str(k),
-                    repr(float(gamma)),
-                    mode,
-                    repr(report.worst_x),
-                    repr(report.worst_ratio),
-                    str(report.passed).lower(),
-                    str(report.reps),
-                    str(report.seed),
-                ]
-            )
-        )
+        lines.append(_csv_row(
+            inst_id, rule_to_config(rule)["rule"], k, float(gamma), mode,
+            report.worst_x, report.worst_ratio, report.passed, report.reps, report.seed,
+        ))
         print(f"dominance {inst_id}: worst={report.worst_ratio:.6f}", file=sys.stderr)
     out.write("\n".join(lines) + "\n")
 
@@ -268,21 +272,10 @@ def _run_ordinal_sweep(config: ExperimentConfig, out: io.TextIOBase) -> None:
     rows = ordinal_upper_bound_sweep(k, ranks, reps, seed, threads=config.threads)
     lines = ["k,l,case1_ratio,case1_ci,case2_ratio,case2_ci,min_ratio,reps,seed"]
     for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(k),
-                    str(row.rank),
-                    repr(row.case1.ratio),
-                    repr(row.case1.ratio_ci_halfwidth),
-                    repr(row.case2.ratio),
-                    repr(row.case2.ratio_ci_halfwidth),
-                    repr(row.min_ratio),
-                    str(reps),
-                    str(seed),
-                ]
-            )
-        )
+        lines.append(_csv_row(
+            k, row.rank, row.case1.ratio, row.case1.ratio_ci_halfwidth,
+            row.case2.ratio, row.case2.ratio_ci_halfwidth, row.min_ratio, reps, seed,
+        ))
         print(f"sweep l={row.rank}: min={row.min_ratio:.6f}", file=sys.stderr)
     out.write("\n".join(lines) + "\n")
 
@@ -343,7 +336,7 @@ def _run_tv_convergence(config: ExperimentConfig, out: io.TextIOBase) -> None:
                 raise _fail("p", f"entries must lie in (0, 1), got {p!r}")
             for n in ns:
                 tv = stats.tv_binom_vs_normal(n, float(p))
-                lines.append(f"binomial_normal,{n},{float(p)!r},{tv!r}")
+                lines.append(_csv_row("binomial_normal", n, float(p), tv))
                 print(f"tv binom n={n} p={p}: {tv:.6f}", file=sys.stderr)
     elif family == "count_mixture":
         ks = _int_list(payload, "k")
@@ -354,7 +347,7 @@ def _run_tv_convergence(config: ExperimentConfig, out: io.TextIOBase) -> None:
             params = hardness.HardParams(k=k, eps=float(eps))
             _, mix, star = hardness.build_dd_mixture(params)
             tv = stats.tv_distance(mix, star)
-            lines.append(f"count_mixture,{k},{float(eps)!r},{tv!r}")
+            lines.append(_csv_row("count_mixture", k, float(eps), tv))
             print(f"tv mixture k={k}: {tv:.6f}", file=sys.stderr)
     else:
         raise _fail("family", f"must be 'binomial_normal' or 'count_mixture', got {family!r}")

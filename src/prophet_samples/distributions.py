@@ -1,4 +1,4 @@
-"""Box value distributions, online instances, and pooled sample sets.
+"""Box value distributions and online instances.
 
 A box's value distribution is a finite mixture of uniform segments; a segment
 with ``lo == hi`` is an atom. This family is closed under everything the
@@ -107,12 +107,6 @@ class ValueDist:
         pts = {lo for _, lo, _ in self.segments} | {hi for _, _, hi in self.segments}
         return sorted(pts)
 
-    def support_max(self) -> float:
-        return max(hi for _, _, hi in self.segments)
-
-    def support_min(self) -> float:
-        return min(lo for _, lo, _ in self.segments)
-
     # -- exact functionals ---------------------------------------------------
 
     def cdf(self, x):
@@ -157,17 +151,6 @@ class ValueDist:
         return math.fsum(w * 0.5 * (lo + hi) for w, lo, hi in self.segments)
 
     # -- sampling ------------------------------------------------------------
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """One draw. Consumes exactly two uniforms (segment pick, position)."""
-        u = rng.random()
-        pos = rng.random()
-        acc = 0.0
-        for w, lo, hi in self.segments:
-            acc += w
-            if u <= acc or (w, lo, hi) == self.segments[-1]:
-                return lo + (hi - lo) * pos
-        return self.segments[-1][1]
 
     def sample_many(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Vectorized draws with a fixed (choice, position) call pattern."""
@@ -250,43 +233,6 @@ class Instance:
                 lambda x: 1.0 - self.product_cdf(x), a, b, nodes
             )
         return total
-
-    def sample_values(self, rng: np.random.Generator) -> np.ndarray:
-        """One realized value per box, in arrival order."""
-        return np.array([b.sample(rng) for b in self.boxes])
-
-
-@dataclass(frozen=True)
-class SampleSet:
-    """Pooled multiset of k samples per box, stripped of box identities."""
-
-    values: tuple[float, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        vals = tuple(sorted((float(v) for v in self.values), reverse=True))
-        if len(vals) % self.k != 0:
-            raise ValueError(f"sample count {len(vals)} is not a multiple of k={self.k}")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def occurrences(self, x: float) -> int:
-        """Exact multiset count of x."""
-        return sum(1 for v in self.values if v == x)
-
-
-def draw_sample_set(inst: Instance, k: int, rng: np.random.Generator) -> SampleSet:
-    """k independent draws per box, pooled without identities."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    vals: list[float] = []
-    for b in inst.boxes:
-        vals.extend(b.sample_many(rng, k).tolist())
-    return SampleSet(tuple(vals), k)
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -21,9 +21,10 @@ from .algorithms import (
     ThresholdRule,
     beta_moments,
     effective_rank,
-    rule_to_config,
+    poly_times_linear,
     static_threshold_values,
     threshold_value_with_rank_law,
+    walk_terms,
 )
 from .distributions import Instance, ValueDist
 
@@ -126,28 +127,6 @@ class DominanceReport:
     @property
     def passed(self) -> bool:
         return self.worst_ratio >= self.gamma - _DOM_TOL
-
-
-RATIO_CSV_HEADER = "instance_id,rule,k,l,reps,seed,alg_value,prophet_value,ratio,ci"
-
-
-def ratio_csv_row(instance_id: str, rule: ThresholdRule, k: int, report: RatioReport) -> str:
-    rank = effective_rank(rule)
-    rule_name = rule_to_config(rule)["rule"]
-    return ",".join(
-        [
-            instance_id,
-            rule_name,
-            str(k),
-            "" if rank is None else str(rank),
-            str(report.reps),
-            str(report.seed),
-            repr(report.alg_value),
-            repr(report.prophet_value),
-            repr(report.ratio),
-            repr(report.ci_halfwidth),
-        ]
-    )
 
 
 def _finalize_ratio(
@@ -439,27 +418,25 @@ def _exact_selected_distribution(
     supports = _discrete_supports(inst)
     rank = effective_rank(rule)
 
-    def accumulate(t: float, m: int, j: int, weight: float, dist: dict[float, float]):
-        alpha, beta = (m + 1 - j, j) if m > 0 else (1, 1)
+    def accumulate(t: float, alpha: int, beta: int, weight: float, dist: dict[float, float]):
         moments = beta_moments(alpha, beta, inst.n + 1)
-        alive = np.array([1.0])
-        for box in inst.boxes:
+        for i, (box, (reach, _)) in enumerate(zip(inst.boxes, walk_terms(inst, t))):
+            reach = reach[: i + 1]  # np.dot's summation order depends on the length
             for v, p in box.atoms().items():
                 if v > t:
-                    sel = alive * p
+                    sel = reach * p
                 elif v == t:
-                    sel = np.convolve(alive, np.array([p, -p]))
+                    # a tied value is taken when its fresh rank beats the threshold's
+                    sel = poly_times_linear(reach, p, -p)
                 else:
                     continue
                 dist[v] = dist.get(v, 0.0) + weight * float(
                     np.dot(sel, moments[: len(sel)])
                 )
-            mass_t = box.mass_at(t)
-            alive = np.convolve(alive, np.array([box.cdf_left(t), mass_t]))
 
     dist: dict[float, float] = {}
     if rank is None:
-        accumulate(rule.t, 1 if any(b.mass_at(rule.t) > 0 for b in inst.boxes) else 0, 1, 1.0, dist)
+        accumulate(rule.t, 1, 1, 1.0, dist)
         return dist
 
     slots = [s for s in supports for _ in range(k)]
@@ -478,7 +455,8 @@ def _exact_selected_distribution(
         t = pool[rank - 1]
         gt = sum(1 for v in pool if v > t)
         m = sum(1 for v in pool if v == t)
-        accumulate(t, m, rank - gt, prob, dist)
+        j = rank - gt
+        accumulate(t, m + 1 - j, j, prob, dist)
     return dist
 
 
@@ -531,7 +509,7 @@ def dominance_check(
         alg_counts = np.sum([p[0] for p in parts], axis=0)
         max_counts = np.sum([p[1] for p in parts], axis=0)
         pairs = [
-            (x, a / m_)
+            (x, float(a / m_))
             for x, a, m_ in zip(grid, alg_counts, max_counts)
             if m_ > 0
         ]

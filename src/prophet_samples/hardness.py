@@ -200,12 +200,6 @@ def load_policy(path: str) -> QPolicy:
         return policy_from_json(json.load(fh))
 
 
-def save_policy(policy: QPolicy, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(policy_to_json(policy), fh)
-        fh.write("\n")
-
-
 # -- sample-pool statistics ---------------------------------------------------------
 
 
@@ -315,13 +309,6 @@ def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> floa
     return total
 
 
-def q_p_expectation(policy: QPolicy, prefix: tuple, p: ProbVector, k: int) -> float:
-    """Policy acceptance at a prefix averaged over the ones-count law."""
-    dist = ones_count_dist(p, k)
-    row = policy.row(prefix)[dist.offset : dist.offset + len(dist.masses)]
-    return float(np.sum(dist.masses * row))
-
-
 def over_selection_score(policy: QPolicy, p: ProbVector, k: int) -> float:
     """Expected chance of stopping within the first two boxes on an all-ones start."""
     dist = ones_count_dist(p, k)
@@ -365,9 +352,9 @@ def family_prophet_value(p: ProbVector, params: HardParams) -> float:
 # -- the binomial-mixture comparison -------------------------------------------------------
 
 
-def g_clamp(x: int, params: HardParams) -> float:
-    """Success-probability ramp min(1, max(0, (x - k)/k + eps))."""
-    return min(1.0, max(0.0, (x - params.k) / params.k + params.eps))
+def g_clamp(x, params: HardParams):
+    """Success-probability ramp min(1, max(0, (x - k)/k + eps)), elementwise."""
+    return np.minimum(1.0, np.maximum(0.0, (x - params.k) / params.k + params.eps))
 
 
 @dataclass(frozen=True)
@@ -398,8 +385,7 @@ def build_dd_mixture(
     """
     k = params.k
     coeff = binom(3 * k, ONE_THIRD)
-    j = np.arange(3 * k + 1)
-    ramp = np.minimum(1.0, np.maximum(0.0, (j - k) / k + params.eps))
+    ramp = g_clamp(np.arange(3 * k + 1), params)
     success = np.minimum(1.0, params.eps + ramp) if alt_success else ramp
 
     mix_masses = np.zeros(4 * k + 1)

@@ -62,13 +62,6 @@ class CountDist:
         idx = np.arange(self.offset, self.upper + 1, dtype=float)
         return float(np.sum(idx * self.masses))
 
-    def expectation_of(self, values: np.ndarray) -> float:
-        """Sum of masses[i] * values[i] over the support (values aligned to it)."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.masses.shape:
-            raise ValueError("values must align with the support")
-        return float(np.sum(self.masses * values))
-
 
 def point_mass(value: int) -> CountDist:
     return CountDist(value, np.array([1.0]))

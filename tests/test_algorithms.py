@@ -10,15 +10,11 @@ from prophet_samples import (
     Instance,
     MaxSample,
     OrdinalRank,
-    SampleSet,
     ThresholdDiagnostics,
     ValueDist,
-    draw_sample_set,
     exact_static_threshold_value,
     omega_rho,
     recommended_rank,
-    run_static_threshold,
-    select_threshold,
     static_threshold_exceedance,
     threshold_diagnostics,
     threshold_value_with_rank_law,
@@ -29,9 +25,25 @@ from prophet_samples.algorithms import (
     rule_to_config,
     static_threshold_values,
 )
-from prophet_samples.evaluation import random_discrete_instance
+from prophet_samples.evaluation import mc_ratio, random_discrete_instance
 
 from conftest import instances
+
+
+def run_static_threshold(values, t: float, rng=None) -> float:
+    """Scalar walk oracle: the first value exceeding t, else 0.
+
+    "Exceeds" is strict; with an rng, a value equal to t wins against the
+    threshold's fresh latent rank (probability 1/2 for a single tie). Without
+    an rng ties lose deterministically.
+    """
+    u_t = rng.random() if rng is not None else None
+    for v in values:
+        if v > t:
+            return float(v)
+        if v == t and u_t is not None and rng.random() > u_t:
+            return float(v)
+    return 0.0
 
 
 # -- omega constant -----------------------------------------------------------------
@@ -59,21 +71,9 @@ def test_recommended_rank_values():
 # -- rule application -----------------------------------------------------------------
 
 
-def test_select_threshold():
-    s = SampleSet((5.0, 3.0, 1.0), 3)
-    assert select_threshold(s, OrdinalRank(2)) == 3.0
-    assert select_threshold(s, MaxSample()) == 5.0
-    assert select_threshold(SampleSet((7.0, 7.0, 7.0), 3), OrdinalRank(3)) == 7.0
-    assert select_threshold(s, ExplicitT(2.5)) == 2.5
-    with pytest.raises(ValueError):
-        select_threshold(s, OrdinalRank(4))
-
-
-def test_max_sample_equals_rank_one(rng):
+def test_max_sample_equals_rank_one():
     inst = Instance((ValueDist.uniform(0, 2), ValueDist.discrete({1.0: 0.4, 0.0: 0.6})))
-    for _ in range(50):
-        s = draw_sample_set(inst, 3, rng)
-        assert select_threshold(s, MaxSample()) == select_threshold(s, OrdinalRank(1))
+    assert mc_ratio(inst, MaxSample(), 3, 5000, seed=4) == mc_ratio(inst, OrdinalRank(1), 3, 5000, seed=4)
 
 
 def test_rule_config_round_trip():
@@ -118,9 +118,10 @@ def test_exact_static_threshold_tie(instance_a):
 
 def test_exact_matches_simulation_on_atom_threshold(instance_a, rng):
     reps = 200_000
+    values = np.stack([box.sample_many(rng, reps) for box in instance_a.boxes], axis=1)
     total = 0.0
-    for _ in range(reps):
-        total += run_static_threshold(instance_a.sample_values(rng), 1.0, rng)
+    for row in values:
+        total += run_static_threshold(row, 1.0, rng)
     assert abs(total / reps - exact_static_threshold_value(instance_a, 1.0)) < 0.01
 
 
@@ -131,6 +132,21 @@ def test_vectorized_matches_scalar_off_atoms(instance_a):
         assert exact_static_threshold_value(instance_a, float(t)) == pytest.approx(
             float(v), abs=1e-12
         )
+
+
+def test_vectorized_matches_scalar_on_atoms(instance_a):
+    # a fresh rank settles the tie: the tied value of box 2 wins half the time
+    ts = np.array([1.0, 2.0, 1.5])
+    vec = static_threshold_values(instance_a, ts)
+    assert vec.tolist() == [exact_static_threshold_value(instance_a, t) for t in ts]
+    assert vec[1] == 0.5
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        # shared atoms give every box a tie mass, so the polynomials reach degree n
+        inst = random_discrete_instance(rng, max_boxes=6)
+        ts = np.array(inst.support_atoms() + [0.25, 1.75])
+        vec = static_threshold_values(inst, ts)
+        assert vec.tolist() == [exact_static_threshold_value(inst, t) for t in ts]
 
 
 def test_rank_law_large_tie_counts():

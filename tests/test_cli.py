@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -7,6 +8,11 @@ import pytest
 
 from prophet_samples import cli
 from prophet_samples.evaluation import MC_POOL_CAP
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("run_benchmarks", ROOT / "scripts" / "run_benchmarks.py")
+run_benchmarks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(run_benchmarks)
 
 INSTANCE_A = {
     "id": "instA",
@@ -169,13 +175,32 @@ def test_mc_pool_above_cap_is_config_error(tmp_path, capsys, command):
     assert "internal error" not in err
 
 
-def test_eval_reproduces_committed_artifact(tmp_path, monkeypatch):
-    # 1e6 max-sample replications on instance A, which has atoms
-    root = Path(__file__).resolve().parents[1]
-    monkeypatch.chdir(root)
-    out = tmp_path / "eval_instance_a.csv"
-    assert run_cli(["eval", "--config", "configs/eval_instance_a.json", "--out", str(out)]) == 0
-    assert out.read_bytes() == (root / "results" / "eval_instance_a.csv").read_bytes()
+# The exact TV sums move in their last bits across library builds. Near
+# n = 1e4 the TV is a difference of near-equal masses, so a gap of 3e-17 in a
+# value of 1.5e-5 is 2e-12 relative; a TV is a probability, so those rows also
+# pass at an absolute gap of 1e-15.
+_TV_ARTIFACTS = ("tv_mixture.csv", "tv_binomial_normal.csv")
+
+
+@pytest.mark.parametrize(
+    "command, manifest, artifact",
+    run_benchmarks.MANIFESTS,
+    ids=[artifact for _, _, artifact in run_benchmarks.MANIFESTS],
+)
+def test_eval_reproduces_committed_artifact(command, manifest, artifact, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / artifact
+    assert run_cli([command, "--config", f"configs/{manifest}", "--out", str(out)]) == 0
+    want = (ROOT / "results" / artifact).read_text()
+    if artifact not in _TV_ARTIFACTS:
+        assert out.read_bytes() == want.encode()
+        return
+    got_rows = [line.split(",") for line in out.read_text().splitlines()]
+    want_rows = [line.split(",") for line in want.splitlines()]
+    assert got_rows[0] == want_rows[0]
+    assert [r[:-1] for r in got_rows] == [r[:-1] for r in want_rows]
+    for got, ref in zip(got_rows[1:], want_rows[1:]):
+        assert float(got[-1]) == pytest.approx(float(ref[-1]), rel=1e-12, abs=1e-15)
 
 
 def test_eval_generator_instances(tmp_path):
@@ -221,6 +246,29 @@ def test_dominance_exact(tmp_path):
     assert fields[0] == "instA"
     assert float(fields[6]) == pytest.approx(0.5, abs=1e-12)
     assert fields[7] == "true"
+
+
+def test_dominance_mc_writes_plain_numbers(tmp_path):
+    cfg = write_json(
+        tmp_path / "dom.json",
+        {
+            "command": "dominance",
+            "instances": [INSTANCE_A],
+            "rule": {"rule": "max_sample"},
+            "k": 1,
+            "gamma": 0.5,
+            "mode": "mc",
+            "reps": 20_000,
+            "seed": 3,
+        },
+    )
+    out = tmp_path / "dom.csv"
+    assert run_cli(["dominance", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    header, row = out.read_text().strip().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    for name in ("k", "gamma", "worst_x", "worst_ratio", "reps", "seed"):
+        float(fields[name])
+    assert fields["passed"] in ("true", "false")
 
 
 def test_ordinal_sweep(tmp_path):

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from prophet_samples import (
     Instance,
-    SampleSet,
     ValueDist,
-    draw_sample_set,
     instance_from_json,
     instance_to_json,
 )
-from prophet_samples.hardness import HardParams, ProbVector, family_instance
 
 from conftest import instances, value_dists
 
@@ -83,8 +80,8 @@ def test_tail_expectation_uniform_edges():
 def test_cdf_monotone(d, x1, x2):
     lo, hi = sorted((x1, x2))
     assert d.cdf(lo) <= d.cdf(hi) + 1e-15
-    assert d.cdf(d.support_min() - 1.0) == 0.0
-    assert d.cdf(d.support_max() + 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert d.cdf(min(lo for _, lo, _ in d.segments) - 1.0) == 0.0
+    assert d.cdf(max(hi for _, _, hi in d.segments) + 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=80, deadline=None)
@@ -112,8 +109,8 @@ def test_segments_sorted_after_construction():
 
 
 def test_sample_atoms(rng):
-    assert ValueDist.atom(3.0).sample(rng) == 3.0
-    assert ValueDist.uniform(5.0, 5.0).sample(rng) == 5.0
+    assert (ValueDist.atom(3.0).sample_many(rng, 5) == 3.0).all()
+    assert (ValueDist.uniform(5.0, 5.0).sample_many(rng, 5) == 5.0).all()
 
 
 def test_sample_uniform_mean(rng):
@@ -178,53 +175,6 @@ def test_prophet_matches_enumeration_on_random_atom_instances(rng):
 def test_empty_instance_rejected():
     with pytest.raises(ValueError):
         Instance(())
-
-
-# -- SampleSet ---------------------------------------------------------------------
-
-
-def test_draw_sample_set_atom(rng):
-    s = draw_sample_set(Instance((ValueDist.atom(7.0),)), 3, rng)
-    assert s.values == (7.0, 7.0, 7.0)
-
-
-def test_draw_sample_set_size_contract(rng):
-    inst = Instance(tuple(ValueDist.uniform(0, 1) for _ in range(4)))
-    assert len(draw_sample_set(inst, 2, rng)) == 8
-
-
-def test_draw_sample_set_frequencies(instance_a, rng):
-    hits = 0
-    ones = 0
-    reps = 20_000
-    for _ in range(reps):
-        s = draw_sample_set(instance_a, 1, rng)
-        ones += s.occurrences(1.0) == 1
-        hits += s.occurrences(2.0)
-    assert ones == reps
-    assert abs(hits / reps - 0.5) < 0.01
-
-
-def test_occurrences():
-    s = SampleSet((7.0, 7.0, 7.0), 3)
-    assert s.occurrences(7.0) == 3
-    assert s.occurrences(1.0) == 0
-
-
-def test_occurrences_on_family_draw(rng):
-    params = HardParams(k=2)
-    vec = ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
-    s = draw_sample_set(family_instance(vec, params), 2, rng)
-    assert s.occurrences(1.0) == 2
-    assert s.occurrences(params.xi) == 2
-    assert s.occurrences(0.0) == 8
-
-
-def test_sample_set_validation():
-    with pytest.raises(ValueError):
-        SampleSet((1.0, 2.0, 3.0), 2)  # not a multiple of k
-    with pytest.raises(ValueError):
-        SampleSet((1.0,), 0)
 
 
 # -- JSON ---------------------------------------------------------------------------

@@ -33,8 +33,14 @@ from prophet_samples.hardness import (
     p_star,
     policy_from_json,
     policy_to_json,
-    q_p_expectation,
 )
+
+
+def q_p_expectation(policy: QPolicy, prefix: tuple, p: ProbVector, k: int) -> float:
+    """Policy acceptance at a prefix averaged over the ones-count law."""
+    dist = ones_count_dist(p, k)
+    row = policy.row(prefix)[dist.offset : dist.offset + len(dist.masses)]
+    return float(np.sum(dist.masses * row))
 
 
 def random_member(rng, params: HardParams) -> ProbVector:
@@ -233,6 +239,8 @@ def test_g_clamp_values():
     assert g_clamp(100, params) == 0.25
     assert g_clamp(0, params) == 0.0
     assert g_clamp(100 + 100 ** 2, params) == 1.0
+    xs = np.array([0, 100, 150, 100 + 100 ** 2])
+    assert np.array_equal(g_clamp(xs, params), [g_clamp(int(x), params) for x in xs])
 
 
 def test_build_dd_mixture_means():
