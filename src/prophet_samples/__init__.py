@@ -16,7 +16,6 @@ from .algorithms import (
     OrdinalRank,
     ThresholdDiagnostics,
     ThresholdRule,
-    exact_static_threshold_value,
     omega_rho,
     recommended_rank,
     static_threshold_exceedance,
@@ -29,7 +28,6 @@ from .distributions import (
     instance_from_json,
     instance_to_json,
     load_instance,
-    save_instance,
 )
 from .evaluation import (
     DominanceReport,

@@ -70,13 +70,15 @@ def rule_from_config(obj: dict) -> ThresholdRule:
     if kind == "max_sample":
         return MaxSample()
     if kind == "ordinal":
-        if "rank" not in obj:
-            raise ValueError("ordinal rule requires a 'rank' field")
-        return OrdinalRank(int(obj["rank"]))
+        rank = obj.get("rank")
+        if not isinstance(rank, int) or isinstance(rank, bool):
+            raise ValueError(f"ordinal rule requires an integer 'rank', got {rank!r}")
+        return OrdinalRank(rank)
     if kind == "explicit":
-        if "t" not in obj:
-            raise ValueError("explicit rule requires a 't' field")
-        return ExplicitT(float(obj["t"]))
+        t = obj.get("t")
+        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
+            raise ValueError(f"explicit rule requires a finite number 't', got {t!r}")
+        return ExplicitT(float(t))
     raise ValueError(f"unknown rule kind {kind!r}")
 
 
@@ -201,17 +203,8 @@ def threshold_value_with_rank_law(inst: Instance, t: float, alpha=1, beta=1):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def exact_static_threshold_value(inst: Instance, t: float) -> float:
-    """Exact E[value] of the threshold-t walk; fresh latent rank for t.
-
-    Off atoms this is sum_i tail_i(t) * prod_{j<i} F_j(t); when t sits on an
-    atom the tie masses are integrated per the rank convention.
-    """
-    return threshold_value_with_rank_law(inst, t, 1, 1)
-
-
 def static_threshold_values(inst: Instance, ts: np.ndarray) -> np.ndarray:
-    """exact_static_threshold_value at every threshold in ts, with its bits.
+    """threshold_value_with_rank_law(inst, t) at every t in ts, with its bits.
 
     A threshold on an atom gets a fresh latent rank, so a tied value wins
     half the time. When no threshold sits on an atom this is the tie-free sum
@@ -229,8 +222,11 @@ def static_threshold_exceedance(inst: Instance, t: float, x: float) -> float:
     """Pr[walk value >= x] for an explicit threshold t off every atom.
 
     For x <= t this is 1 - F(t); above t it is
-    sum_i Pr[v_i >= x] * prod_{j<i} F_j(t).
+    sum_i Pr[v_i >= x] * prod_{j<i} F_j(t). Raises ValueError when t is an
+    atom of some box, where ties would need the latent rank law.
     """
+    if any(box.mass_at(t) > 0.0 for box in inst.boxes):
+        raise ValueError(f"threshold {t!r} sits on an atom")
     if x <= t:
         return 1.0 - inst.product_cdf(t)
     total = 0.0

@@ -229,7 +229,7 @@ def _run_dominance(config: ExperimentConfig, out: io.TextIOBase) -> None:
     rule = _resolve_rule(payload)
     k = _require_int(payload, "k", 1)
     gamma = _require(payload, "gamma")
-    if not isinstance(gamma, (int, float)) or not 0.0 <= gamma <= 1.0:
+    if not isinstance(gamma, (int, float)) or isinstance(gamma, bool) or not 0.0 <= gamma <= 1.0:
         raise _fail("gamma", f"must be a probability, got {gamma!r}")
     mode = payload.get("mode", "exact")
     if mode not in ("exact", "mc"):
@@ -300,8 +300,8 @@ def _run_hardness_verify(config: ExperimentConfig, out: io.TextIOBase) -> None:
     for name in ("xi", "delta1", "delta2", "eps"):
         if name in payload:
             value = payload[name]
-            if not isinstance(value, (int, float)):
-                raise _fail(name, f"must be a number, got {value!r}")
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not 0.0 < value < 1.0:
+                raise _fail(name, f"must be a number in (0, 1), got {value!r}")
             kwargs[name] = float(value)
     try:
         params = hardness.HardParams(k=k, **kwargs)

@@ -261,9 +261,3 @@ def instance_from_json(obj: Mapping) -> Instance:
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_json(json.load(fh))
-
-
-def save_instance(inst: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_json(inst), fh, indent=2)
-        fh.write("\n")

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .algorithms import (
+    MaxSample,
     ThresholdRule,
     beta_moments,
     effective_rank,
@@ -76,7 +77,19 @@ def _mc_chunk_size(n: int, k: int) -> int:
     return max(1, min(65536, _MC_CHUNK_BUDGET // max(1, n * (k + 2))))
 
 
-def _map_chunks(worker: Callable[[int], tuple], chunks: int, threads: int) -> list:
+def _map_chunks(fn: Callable, reps: int, chunk: int, seed: int, tag: int, threads: int) -> list:
+    """fn(rows, rng) per chunk of `reps` rows, in chunk order.
+
+    Chunk c holds min(chunk, reps - c * chunk) rows and draws from substream
+    (seed, tag, c), so the worker count cannot change what a chunk sees.
+    """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    chunks = (reps + chunk - 1) // chunk
+
+    def worker(c: int) -> tuple:
+        return fn(min(chunk, reps - c * chunk), _substream(seed, tag, c))
+
     if threads <= 1 or chunks <= 1:
         return [worker(c) for c in range(chunks)]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -130,15 +143,15 @@ class DominanceReport:
 
 
 def _finalize_ratio(
-    parts: list[tuple[int, float, float]],
+    parts: list[tuple[float, float]],
     prophet: float,
     reps: int,
     seed: int,
 ) -> RatioReport:
     if not prophet > 0.0:
         raise ValueError(f"prophet value {prophet!r} must be positive to form a ratio")
-    total = math.fsum(p[1] for p in parts)
-    total_sq = math.fsum(p[2] for p in parts)
+    total = math.fsum(p[0] for p in parts)
+    total_sq = math.fsum(p[1] for p in parts)
     alg = total / reps
     if reps > 1:
         var = max(0.0, (total_sq - reps * alg * alg) / (reps - 1))
@@ -241,19 +254,14 @@ def mc_ratio(
     threads: int = 1,
 ) -> RatioReport:
     """Plain Monte Carlo competitive-ratio estimate with an exact denominator."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     prophet = inst.prophet_expectation()
     chunk = _mc_chunk_size(inst.n, k)
-    chunks = (reps + chunk - 1) // chunk
 
-    def worker(c: int) -> tuple[int, float, float]:
-        rows = min(chunk, reps - c * chunk)
-        rng = _substream(seed, _TAG_MC, c)
+    def run(rows: int, rng: np.random.Generator) -> tuple[float, float]:
         accepted, _ = _simulate_chunk(inst, rule, k, rows, rng)
-        return rows, float(np.sum(accepted)), float(np.sum(accepted * accepted))
+        return float(np.sum(accepted)), float(np.sum(accepted * accepted))
 
-    parts = _map_chunks(worker, chunks, threads)
+    parts = _map_chunks(run, reps, chunk, seed, _TAG_MC, threads)
     return _finalize_ratio(parts, prophet, reps, seed)
 
 
@@ -327,17 +335,12 @@ def semi_exact_ordinal(
     the Beta moments of its own (count, rank) law. The confidence interval
     reflects threshold randomness alone.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
     if not 1 <= rank <= inst.n * k:
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
     prophet = inst.prophet_expectation()
     struct = _level_structure(inst)
-    chunks = (reps + _SEMI_CHUNK - 1) // _SEMI_CHUNK
 
-    def worker(c: int) -> tuple[int, float, float]:
-        rows = min(_SEMI_CHUNK, reps - c * _SEMI_CHUNK)
-        rng = _substream(seed, _TAG_SEMI, c)
+    def run(rows: int, rng: np.random.Generator) -> tuple[float, float]:
         counts = np.zeros((rows, len(struct.is_atom)), dtype=np.int64)
         for i in range(inst.n):
             counts += rng.multinomial(k, struct.box_probs[i], size=rows)
@@ -362,48 +365,13 @@ def semi_exact_ordinal(
             out[hit] = threshold_value_with_rank_law(
                 inst, float(struct.los[level]), alpha=n_at[hit] + 1 - r[hit], beta=r[hit]
             )
-        return rows, float(np.sum(out)), float(np.sum(out * out))
+        return float(np.sum(out)), float(np.sum(out * out))
 
-    parts = _map_chunks(worker, chunks, threads)
+    parts = _map_chunks(run, reps, _SEMI_CHUNK, seed, _TAG_SEMI, threads)
     return _finalize_ratio(parts, prophet, reps, seed)
 
 
-# -- exact single-sample evaluation ---------------------------------------------------
-
-
-def _discrete_supports(inst: Instance) -> list[list[tuple[float, float]]]:
-    if not inst.is_discrete:
-        raise ValueError("exact evaluation requires an all-atoms instance")
-    return [sorted(box.atoms().items()) for box in inst.boxes]
-
-
-def exact_single_sample_value(inst: Instance) -> float:
-    """Exact value of the max-sample rule with one sample per box.
-
-    Enumerates every sample vector over the atom supports; tie masses between
-    the chosen threshold and equal realized values integrate exactly through
-    the Beta order-statistic law of the maximum's latent rank.
-    """
-    supports = _discrete_supports(inst)
-    if inst.n > 6 or any(len(s) > 6 for s in supports):
-        raise ValueError("supports too large for exact enumeration")
-    cache: dict[tuple[float, int], float] = {}
-    total = 0.0
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        vals = [v for v, _ in combo]
-        t = max(vals)
-        m = sum(1 for v in vals if v == t)
-        key = (t, m)
-        if key not in cache:
-            cache[key] = threshold_value_with_rank_law(inst, t, alpha=m, beta=1)
-        total += prob * cache[key]
-    return total
-
-
-# -- stochastic dominance ---------------------------------------------------------------
+# -- exact laws and stochastic dominance ------------------------------------------------
 
 
 def _exact_selected_distribution(
@@ -411,14 +379,19 @@ def _exact_selected_distribution(
 ) -> dict[float, float]:
     """Exact law of the accepted value (all-atoms instances).
 
-    Enumerates the k*n pooled sample draws for ordinal rules; explicit
-    thresholds need no enumeration. Returns atom -> probability; the missing
-    mass is the no-selection event.
+    Ordinal rules enumerate the k*n pooled sample draws, up to
+    _EXACT_ENUM_CAP. Each pool adds its probability to the rank law
+    (t, m + 1 - j, j) of its threshold, the j-th ranked of m samples tied at
+    t, and each distinct law is walked once. Explicit thresholds need no
+    enumeration. Returns atom -> probability; the missing mass is the
+    no-selection event.
     """
-    supports = _discrete_supports(inst)
+    if not inst.is_discrete:
+        raise ValueError("exact evaluation requires an all-atoms instance")
     rank = effective_rank(rule)
+    dist: dict[float, float] = {}
 
-    def accumulate(t: float, alpha: int, beta: int, weight: float, dist: dict[float, float]):
+    def accumulate(t: float, alpha: int, beta: int, weight: float) -> None:
         moments = beta_moments(alpha, beta, inst.n + 1)
         for i, (box, (reach, _)) in enumerate(zip(inst.boxes, walk_terms(inst, t))):
             reach = reach[: i + 1]  # np.dot's summation order depends on the length
@@ -434,12 +407,11 @@ def _exact_selected_distribution(
                     np.dot(sel, moments[: len(sel)])
                 )
 
-    dist: dict[float, float] = {}
     if rank is None:
-        accumulate(rule.t, 1, 1, 1.0, dist)
+        accumulate(rule.t, 1, 1, 1.0)
         return dist
 
-    slots = [s for s in supports for _ in range(k)]
+    slots = [sorted(box.atoms().items()) for box in inst.boxes for _ in range(k)]
     combos = 1
     for s in slots:
         combos *= len(s)
@@ -447,6 +419,7 @@ def _exact_selected_distribution(
         raise ValueError(f"{combos} sample combinations exceed the enumeration cap")
     if not 1 <= rank <= len(slots):
         raise ValueError(f"rank {rank} outside [1, {len(slots)}]")
+    laws: dict[tuple[float, int, int], float] = {}
     for combo in itertools.product(*slots):
         prob = 1.0
         for _, p in combo:
@@ -456,8 +429,18 @@ def _exact_selected_distribution(
         gt = sum(1 for v in pool if v > t)
         m = sum(1 for v in pool if v == t)
         j = rank - gt
-        accumulate(t, m + 1 - j, j, prob, dist)
+        law = (t, m + 1 - j, j)
+        laws[law] = laws.get(law, 0.0) + prob
+    for law, weight in laws.items():
+        accumulate(*law, weight)
     return dist
+
+
+def exact_single_sample_value(inst: Instance) -> float:
+    """Exact value of the max-sample rule with one sample per box: the mean
+    of the exact selected law, for any all-atoms instance under the cap."""
+    selected = _exact_selected_distribution(inst, MaxSample(), 1)
+    return math.fsum(v * p for v, p in selected.items())
 
 
 def dominance_check(
@@ -488,24 +471,19 @@ def dominance_check(
             (x, a / m_) for x, a, m_ in zip(grid, alg_tail, max_tail) if m_ > 0.0
         ]
     elif mode == "mc":
-        if reps < 1:
-            raise ValueError("mc mode requires reps >= 1")
         breaks = [b for b in inst.breakpoints() if b > 0.0]
         mids = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
         grid = sorted(set(breaks) | set(mids))
         gx = np.array(grid)
         chunk = _mc_chunk_size(inst.n, k)
-        chunks = (reps + chunk - 1) // chunk
 
-        def worker(c: int) -> tuple[np.ndarray, np.ndarray]:
-            rows = min(chunk, reps - c * chunk)
-            rng = _substream(seed, _TAG_DOM, c)
+        def run(rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
             accepted, maxima = _simulate_chunk(inst, rule, k, rows, rng)
             alg_ge = (accepted[:, None] >= gx[None, :]).sum(axis=0)
             max_ge = (maxima[:, None] >= gx[None, :]).sum(axis=0)
             return alg_ge, max_ge
 
-        parts = _map_chunks(worker, chunks, threads)
+        parts = _map_chunks(run, reps, chunk, seed, _TAG_DOM, threads)
         alg_counts = np.sum([p[0] for p in parts], axis=0)
         max_counts = np.sum([p[1] for p in parts], axis=0)
         pairs = [

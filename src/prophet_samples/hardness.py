@@ -14,7 +14,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -43,7 +43,6 @@ _PREFIX_SET = frozenset(PREFIXES)
 T1 = (ANCHOR,)
 T2 = (ANCHOR, 1)
 T3 = (ANCHOR, 0, 1)
-T4 = (ANCHOR, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -145,27 +144,14 @@ class QPolicy:
         return float(self.row(prefix)[i])
 
     @classmethod
-    def constant(cls, k: int, value: float, prefixes: Iterable[tuple] | None = None) -> "QPolicy":
+    def constant(cls, k: int, value: float) -> "QPolicy":
         width = 4 * k + 1
-        chosen = PREFIXES if prefixes is None else tuple(tuple(p) for p in prefixes)
-        return cls(k=k, table={p: np.full(width, float(value)) for p in chosen})
+        return cls(k=k, table={p: np.full(width, float(value)) for p in PREFIXES})
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator) -> "QPolicy":
         width = 4 * k + 1
         return cls(k=k, table={p: rng.random(width) for p in PREFIXES})
-
-
-def policy_to_json(policy: QPolicy) -> dict:
-    entries = []
-    for prefix in PREFIXES:
-        row = policy.table.get(prefix)
-        if row is None:
-            continue
-        for i, q in enumerate(row):
-            if q != 0.0:
-                entries.append({"prefix": list(prefix), "i": i, "q": float(q)})
-    return {"k": policy.k, "entries": entries}
 
 
 def policy_from_json(obj: Mapping) -> QPolicy:

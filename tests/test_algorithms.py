@@ -12,7 +12,6 @@ from prophet_samples import (
     OrdinalRank,
     ThresholdDiagnostics,
     ValueDist,
-    exact_static_threshold_value,
     omega_rho,
     recommended_rank,
     static_threshold_exceedance,
@@ -105,15 +104,15 @@ def test_run_static_membership(values, t):
 
 
 def test_exact_static_threshold_examples(instance_a):
-    assert exact_static_threshold_value(instance_a, 1.5) == pytest.approx(1.0, abs=1e-12)
-    assert exact_static_threshold_value(instance_a, 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert threshold_value_with_rank_law(instance_a, 1.5) == pytest.approx(1.0, abs=1e-12)
+    assert threshold_value_with_rank_law(instance_a, 0.5) == pytest.approx(1.0, abs=1e-12)
     u = Instance((ValueDist.uniform(0, 1),))
-    assert exact_static_threshold_value(u, 0.5) == pytest.approx(0.375, abs=1e-12)
+    assert threshold_value_with_rank_law(u, 0.5) == pytest.approx(0.375, abs=1e-12)
 
 
 def test_exact_static_threshold_tie(instance_a):
     # threshold on the first box's atom: win-half on box 1, else take box 2's tail
-    assert exact_static_threshold_value(instance_a, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert threshold_value_with_rank_law(instance_a, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_matches_simulation_on_atom_threshold(instance_a, rng):
@@ -122,14 +121,14 @@ def test_exact_matches_simulation_on_atom_threshold(instance_a, rng):
     total = 0.0
     for row in values:
         total += run_static_threshold(row, 1.0, rng)
-    assert abs(total / reps - exact_static_threshold_value(instance_a, 1.0)) < 0.01
+    assert abs(total / reps - threshold_value_with_rank_law(instance_a, 1.0)) < 0.01
 
 
 def test_vectorized_matches_scalar_off_atoms(instance_a):
     ts = np.array([0.5, 1.5, 1.75, 2.5])
     vec = static_threshold_values(instance_a, ts)
     for t, v in zip(ts, vec):
-        assert exact_static_threshold_value(instance_a, float(t)) == pytest.approx(
+        assert threshold_value_with_rank_law(instance_a, float(t)) == pytest.approx(
             float(v), abs=1e-12
         )
 
@@ -138,7 +137,7 @@ def test_vectorized_matches_scalar_on_atoms(instance_a):
     # a fresh rank settles the tie: the tied value of box 2 wins half the time
     ts = np.array([1.0, 2.0, 1.5])
     vec = static_threshold_values(instance_a, ts)
-    assert vec.tolist() == [exact_static_threshold_value(instance_a, t) for t in ts]
+    assert vec.tolist() == [threshold_value_with_rank_law(instance_a, t) for t in ts]
     assert vec[1] == 0.5
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -146,7 +145,7 @@ def test_vectorized_matches_scalar_on_atoms(instance_a):
         inst = random_discrete_instance(rng, max_boxes=6)
         ts = np.array(inst.support_atoms() + [0.25, 1.75])
         vec = static_threshold_values(inst, ts)
-        assert vec.tolist() == [exact_static_threshold_value(inst, t) for t in ts]
+        assert vec.tolist() == [threshold_value_with_rank_law(inst, t) for t in ts]
 
 
 def test_rank_law_large_tie_counts():
@@ -202,6 +201,14 @@ def test_rank_law_arrays_match_scalar_calls(instance_a):
 def test_exceedance_closed_form(instance_a):
     assert static_threshold_exceedance(instance_a, 1.5, 2.0) == pytest.approx(0.5)
     assert static_threshold_exceedance(instance_a, 1.5, 1.0) == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.0, 2.0])
+def test_exceedance_rejects_atom_threshold(instance_a, t):
+    # at t = 1 the exact tails are 0.25 at x = 2 and 0.75 at x = 1, where the
+    # tie-free formula would give 0.5 for both
+    with pytest.raises(ValueError, match="atom"):
+        static_threshold_exceedance(instance_a, t, 2.0)
 
 
 def test_dominance_floor_on_random_instances(rng):

@@ -96,20 +96,30 @@ def test_eval_missing_seed_is_config_error(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_eval_bad_rule_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "rule",
+    [
+        {"rule": "ordinal"},
+        {"rule": "ordinal", "rank": 1.7},
+        {"rule": "ordinal", "rank": True},
+        {"rule": "explicit", "t": float("nan")},
+    ],
+    ids=["no-rank", "fractional-rank", "boolean-rank", "nan-t"],
+)
+def test_eval_bad_rule_is_config_error(tmp_path, capsys, rule):
     cfg = write_json(
         tmp_path / "bad.json",
         {
             "command": "eval",
             "instances": [INSTANCE_A],
-            "rule": {"rule": "ordinal"},
+            "rule": rule,
             "k": 1,
             "reps": 100,
             "seed": 1,
         },
     )
-    assert run_cli(["eval", "--config", cfg]) == 2
-    assert "rule" in capsys.readouterr().err
+    assert run_cli(["eval", "--config", cfg, "--out", str(tmp_path / "out.csv")]) == 2
+    assert "field 'rule'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["mc", "semi_exact"])
@@ -248,6 +258,21 @@ def test_dominance_exact(tmp_path):
     assert fields[7] == "true"
 
 
+def test_dominance_boolean_gamma_is_config_error(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "dom.json",
+        {
+            "command": "dominance",
+            "instances": [INSTANCE_A],
+            "rule": {"rule": "max_sample"},
+            "k": 1,
+            "gamma": True,
+        },
+    )
+    assert run_cli(["dominance", "--config", cfg, "--out", str(tmp_path / "dom.csv")]) == 2
+    assert "field 'gamma'" in capsys.readouterr().err
+
+
 def test_dominance_mc_writes_plain_numbers(tmp_path):
     cfg = write_json(
         tmp_path / "dom.json",
@@ -323,6 +348,14 @@ def test_hardness_verify_k_mismatch(tmp_path, capsys):
     policy = write_json(tmp_path / "zero.json", {"k": 25, "entries": []})
     assert run_cli(["hardness-verify", "--policy", policy, "--k", "26"]) == 2
     assert "k" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, value", [("xi", 1.5), ("delta1", 0.0), ("delta2", True), ("eps", 1.0)])
+def test_hardness_verify_bad_param_names_its_field(tmp_path, capsys, name, value):
+    policy = write_json(tmp_path / "zero.json", {"k": 25, "entries": []})
+    cfg = write_json(tmp_path / "hv.json", {"policy": policy, "k": 25, name: value})
+    assert run_cli(["hardness-verify", "--config", cfg]) == 2
+    assert f"field '{name}'" in capsys.readouterr().err
 
 
 def test_hardness_verify_missing_policy(capsys):

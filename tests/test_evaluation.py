@@ -17,7 +17,9 @@ from prophet_samples import (
     mc_ratio,
     ordinal_upper_bound_sweep,
     semi_exact_ordinal,
+    threshold_value_with_rank_law,
 )
+from prophet_samples.algorithms import beta_moments, effective_rank, poly_times_linear, walk_terms
 from prophet_samples.evaluation import (
     MC_POOL_CAP,
     _exact_selected_distribution,
@@ -331,9 +333,58 @@ def test_exact_single_sample_rejects_continuous():
 
 
 def test_exact_single_sample_rejects_large():
+    # the max sample is always 6; the last box ties it and wins half the time
     boxes = tuple(ValueDist.discrete({float(i): 1.0}) for i in range(7))
-    with pytest.raises(ValueError):
-        exact_single_sample_value(Instance(boxes))
+    assert exact_single_sample_value(Instance(boxes)) == 3.0
+    wide = ValueDist.discrete({0.0: 0.25, 1.0: 0.25, 2.0: 0.25, 3.0: 0.25})
+    with pytest.raises(ValueError, match="enumeration cap"):
+        exact_single_sample_value(Instance((wide,) * 10))  # 4^10 pools
+
+
+def per_pool_selected_distribution(inst, rule, k):
+    """The selected-value law with one walk per sample pool, no grouping by law."""
+    import itertools
+
+    rank = effective_rank(rule)
+    supports = [sorted(box.atoms().items()) for box in inst.boxes]
+    dist = {}
+
+    def accumulate(t, alpha, beta, weight):
+        moments = beta_moments(alpha, beta, inst.n + 1)
+        for i, (box, (reach, _)) in enumerate(zip(inst.boxes, walk_terms(inst, t))):
+            reach = reach[: i + 1]
+            for v, p in box.atoms().items():
+                if v > t:
+                    sel = reach * p
+                elif v == t:
+                    sel = poly_times_linear(reach, p, -p)
+                else:
+                    continue
+                dist[v] = dist.get(v, 0.0) + weight * float(np.dot(sel, moments[: len(sel)]))
+
+    slots = [s for s in supports for _ in range(k)]
+    for combo in itertools.product(*slots):
+        prob = 1.0
+        for _, p in combo:
+            prob *= p
+        pool = sorted((v for v, _ in combo), reverse=True)
+        t = pool[rank - 1]
+        gt = sum(1 for v in pool if v > t)
+        m = sum(1 for v in pool if v == t)
+        j = rank - gt
+        accumulate(t, m + 1 - j, j, prob)
+    return dist
+
+
+def test_grouped_laws_match_per_pool_walk(rng):
+    for _ in range(20):
+        inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
+        for rule, k in ((OrdinalRank(2), 2), (MaxSample(), 1)):
+            got = _exact_selected_distribution(inst, rule, k)
+            want = per_pool_selected_distribution(inst, rule, k)
+            assert got.keys() == want.keys()
+            for v, p in want.items():
+                assert abs(got[v] - p) <= 1e-12 * abs(p)
 
 
 def quad_selected_distribution_oracle(inst, k):
@@ -391,12 +442,10 @@ def test_selected_distribution_matches_quadrature_oracle(rng):
 
 
 def test_exact_threshold_value_continuous_off_atoms(instance_a):
-    from prophet_samples import exact_static_threshold_value
-
     for t in (0.3, 1.2, 1.9):
-        base = exact_static_threshold_value(instance_a, t)
+        base = threshold_value_with_rank_law(instance_a, t)
         for h in (1e-7, -1e-7):
-            assert exact_static_threshold_value(instance_a, t + h) == pytest.approx(
+            assert threshold_value_with_rank_law(instance_a, t + h) == pytest.approx(
                 base, abs=1e-5
             )
 

@@ -29,10 +29,10 @@ from prophet_samples.hardness import (
     T3,
     family_instance,
     family_prophet_value,
+    load_policy,
     overselection_grid,
     p_star,
     policy_from_json,
-    policy_to_json,
 )
 
 
@@ -362,13 +362,22 @@ def test_adversary_envelope_random(rng):
 # -- policy serialization -----------------------------------------------------------------------
 
 
-def test_policy_json_round_trip(rng):
-    q = QPolicy.random(3, rng)
-    blob = json.dumps(policy_to_json(q))
-    back = policy_from_json(json.loads(blob))
-    assert back.k == q.k
+def test_load_policy_reads_sparse_file(tmp_path):
+    path = tmp_path / "policy.json"
+    entries = [
+        {"prefix": [ANCHOR], "i": 0, "q": 0.25},
+        {"prefix": [ANCHOR, 0, 1], "i": 8, "q": 1.0},
+        {"prefix": [ANCHOR, 0, 1], "i": 3, "q": 0.5},
+    ]
+    path.write_text(json.dumps({"k": 2, "entries": entries}), encoding="utf-8")
+    q = load_policy(str(path))
+    assert q.k == 2
+    assert set(q.table) == {T1, T3}
+    assert q.row(T1).tolist() == [0.25] + [0.0] * 8
+    assert q.row(T3).tolist() == [0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0]
     for prefix in PREFIXES:
-        assert np.allclose(back.row(prefix), q.row(prefix), atol=1e-15)
+        if prefix not in (T1, T3):
+            assert not q.row(prefix).any()
 
 
 def test_policy_json_sparse_default():
