@@ -18,7 +18,6 @@ from .algorithms import (
     ThresholdRule,
     omega_rho,
     recommended_rank,
-    static_threshold_exceedance,
     threshold_diagnostics,
     threshold_value_with_rank_law,
 )

@@ -218,25 +218,6 @@ def static_threshold_values(inst: Instance, ts: np.ndarray) -> np.ndarray:
     return np.vecdot(beta_moments(1, 1, inst.n), rows)
 
 
-def static_threshold_exceedance(inst: Instance, t: float, x: float) -> float:
-    """Pr[walk value >= x] for an explicit threshold t off every atom.
-
-    For x <= t this is 1 - F(t); above t it is
-    sum_i Pr[v_i >= x] * prod_{j<i} F_j(t). Raises ValueError when t is an
-    atom of some box, where ties would need the latent rank law.
-    """
-    if any(box.mass_at(t) > 0.0 for box in inst.boxes):
-        raise ValueError(f"threshold {t!r} sits on an atom")
-    if x <= t:
-        return 1.0 - inst.product_cdf(t)
-    total = 0.0
-    alive = 1.0
-    for box in inst.boxes:
-        total += alive * (1.0 - box.cdf_left(x))
-        alive *= box.cdf(t)
-    return total
-
-
 # -- diagnostics ----------------------------------------------------------------
 
 _SANDWICH_TOL = 1e-12

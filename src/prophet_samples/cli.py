@@ -362,7 +362,7 @@ def _run_stats_check(config: ExperimentConfig, out: io.TextIOBase) -> None:
         spec = payload["chernoff"]
         n = _require_int(spec, "n", 1)
         p = _require(spec, "p")
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+        if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
             raise _fail("chernoff.p", f"must be a probability, got {p!r}")
         deltas = _require(spec, "deltas")
         if isinstance(deltas, (int, float)):

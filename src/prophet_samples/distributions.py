@@ -144,7 +144,8 @@ class ValueDist:
                 out += w * lo * (arr < lo)
             else:
                 cut = np.clip(arr, lo, hi)
-                out += w * (hi * hi - cut * cut) / (2.0 * (hi - lo))
+                # factored so a segment far from 0 does not cancel at spike scale
+                out += (w / (2.0 * (hi - lo))) * (hi - cut) * (hi + cut)
         return float(out) if out.ndim == 0 else out
 
     def mean(self) -> float:

@@ -42,7 +42,6 @@ _PREFIX_SET = frozenset(PREFIXES)
 
 T1 = (ANCHOR,)
 T2 = (ANCHOR, 1)
-T3 = (ANCHOR, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -196,7 +195,10 @@ def ones_count_dist(p: ProbVector, k: int) -> CountDist:
 
 def spike_event_prob(p: ProbVector, k: int) -> float:
     """Chance any of box 6's k samples shows the spike value."""
-    p6 = p.values[5]
+    return _spike_prob(p.values[5], k)
+
+
+def _spike_prob(p6: float, k: int) -> float:
     if p6 == 0.0:
         return 0.0
     if p6 >= 1.0:
@@ -206,6 +208,73 @@ def spike_event_prob(p: ProbVector, k: int) -> float:
 
 # -- exact policy evaluation -----------------------------------------------------------
 
+# The 16 value paths of boxes 2..5 (1 = the box shows its nonzero value), and
+# the 16 prefixes where the policy may stop: the anchor and the 15 that end in 1.
+_PATHS: tuple[tuple[int, ...], ...] = tuple(itertools.product((0, 1), repeat=4))
+_STOPS: tuple[tuple, ...] = tuple(p for p in PREFIXES if p == T1 or p[-1] == 1)
+# Row r of the stop table is scored by the product over j of the factor
+# _ROW_BITS[r, j] picks for box j + 2: 0 -> 1 - p, 1 -> p, 2 -> 1.
+_ROW_BITS = np.array(
+    [list(p[1:]) + [2] * (5 - len(p)) for p in _STOPS] + [list(b) for b in _PATHS]
+)
+
+
+def _stop_table(policy: QPolicy) -> np.ndarray:
+    """Per ones-count stop probabilities and path survivals, shape (32, 4k+1).
+
+    Rows 0..15 hold s(P, i) = alive(P, i) * q(P, i) for P in _STOPS; rows
+    16..31 hold the chance that the walk along each of the 16 paths never
+    stopped. Survival is carried as its own product, not as 1 - sum(s), so
+    every entry is a nonnegative product and nothing cancels.
+    """
+    start = np.ones(4 * policy.k + 1)
+    alive: dict[tuple, np.ndarray] = {}
+    rows = []
+    for prefix in PREFIXES:
+        before = alive.get(prefix[:-1], start)
+        if prefix in _STOPS:
+            q = policy.row(prefix)
+            rows.append(before * q)
+            alive[prefix] = before * (1.0 - q)
+        else:
+            alive[prefix] = before
+    rows += [alive[(ANCHOR, *bits)] for bits in _PATHS]
+    return np.array(rows)
+
+
+def _member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.ndarray:
+    """Exact expected accepted value of one policy on each member.
+
+    vals holds one member's (p1..p6) per row. The value is linear in the stop
+    table: a member weighs T1's stop by xi, the stop at a prefix ending in 1
+    by the chance of that prefix (the value taken is 1), and the survival of
+    a path by the chance of that path times the spike tail p6 * k^4 that box
+    6 pays when reached. Each distinct ones-count law is built once and
+    folded into the table by one mat-vec; the law depends only on the sorted
+    p2..p4 and on p5, and the point-mass convolutions it shares are exact, so
+    members that share a key share a law bit for bit.
+    """
+    if policy.k != params.k:
+        raise ValueError("policy and params disagree on k")
+    table = _stop_table(policy)
+    rows = vals.tolist()
+    laws: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        laws.setdefault((*sorted(row[1:4]), row[4]), []).append(i)
+    pooled = np.empty((len(rows), len(table)))
+    for idx in laws.values():
+        dist = ones_count_dist(ProbVector(tuple(rows[idx[0]])), params.k)
+        pooled[idx] = table[:, dist.offset : dist.offset + len(dist.masses)] @ dist.masses
+
+    factors = np.stack([1.0 - vals[:, 1:5], vals[:, 1:5], np.ones((len(vals), 4))], axis=-1)
+    weights = np.prod(factors[:, np.arange(4), _ROW_BITS], axis=-1)
+    tail = vals[:, 5] * params.spike_value
+    weights[:, 0] *= params.xi
+    weights[:, len(_STOPS) :] *= tail[:, None]
+    no_spike = np.vecdot(weights, pooled)
+    spike = np.array([_spike_prob(row[5], params.k) for row in rows])
+    return spike * tail + (1.0 - spike) * no_spike
+
 
 def eval_q_policy(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
     """Exact expected accepted value of a policy on one family member.
@@ -214,40 +283,14 @@ def eval_q_policy(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
     last box), otherwise marginalizes the ones-count law against the walk over
     the 32 value realizations. Acceptance happens at nonzero values only; a
     nonzero last-box value is always taken when reached.
+
+    This is the one-member call of the kernel `adversary` uses: the policy's
+    stop-probability table (the chance s(P, i) of stopping at each prefix
+    that can stop, and of surviving each path, per ones-count i) folded with
+    the member's ones-count law and weighted by its path probabilities.
     """
     p.check_membership(params)
-    if policy.k != params.k:
-        raise ValueError("policy and params disagree on k")
-    vals = p.values
-    dist = ones_count_dist(p, params.k)
-    lo, hi = dist.offset, dist.offset + len(dist.masses)
-
-    def row(prefix: tuple) -> np.ndarray:
-        return policy.row(prefix)[lo:hi]
-
-    q1 = row(T1)
-    spike_tail = vals[5] * params.spike_value
-    walk = np.zeros(len(dist.masses))
-    for bits in itertools.product((0, 1), repeat=4):
-        w_b = 1.0
-        for idx, b in enumerate(bits):
-            w_b *= vals[idx + 1] if b else 1.0 - vals[idx + 1]
-        if w_b == 0.0:
-            continue
-        val = params.xi * q1
-        alive = 1.0 - q1
-        prefix = T1
-        for b in bits:
-            prefix = prefix + (b,)
-            if b:
-                r = row(prefix)
-                val = val + alive * r
-                alive = alive * (1.0 - r)
-        val = val + alive * spike_tail
-        walk = walk + w_b * val
-    no_spike_value = float(np.sum(dist.masses * walk))
-    spike = spike_event_prob(p, params.k)
-    return spike * spike_tail + (1.0 - spike) * no_spike_value
+    return float(_member_values(np.array([p.values]), params, policy)[0])
 
 
 def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
@@ -327,12 +370,14 @@ def family_instance(p: ProbVector, params: HardParams) -> Instance:
 
 def family_prophet_value(p: ProbVector, params: HardParams) -> float:
     """Exact E[max]: the spike dominates when present; otherwise 1 beats xi."""
-    vals = p.values
-    none_one = 1.0
-    for idx in (1, 2, 3, 4):
-        none_one *= 1.0 - vals[idx]
+    return float(_prophet_values(np.array([p.values]), params)[0])
+
+
+def _prophet_values(vals: np.ndarray, params: HardParams) -> np.ndarray:
+    """family_prophet_value of each row of (p1..p6)."""
+    none_one = np.prod(1.0 - vals[:, 1:5], axis=1)
     first_five = (1.0 - none_one) * 1.0 + none_one * params.xi
-    return vals[5] * params.spike_value + (1.0 - vals[5]) * first_five
+    return vals[:, 5] * params.spike_value + (1.0 - vals[:, 5]) * first_five
 
 
 # -- the binomial-mixture comparison -------------------------------------------------------
@@ -378,6 +423,8 @@ def build_dd_mixture(
     block = 512
     for start in range(0, 3 * k + 1, block):
         stop = min(start + block, 3 * k + 1)
+        if not coeff.masses[start:stop].any():
+            continue  # an all-zero block would add +0.0 everywhere
         rows = binom_pmf_rows(k, success[start:stop])
         mix_masses[k : 2 * k + 1] += coeff.masses[start:stop] @ rows
     mix = CountDist(0, mix_masses / mix_masses.sum())
@@ -423,24 +470,30 @@ def overselection_grid(params: HardParams, points: int = 21) -> np.ndarray:
     return np.linspace(0.0, 2.0 * params.eps, points)
 
 
+def adversary_candidates(params: HardParams) -> np.ndarray:
+    """The 127 members the adversary scores, one (p1..p6) row each, in tie-break order.
+
+    The single-nonzero-box vectors over the p5 grid, each with and without
+    the spike coordinate, then the balanced endgame vector.
+    """
+    rows = [
+        (1.0, *onehot, ell, p6)
+        for ell in overselection_grid(params).tolist()
+        for onehot in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        for p6 in (0.0, params.spike_prob)
+    ]
+    return np.array(rows + [p_star(params).values])
+
+
 def adversary(policy: QPolicy, params: HardParams) -> tuple[ProbVector, float]:
     """Worst family member for a policy, with its exact ratio.
 
-    Sweeps the single-nonzero-box vectors over the p5 grid, each with and
-    without the spike coordinate, plus the balanced endgame vector; ties in
-    the exact ratio break toward the earliest candidate.
+    Scores every candidate of `adversary_candidates` with one stop-probability
+    table for the policy and one ones-count law per distinct (sorted p2..p4,
+    p5): 22 laws for 127 members. Ties in the exact ratio break toward the
+    earliest candidate.
     """
-    candidates: list[ProbVector] = []
-    for ell in overselection_grid(params):
-        for b2, b3, b4 in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
-            for p6 in (0.0, params.spike_prob):
-                candidates.append(ProbVector((1.0, b2, b3, b4, float(ell), p6)))
-    candidates.append(p_star(params))
-
-    best_vec = None
-    best_ratio = math.inf
-    for vec in candidates:
-        ratio = eval_q_policy(vec, params, policy) / family_prophet_value(vec, params)
-        if ratio < best_ratio:
-            best_vec, best_ratio = vec, ratio
-    return best_vec, best_ratio
+    candidates = adversary_candidates(params)
+    ratios = _member_values(candidates, params, policy) / _prophet_values(candidates, params)
+    best = int(np.argmin(ratios))
+    return ProbVector(tuple(candidates[best])), float(ratios[best])

@@ -14,7 +14,6 @@ from prophet_samples import (
     ValueDist,
     omega_rho,
     recommended_rank,
-    static_threshold_exceedance,
     threshold_diagnostics,
     threshold_value_with_rank_law,
 )
@@ -24,7 +23,7 @@ from prophet_samples.algorithms import (
     rule_to_config,
     static_threshold_values,
 )
-from prophet_samples.evaluation import mc_ratio, random_discrete_instance
+from prophet_samples.evaluation import dominance_check, mc_ratio, random_discrete_instance
 
 from conftest import instances
 
@@ -198,19 +197,6 @@ def test_rank_law_arrays_match_scalar_calls(instance_a):
     assert isinstance(threshold_value_with_rank_law(instance_a, 2.0, 3, 2), float)
 
 
-def test_exceedance_closed_form(instance_a):
-    assert static_threshold_exceedance(instance_a, 1.5, 2.0) == pytest.approx(0.5)
-    assert static_threshold_exceedance(instance_a, 1.5, 1.0) == pytest.approx(0.5)
-
-
-@pytest.mark.parametrize("t", [1.0, 0.0, 2.0])
-def test_exceedance_rejects_atom_threshold(instance_a, t):
-    # at t = 1 the exact tails are 0.25 at x = 2 and 0.75 at x = 1, where the
-    # tie-free formula would give 0.5 for both
-    with pytest.raises(ValueError, match="atom"):
-        static_threshold_exceedance(instance_a, t, 2.0)
-
-
 def test_dominance_floor_on_random_instances(rng):
     # the walk's tail is at least h(T) times the prophet's tail, at every level
     for _ in range(40):
@@ -219,10 +205,8 @@ def test_dominance_floor_on_random_instances(rng):
         while any(b.mass_at(t) > 0 for b in inst.boxes):
             t = float(rng.uniform(0.1, 3.2))
         diag = threshold_diagnostics(inst, t)
-        for x in inst.support_atoms():
-            lhs = static_threshold_exceedance(inst, t, x)
-            rhs = diag.h * inst.max_exceedance(x)
-            assert lhs >= rhs - 1e-12
+        report = dominance_check(inst, ExplicitT(t), 1, diag.h, mode="exact")
+        assert report.worst_ratio >= diag.h - 1e-12
 
 
 # -- diagnostics -----------------------------------------------------------------------

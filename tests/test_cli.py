@@ -403,6 +403,19 @@ def test_stats_check(tmp_path):
     assert result["sandwich"]["violations"] == 0
 
 
+def test_stats_check_boolean_p_is_config_error(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "sc.json",
+        {
+            "command": "stats-check",
+            "chernoff": {"n": 10, "p": True, "deltas": [0.5], "reps": 10_000},
+            "seed": 9,
+        },
+    )
+    assert run_cli(["stats-check", "--config", cfg, "--out", str(tmp_path / "sc.out")]) == 2
+    assert "field 'chernoff.p'" in capsys.readouterr().err
+
+
 def test_eval_golden_bytes(tmp_path):
     # a sure-thing instance yields a fully deterministic row, frozen here
     cfg = write_json(

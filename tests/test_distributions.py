@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,33 @@ def test_tail_expectation_uniform_edges():
     u = ValueDist.uniform(0.0, 1.0)
     assert u.tail_expectation(1.0) == 0.0
     assert u.tail_expectation(0.0) == pytest.approx(0.5, abs=1e-12)
+
+
+def exact_tail_oracle(dist: ValueDist, t: float) -> Fraction:
+    """E[v * 1{v > t}] in exact rational arithmetic on the stored floats."""
+    total = Fraction(0)
+    ft = Fraction(t)
+    for w, lo, hi in dist.segments:
+        w, lo, hi = Fraction(w), Fraction(lo), Fraction(hi)
+        if lo == hi:
+            total += w * lo if ft < lo else 0
+        else:
+            cut = min(max(ft, lo), hi)
+            total += w * (hi * hi - cut * cut) / (2 * (hi - lo))
+    return total
+
+
+@pytest.mark.parametrize("spike", [10.0 ** e for e in range(3, 17)])
+def test_tail_expectation_exact_at_spike_scale(spike):
+    # case1's spike segment U(k^3, k^3 + 1) sits far from 0: hi*hi - cut*cut
+    # loses up to half its digits there, the factored form loses none
+    for hi in (spike + max(1.0, 2.0 * math.ulp(spike)), 2.0 * spike):
+        d = ValueDist(((1.0 - 1e-8, 0.0, 1.0), (1e-8, spike, hi)))
+        mid = 0.5 * (spike + hi)
+        for t in (0.0, 0.5, spike, mid, math.nextafter(hi, 0.0), hi, 2.0 * hi):
+            want = exact_tail_oracle(d, t)
+            got = d.tail_expectation(t)
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want, (hi, t, got)
 
 
 @settings(max_examples=80, deadline=None)

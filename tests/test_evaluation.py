@@ -154,7 +154,7 @@ def _heavy_atom_mixtures():
         (0, 220, 1000, 1, "0x1.4748911d2ad14p+0", "0x1.76fbc0d90c534p-11"),
         (1, 380, 1000, 1, "0x1.4ee2923c2c361p+0", "0x1.41eac1ce3aa6dp-10"),
         # the rank straddles the atom at 2.0 and the interval below; three chunks
-        (1, 120, 10_000, 2, "0x1.248592625b2cep+0", "0x1.025d338fbc568p-10"),
+        (1, 120, 10_000, 2, "0x1.248592625b2ccp+0", "0x1.025d338fbc753p-10"),
     ],
 )
 def test_semi_exact_atom_path_golden(which, rank, reps, threads, alg_hex, ci_hex):

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -20,13 +22,15 @@ from prophet_samples import (
     spike_event_prob,
     tv_distance,
 )
+from prophet_samples import hardness
+from prophet_samples.stats import binom_pmf_rows
 from prophet_samples.hardness import (
     ANCHOR,
     ONE_THIRD,
     PREFIXES,
     T1,
     T2,
-    T3,
+    adversary_candidates,
     family_instance,
     family_prophet_value,
     load_policy,
@@ -36,11 +40,63 @@ from prophet_samples.hardness import (
 )
 
 
+T3 = (ANCHOR, 0, 1)
+
+
 def q_p_expectation(policy: QPolicy, prefix: tuple, p: ProbVector, k: int) -> float:
     """Policy acceptance at a prefix averaged over the ones-count law."""
     dist = ones_count_dist(p, k)
     row = policy.row(prefix)[dist.offset : dist.offset + len(dist.masses)]
     return float(np.sum(dist.masses * row))
+
+
+def walk_oracle(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
+    """Per-member walk over the 16 value paths, one ones-count law per call."""
+    vals = p.values
+    dist = ones_count_dist(p, params.k)
+    lo, hi = dist.offset, dist.offset + len(dist.masses)
+
+    def row(prefix: tuple) -> np.ndarray:
+        return policy.row(prefix)[lo:hi]
+
+    q1 = row(T1)
+    spike_tail = vals[5] * params.spike_value
+    walk = np.zeros(len(dist.masses))
+    for bits in itertools.product((0, 1), repeat=4):
+        w_b = 1.0
+        for idx, b in enumerate(bits):
+            w_b *= vals[idx + 1] if b else 1.0 - vals[idx + 1]
+        if w_b == 0.0:
+            continue
+        val = params.xi * q1
+        alive = 1.0 - q1
+        prefix = T1
+        for b in bits:
+            prefix = prefix + (b,)
+            if b:
+                r = row(prefix)
+                val = val + alive * r
+                alive = alive * (1.0 - r)
+        val = val + alive * spike_tail
+        walk = walk + w_b * val
+    no_spike_value = float(np.sum(dist.masses * walk))
+    spike = spike_event_prob(p, params.k)
+    return spike * spike_tail + (1.0 - spike) * no_spike_value
+
+
+def named_policy(name: str, k: int, rng) -> QPolicy:
+    width = 4 * k + 1
+    if name == "random":
+        return QPolicy.random(k, rng)
+    if name == "zero":
+        return QPolicy.constant(k, 0.0)
+    if name == "greedy":
+        return QPolicy(k=k, table={T1: np.ones(width)})
+    return QPolicy.constant(k, 1.0)
+
+
+def masses_digest(dist) -> str:
+    return hashlib.sha256(",".join(float(x).hex() for x in dist.masses).encode()).hexdigest()
 
 
 def random_member(rng, params: HardParams) -> ProbVector:
@@ -158,7 +214,7 @@ def test_brute_force_deterministic_pool():
 
 def test_eval_matches_brute_force(rng):
     worst = 0.0
-    for k in (1, 2):
+    for k in (1, 2, 3):
         params = HardParams(k=k)
         for _ in range(20):
             q = QPolicy.random(k, rng)
@@ -166,6 +222,38 @@ def test_eval_matches_brute_force(rng):
             gap = abs(eval_q_policy(vec, params, q) - brute_force_eval(vec, params, q))
             worst = max(worst, gap)
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 3, 400, 10_000])
+@pytest.mark.parametrize("name", ["random", "zero", "greedy", "all-ones"])
+def test_stop_table_kernel_matches_walk_oracle(name, k, rng):
+    params = HardParams(k=k)
+    policy = named_policy(name, k, rng)
+    rows = adversary_candidates(params)
+    members = [ProbVector(tuple(row)) for row in rows]
+    assert len(members) == 127
+    prophet = np.array([family_prophet_value(vec, params) for vec in members])
+    got = hardness._member_values(rows, params, policy) / prophet
+    want = np.array([walk_oracle(vec, params, policy) for vec in members]) / prophet
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    vec, ratio = adversary(policy, params)
+    assert abs(ratio - want.min()) <= 1e-12 * want.min()
+    picked = walk_oracle(vec, params, policy) / family_prophet_value(vec, params)
+    assert abs(picked - want.min()) <= 1e-12 * want.min()
+
+
+def test_adversary_builds_each_law_once(monkeypatch, rng):
+    calls = []
+
+    def counted(p, k):
+        calls.append(p.values)
+        return ones_count_dist(p, k)
+
+    monkeypatch.setattr(hardness, "ones_count_dist", counted)
+    adversary(QPolicy.random(20, rng), HardParams(k=20))
+    assert len(calls) == 22
+    assert len({(*sorted(v[1:4]), v[4]) for v in calls}) == 22
 
 
 def test_eval_requires_membership():
@@ -249,6 +337,45 @@ def test_build_dd_mixture_means():
     assert star.mean() == pytest.approx(200 * 1.1, abs=1e-8)
     assert spec.coefficients.sum() == pytest.approx(1.0, abs=1e-10)
     assert spec.component(0).pmf(200) == pytest.approx(1.0, abs=1e-12)
+
+
+# masses of build_dd_mixture recorded by .hex() before all-zero blocks were skipped
+DD_MIXTURE_DIGESTS = [
+    (200, 0.1, False, "7ea2e3ceb4c0c195b9c6bc3302734104e86112c35510a88d6a1a021eadecf479",
+     "d1c9a245555bb5f9e16cc9a9c03888db2436902ce1f96977cd3a60cd8272ed5a"),
+    (800, 0.1, False, "8382e214460e0d942663724105e8ac1eebd2b897c772d960e12309fa51e16be2",
+     "4f53f02b5a80cd7507626ef19e7e19bc1393c2494ea4b59c96d6141d0f3803e2"),
+    (3200, 0.1, False, "6ccfdbc4200219e96b2254365ad5a9ca1b63b543f53138a6278561094ab6913d",
+     "0cab1e1ab823d4009c0198694f559b861c87f558e01ed575548df8107fe209e0"),
+    (800, None, False, "96afd29f87db5b5e3ecd36dfe84ddcbfa5a75df7616e1b4f444d12b3271970a5",
+     "da9ed188fdf848233636ae38a7af4179d02b60dd5dd48bce15344cb87fb4a126"),
+    (400, 0.1, True, "cc971eac783c1e23e00ac32ba37a605702db34e99777796d977293fad9af105f",
+     "891d3a7aad93e5ea8f596cb10eb18b9dd838e6cfe9f79333d3d68c1425197262"),
+]
+
+
+@pytest.mark.parametrize(
+    "k, eps, alt, mix_digest, star_digest",
+    DD_MIXTURE_DIGESTS,
+    ids=[f"k{k}-eps{eps}-alt{alt}" for k, eps, alt, _, _ in DD_MIXTURE_DIGESTS],
+)
+def test_build_dd_mixture_golden(k, eps, alt, mix_digest, star_digest):
+    params = HardParams(k=k) if eps is None else HardParams(k=k, eps=eps)
+    _, mix, star = build_dd_mixture(params, alt_success=alt)
+    assert (masses_digest(mix), masses_digest(star)) == (mix_digest, star_digest)
+
+
+def test_build_dd_mixture_skips_zero_blocks(monkeypatch):
+    blocks = []
+
+    def counted(n, ps):
+        blocks.append(len(ps))
+        return binom_pmf_rows(n, ps)
+
+    monkeypatch.setattr(hardness, "binom_pmf_rows", counted)
+    build_dd_mixture(HardParams(k=3200, eps=0.1))
+    # Bin(9600, 1/3) underflows to 0 in 11 of the 19 blocks of 512 coefficients
+    assert len(blocks) == 8
 
 
 def test_build_dd_mixture_mean_gap_bound():
