@@ -244,18 +244,23 @@ def instance_to_json(inst: Instance) -> dict:
     return {"boxes": [{"segments": [list(s) for s in b.segments]} for b in inst.boxes]}
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def instance_from_json(obj: Mapping) -> Instance:
-    try:
-        boxes = obj["boxes"]
-    except (KeyError, TypeError):
-        raise ValueError("instance JSON must contain a 'boxes' array") from None
+    boxes = obj.get("boxes") if isinstance(obj, Mapping) else None
+    if not isinstance(boxes, list):
+        raise ValueError("instance JSON must contain a 'boxes' array")
     dists = []
     for i, box in enumerate(boxes):
-        try:
-            segs = box["segments"]
-        except (KeyError, TypeError):
-            raise ValueError(f"box {i} must contain a 'segments' array") from None
-        dists.append(ValueDist(tuple((s[0], s[1], s[2]) for s in segs)))
+        segs = box.get("segments") if isinstance(box, Mapping) else None
+        if not isinstance(segs, list):
+            raise ValueError(f"box {i} must contain a 'segments' array")
+        for j, seg in enumerate(segs):
+            if not (isinstance(seg, (list, tuple)) and len(seg) == 3 and all(map(_is_number, seg))):
+                raise ValueError(f"box {i} segment {j} must be 3 numbers [weight, lo, hi], got {seg!r}")
+        dists.append(ValueDist(tuple(tuple(seg) for seg in segs)))
     return Instance(tuple(dists))
 
 

@@ -142,20 +142,30 @@ class DominanceReport:
         return self.worst_ratio >= self.gamma - _DOM_TOL
 
 
+def _chunk_moments(values: np.ndarray) -> tuple[float, float, int]:
+    """(sum, sum of squared deviations from the chunk mean, count) of one chunk."""
+    total = float(np.sum(values))
+    dev = values - total / len(values)
+    return total, float(np.sum(dev * dev)), len(values)
+
+
 def _finalize_ratio(
-    parts: list[tuple[float, float]],
+    parts: list[tuple[float, float, int]],
     prophet: float,
     reps: int,
     seed: int,
 ) -> RatioReport:
+    """Pool per-chunk (sum, M2, count) moments with Chan's merge.
+
+    Deviations are taken about each chunk's own mean, so values far from 0
+    (spikes of 1e8 and more) do not cancel the variance away.
+    """
     if not prophet > 0.0:
         raise ValueError(f"prophet value {prophet!r} must be positive to form a ratio")
-    total = math.fsum(p[0] for p in parts)
-    total_sq = math.fsum(p[1] for p in parts)
-    alg = total / reps
+    alg = math.fsum(s for s, _, _ in parts) / reps
     if reps > 1:
-        var = max(0.0, (total_sq - reps * alg * alg) / (reps - 1))
-        ci = 1.96 * math.sqrt(var / reps)
+        m2 = math.fsum(m for _, m, _ in parts) + math.fsum(n * (s / n - alg) ** 2 for s, _, n in parts)
+        ci = 1.96 * math.sqrt(m2 / (reps - 1) / reps)
     else:
         ci = 0.0
     return RatioReport(
@@ -257,9 +267,9 @@ def mc_ratio(
     prophet = inst.prophet_expectation()
     chunk = _mc_chunk_size(inst.n, k)
 
-    def run(rows: int, rng: np.random.Generator) -> tuple[float, float]:
+    def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
         accepted, _ = _simulate_chunk(inst, rule, k, rows, rng)
-        return float(np.sum(accepted)), float(np.sum(accepted * accepted))
+        return _chunk_moments(accepted)
 
     parts = _map_chunks(run, reps, chunk, seed, _TAG_MC, threads)
     return _finalize_ratio(parts, prophet, reps, seed)
@@ -340,7 +350,7 @@ def semi_exact_ordinal(
     prophet = inst.prophet_expectation()
     struct = _level_structure(inst)
 
-    def run(rows: int, rng: np.random.Generator) -> tuple[float, float]:
+    def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
         counts = np.zeros((rows, len(struct.is_atom)), dtype=np.int64)
         for i in range(inst.n):
             counts += rng.multinomial(k, struct.box_probs[i], size=rows)
@@ -365,7 +375,7 @@ def semi_exact_ordinal(
             out[hit] = threshold_value_with_rank_law(
                 inst, float(struct.los[level]), alpha=n_at[hit] + 1 - r[hit], beta=r[hit]
             )
-        return float(np.sum(out)), float(np.sum(out * out))
+        return _chunk_moments(out)
 
     parts = _map_chunks(run, reps, _SEMI_CHUNK, seed, _TAG_SEMI, threads)
     return _finalize_ratio(parts, prophet, reps, seed)
@@ -511,6 +521,10 @@ def dominance_check(
 # -- adversarial benchmark instances ------------------------------------------------------
 
 
+# The largest k whose spike bound k^3 + 1 is exact in binary64 (k^3 + 1 <= 2^53).
+CASE1_MAX_K = 208_063
+
+
 def case1_instance(k: int) -> Instance:
     """Two boxes: U(1, 2), then U(0, 1) with a rare huge spike.
 
@@ -518,8 +532,8 @@ def case1_instance(k: int) -> Instance:
     is at least k while an over-eager threshold rule settles for the first
     box.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    if not 2 <= k <= CASE1_MAX_K:
+        raise ValueError(f"k must be in [2, {CASE1_MAX_K}] so k^3 + 1 stays exact in binary64")
     spike_w = 1.0 / (k * k)
     base = float(k) ** 3
     return Instance(

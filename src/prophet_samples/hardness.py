@@ -27,6 +27,10 @@ ONE_THIRD = 1.0 / 3.0
 
 _PROB_TOL = 1e-12
 
+# HardParams' largest k; policy files are checked against it before their
+# (4k + 1)-wide rows are allocated.
+_MAX_K = 10_000
+
 
 def enumerate_prefixes() -> list[tuple]:
     """The 31 observable prefixes: the anchor alone, then anchor x {0,1}^m."""
@@ -56,7 +60,7 @@ class HardParams:
     c: float = 0.4997
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= 10_000:
+        if not 1 <= self.k <= _MAX_K:
             raise ValueError("k must be in [1, 10^4] so k^4 stays exact in binary64")
         for name in ("xi", "delta1", "delta2", "eps"):
             v = getattr(self, name)
@@ -153,22 +157,32 @@ class QPolicy:
         return cls(k=k, table={p: rng.random(width) for p in PREFIXES})
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def policy_from_json(obj: Mapping) -> QPolicy:
     """Sparse policy file: missing (prefix, i) entries default to 0."""
-    try:
-        k = int(obj["k"])
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("policy JSON must contain an integer 'k'") from None
+    k = obj.get("k") if isinstance(obj, Mapping) else None
+    if not _is_int(k) or not 1 <= k <= _MAX_K:
+        raise ValueError(f"policy JSON must contain an integer 'k' in [1, {_MAX_K}], got {k!r}")
+    entries = obj.get("entries", [])
+    if not isinstance(entries, list):
+        raise ValueError(f"policy 'entries' must be a list, got {entries!r}")
     width = 4 * k + 1
     table: dict[tuple, np.ndarray] = {}
-    for pos, entry in enumerate(obj.get("entries", [])):
+    for pos, entry in enumerate(entries):
         try:
             prefix = tuple(entry["prefix"])
-            i = int(entry["i"])
-            q = float(entry["q"])
-        except (KeyError, TypeError, ValueError):
+            i = entry["i"]
+            q = entry["q"]
+        except (KeyError, TypeError):
             raise ValueError(f"entry {pos} must have 'prefix', 'i', and 'q'") from None
-        if prefix not in _PREFIX_SET:
+        if not _is_int(i):
+            raise ValueError(f"entry {pos} has ones-count {i!r}, which is not an integer")
+        if not isinstance(q, (int, float)) or isinstance(q, bool):
+            raise ValueError(f"entry {pos} has q={q!r}, which is not a number")
+        if not all(isinstance(b, (str, int)) for b in prefix) or prefix not in _PREFIX_SET:
             raise ValueError(f"entry {pos} has unknown prefix {list(prefix)!r}")
         if not 0 <= i < width:
             raise ValueError(f"entry {pos} has ones-count {i} outside [0, {width - 1}]")

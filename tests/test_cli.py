@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -183,6 +184,95 @@ def test_mc_pool_above_cap_is_config_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "field 'k'" in err
     assert "internal error" not in err
+
+
+# One row per bad input: (id, command, manifest, files written beside it,
+# the field the error must name). Manifests name those files relatively.
+_ZERO_POLICY = {"k": 25, "entries": []}
+_BAD_INPUTS = [
+    ("chernoff-number", "stats-check", {"chernoff": 5, "seed": 1}, {}, "chernoff"),
+    ("sandwich-list", "stats-check", {"sandwich": [1], "seed": 1}, {}, "sandwich"),
+    ("deltas-empty", "stats-check",
+     {"chernoff": {"n": 10, "p": 0.5, "deltas": [], "reps": 10_000}, "seed": 1}, {}, "chernoff.deltas"),
+    ("p-empty", "tv-convergence", {"family": "binomial_normal", "n": [100], "p": []}, {}, "p"),
+    ("mixture-k-above-hardparams", "tv-convergence",
+     {"family": "count_mixture", "k": [20_000], "eps": 0.1}, {}, "k"),
+    ("policy-boolean", "hardness-verify", {"policy": True, "k": 25}, {}, "policy"),
+    ("file-boolean", "eval",
+     {"instances": [{"file": True}], "rule": {"rule": "max_sample"}, "k": 1, "reps": 100, "seed": 1},
+     {}, "instances[0].file"),
+    ("dominance-rank-above-pool", "dominance",
+     {"instances": [INSTANCE_A], "rule": {"rule": "ordinal", "rank": 9}, "k": 2, "gamma": 0.5},
+     {}, "rule.rank"),
+    ("dominance-enumeration-cap", "dominance",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 40, "gamma": 0.5},
+     {}, "instances[0]"),
+    ("dominance-exact-interval", "dominance",
+     {"instances": [{"boxes": [{"segments": [[1.0, 0.0, 1.0]]}]}], "rule": {"rule": "max_sample"},
+      "k": 1, "gamma": 0.5},
+     {}, "instances[0]"),
+    ("segment-two-numbers", "eval",
+     {"instances": [{"boxes": [{"segments": [[1.0, 0.0]]}]}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 100, "seed": 1},
+     {}, "instances[0].boxes"),
+    ("policy-entries-number", "hardness-verify", {"policy": "p.json"},
+     {"p.json": {"k": 25, "entries": 5}}, "policy"),
+    ("policy-k-boolean", "hardness-verify", {"policy": "p.json"},
+     {"p.json": {"k": True, "entries": []}}, "policy"),
+    ("policy-k-fraction", "hardness-verify", {"policy": "p.json"},
+     {"p.json": {"k": 2.7, "entries": []}}, "policy"),
+    ("sweep-spike-atom", "ordinal-sweep", {"k": 208_064, "ranks": [1], "reps": 10, "seed": 1}, {}, "k"),
+    ("generator-spike-atom", "eval",
+     {"instances": [{"generator": {"name": "case1", "k": 208_064}}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 100, "seed": 1},
+     {}, "instances[0].generator.k"),
+    ("policy-k-huge", "hardness-verify", {"policy": "p.json"},
+     {"p.json": {"k": 10**15, "entries": [{"prefix": ["xi"], "i": 0, "q": 0.5}]}}, "policy"),
+    ("policy-file-missing", "hardness-verify", {"policy": "absent.json"}, {}, "policy"),
+    ("policy-params-boolean", "hardness-verify", {"policy": "p.json", "xi": True},
+     {"p.json": _ZERO_POLICY}, "xi"),
+]
+
+
+def _fd_open(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "command, manifest, files, field",
+    [row[1:] for row in _BAD_INPUTS],
+    ids=[row[0] for row in _BAD_INPUTS],
+)
+def test_bad_input_exits_2_on_its_field(tmp_path, monkeypatch, capsys, command, manifest, files, field):
+    monkeypatch.chdir(tmp_path)
+    for name, payload in files.items():
+        write_json(tmp_path / name, payload)
+    cfg = write_json(tmp_path / "manifest.json", {"command": command, **manifest})
+    out = tmp_path / "artifact.out"
+    out.write_bytes(b"artifact of an earlier run\n")
+    saved_stdout = os.dup(1)  # a reader that opens fd 1 must not take the suite's stdout with it
+    try:
+        code = run_cli([command, "--config", cfg, "--out", str(out), "--threads", "1"])
+        stdout_open = _fd_open(1)
+    finally:
+        os.dup2(saved_stdout, 1)
+        os.close(saved_stdout)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"field '{field}'" in err
+    assert "internal error" not in err
+    assert out.read_bytes() == b"artifact of an earlier run\n"
+    assert stdout_open
+
+
+def test_unwritable_out_is_config_error(eval_config, tmp_path, capsys):
+    assert run_cli(["eval", "--config", eval_config, "--reps", "100",
+                    "--out", str(tmp_path / "no-such-dir" / "out.csv")]) == 2
+    assert "field 'out'" in capsys.readouterr().err
 
 
 # The exact TV sums move in their last bits across library builds. Near

@@ -219,3 +219,21 @@ def test_instance_json_errors():
         instance_from_json({})
     with pytest.raises(ValueError, match="segments"):
         instance_from_json({"boxes": [{}]})
+
+
+@pytest.mark.parametrize(
+    "obj, match",
+    [
+        ({"boxes": {"segments": [[1.0, 0.0, 1.0]]}}, "'boxes' array"),
+        ({"boxes": [{"segments": [1.0, 0.0, 1.0]}]}, "box 0 segment 0"),
+        ({"boxes": [{"segments": 5}]}, "box 0 must contain a 'segments' array"),
+        ({"boxes": [{"segments": [[1.0, 0.0, 1.0]]}, {"segments": [[1.0, 0.0]]}]}, "box 1 segment 0"),
+        ({"boxes": [{"segments": [[0.5, 0.0, 1.0], [0.5, 0.0, 1.0, 2.0]]}]}, "box 0 segment 1"),
+        ({"boxes": [{"segments": [[1.0, 0.0, "1"]]}]}, "box 0 segment 0"),
+        ({"boxes": [{"segments": [[True, 0.0, 1.0]]}]}, "box 0 segment 0"),
+    ],
+    ids=["boxes-object", "segment-scalar", "segments-number", "two-numbers", "four-numbers", "string", "boolean"],
+)
+def test_instance_json_rejects_malformed_segments(obj, match):
+    with pytest.raises(ValueError, match=match):
+        instance_from_json(obj)

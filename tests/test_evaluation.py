@@ -151,14 +151,15 @@ def _heavy_atom_mixtures():
     "which, rank, reps, threads, alg_hex, ci_hex",
     [
         # the rank lands on the heavy atom at 1.0 in nearly every replication
-        (0, 220, 1000, 1, "0x1.4748911d2ad14p+0", "0x1.76fbc0d90c534p-11"),
-        (1, 380, 1000, 1, "0x1.4ee2923c2c361p+0", "0x1.41eac1ce3aa6dp-10"),
+        (0, 220, 1000, 1, "0x1.4748911d2ad14p+0", "0x1.76fbc0d90ba66p-11"),
+        (1, 380, 1000, 1, "0x1.4ee2923c2c361p+0", "0x1.41eac1ce3ab14p-10"),
         # the rank straddles the atom at 2.0 and the interval below; three chunks
-        (1, 120, 10_000, 2, "0x1.248592625b2ccp+0", "0x1.025d338fbc753p-10"),
+        (1, 120, 10_000, 2, "0x1.248592625b2ccp+0", "0x1.025d338fbc6e9p-10"),
     ],
 )
 def test_semi_exact_atom_path_golden(which, rank, reps, threads, alg_hex, ci_hex):
-    # bits recorded from the per-key evaluator; batching by atom level keeps them
+    # alg bits recorded from the per-key evaluator, which batching by atom level
+    # keeps; ci bits recorded from the per-chunk (sum, M2) merge
     inst = _heavy_atom_mixtures()[which]
     report = semi_exact_ordinal(inst, 200, rank, reps, seed=17, threads=threads)
     assert report.alg_value.hex() == alg_hex
@@ -194,9 +195,9 @@ def _mc_golden_instances():
         # heavy-atom mixture, n = 3, k = 100: ranks 1, ceil(rho k - k^(2/3)) = 36
         # and n k; 8000 replications are two chunks
         ("heavy", OrdinalRank(1), 100, 8000,
-         "0x1.11f72437751b6p-5", "0x1.c24fa3c74b408p-8", "0x1.25c658e534cf6p-6"),
+         "0x1.11f72437751b6p-5", "0x1.c24fa3c74b40ap-8", "0x1.25c658e534cf6p-6"),
         ("heavy", OrdinalRank(36), 100, 8000,
-         "0x1.b6bb0ff552131p-1", "0x1.aac103d1df847p-6", "0x1.d67423562bd1fp-2"),
+         "0x1.b6bb0ff552131p-1", "0x1.aac103d1df849p-6", "0x1.d67423562bd1fp-2"),
         ("heavy", OrdinalRank(300), 100, 8000,
          "0x1.0125b0011374dp+0", "0x1.0722b79fc6368p-7", "0x1.13bd950f5159cp-1"),
         ("free", OrdinalRank(36), 100, 8000,
@@ -209,12 +210,22 @@ def _mc_golden_instances():
     ],
 )
 def test_mc_pool_path_golden(which, rule, k, reps, alg_hex, ci_hex, ratio_hex, threads):
-    # bits recorded from the lexsort selection; the partition selection keeps them
+    # alg and ratio bits recorded from the lexsort selection, which the partition
+    # selection keeps; ci bits recorded from the per-chunk (sum, M2) merge
     inst = _mc_golden_instances()[which]
     report = mc_ratio(inst, rule, k, reps, seed=23, threads=threads)
     assert report.alg_value.hex() == alg_hex
     assert report.ci_halfwidth.hex() == ci_hex
     assert report.ratio.hex() == ratio_hex
+
+
+def test_ci_at_spike_scale_matches_the_uniform_spread():
+    # every replication accepts the first sample of U(1e8, 1e8 + 1), whose
+    # variance is 1/12; summing squares about 0 would cancel it away
+    inst = Instance((ValueDist.uniform(1e8, 1e8 + 1.0),))
+    report = mc_ratio(inst, ExplicitT(0.0), 1, 100_000, seed=1)
+    want = 1.96 * math.sqrt(1.0 / 12.0 / 100_000)
+    assert report.ci_halfwidth == pytest.approx(want, rel=0.01)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -522,6 +533,17 @@ def test_case1_structure():
     assert inst.prophet_expectation() >= 10.0
     with pytest.raises(ValueError):
         case1_instance(1)
+
+
+def test_case1_spike_stays_an_interval_up_to_its_k_bound():
+    # 208063^3 + 1 <= 2^53 < 208064^3 + 1: above the bound the spike's two
+    # bounds round to one float and U(k^3, k^3 + 1) would become an atom
+    inst = case1_instance(208_063)
+    _, lo, hi = inst.boxes[1].segments[-1]
+    assert hi - lo == 1.0
+    assert not inst.has_atoms
+    with pytest.raises(ValueError, match="208063"):
+        case1_instance(208_064)
 
 
 def test_case2_structure():

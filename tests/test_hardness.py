@@ -525,6 +525,28 @@ def test_policy_json_validation():
         policy_from_json({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": 1.5}]})
 
 
+@pytest.mark.parametrize(
+    "obj, match",
+    [
+        ({"k": 2, "entries": 5}, "'entries' must be a list"),
+        ({"k": True, "entries": []}, "integer 'k'"),
+        ({"k": 2.7, "entries": []}, "integer 'k'"),
+        ({"k": "2", "entries": []}, "integer 'k'"),
+        ({"k": 10**15, "entries": [{"prefix": [ANCHOR], "i": 0, "q": 0.5}]}, "integer 'k'"),
+        ({"k": 2, "entries": [{"prefix": [ANCHOR], "i": True, "q": 0.5}]}, "not an integer"),
+        ({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 2.7, "q": 0.5}]}, "not an integer"),
+        ({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": True}]}, "not a number"),
+        ({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": "0.5"}]}, "not a number"),
+        ({"k": 2, "entries": [{"prefix": [[ANCHOR]], "i": 0, "q": 0.5}]}, "unknown prefix"),
+    ],
+    ids=["entries-number", "k-boolean", "k-fraction", "k-string", "k-above-hardparams", "i-boolean",
+         "i-fraction", "q-boolean", "q-string", "prefix-nested"],
+)
+def test_policy_json_rejects_non_json_integers(obj, match):
+    with pytest.raises(ValueError, match=match):
+        policy_from_json(obj)
+
+
 def test_policy_table_validation():
     with pytest.raises(ValueError):
         QPolicy(k=2, table={("bad",): np.zeros(9)})
