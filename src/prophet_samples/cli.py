@@ -26,6 +26,7 @@ from .algorithms import effective_rank, rule_from_config, rule_to_config
 from .distributions import Instance, instance_from_json, instance_to_json, load_instance
 from .evaluation import (
     CASE1_MAX_K,
+    CASE2_MAX_K,
     MC_POOL_CAP,
     derive_seed,
     dominance_check,
@@ -159,7 +160,7 @@ def _instance(entry: _Fields) -> Instance:
         if name == "case1":
             return evaluation.case1_instance(gen.integer("k", 2, CASE1_MAX_K))
         if name == "case2":
-            k = gen.integer("k", 1)
+            k = gen.integer("k", 1, CASE2_MAX_K)
             return evaluation.case2_instance(k, gen.integer("n", 2, default=evaluation.default_case2_boxes(k)))
         raise _fail(gen.name("name"), f"unknown generator {name!r}")
     raise _fail(entry.path, "needs one of 'boxes', 'file', or 'generator'")

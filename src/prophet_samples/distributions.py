@@ -18,6 +18,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 WEIGHT_TOL = 1e-12
+VALUE_MAX = 2.0**64  # sums of squares over 2^63 replications stay far below 1.8e308
 
 
 @lru_cache(maxsize=128)
@@ -45,7 +46,7 @@ class ValueDist:
     """Finite mixture of uniform segments ``(weight, lo, hi)``.
 
     Segments are stored sorted by ``(lo, hi)``. Weights must be in [0, 1] and
-    sum to 1 within 1e-12; all bounds are finite and nonnegative.
+    sum to 1 within 1e-12; all bounds lie in [0, VALUE_MAX].
     """
 
     segments: tuple[tuple[float, float, float], ...]
@@ -63,8 +64,8 @@ class ValueDist:
         for w, lo, hi in segs:
             if not (0.0 <= w <= 1.0):
                 raise ValueError(f"segment weight {w} outside [0, 1]")
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"segment bounds ({lo}, {hi}) must be finite")
+            if not (lo <= VALUE_MAX and hi <= VALUE_MAX):
+                raise ValueError(f"segment bounds ({lo}, {hi}) must be finite and at most 2^64")
             if lo < 0.0:
                 raise ValueError(f"segment lower bound {lo} is negative")
             if hi < lo:

@@ -544,8 +544,14 @@ def case1_instance(k: int) -> Instance:
     )
 
 
+# The largest k for which U(k, k + 1) is still a segment in binary64 (k + 1 <= 2^53).
+CASE2_MAX_K = 2**53 - 1
+
+
 def case2_instance(k: int, n: int) -> Instance:
     """n identical boxes U(k, k + 1): near-equal values punish low thresholds."""
+    if not 1 <= k <= CASE2_MAX_K:
+        raise ValueError(f"k must be in [1, {CASE2_MAX_K}] so U(k, k + 1) stays a segment in binary64")
     if n < 2:
         raise ValueError("n must be >= 2")
     return Instance(tuple(ValueDist.uniform(float(k), float(k) + 1.0) for _ in range(n)))

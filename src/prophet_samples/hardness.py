@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -42,7 +42,6 @@ def enumerate_prefixes() -> list[tuple]:
 
 
 PREFIXES: tuple[tuple, ...] = tuple(enumerate_prefixes())
-_PREFIX_SET = frozenset(PREFIXES)
 
 T1 = (ANCHOR,)
 T2 = (ANCHOR, 1)
@@ -107,54 +106,46 @@ def p_star(params: HardParams) -> ProbVector:
     return ProbVector((1.0, ONE_THIRD, ONE_THIRD, ONE_THIRD, params.eps, 0.0))
 
 
+# The 16 prefixes where a policy may stop (it never accepts 0): the anchor and
+# the 15 that end in 1, in PREFIXES order. Row j of a policy table is STOPS[j].
+STOPS: tuple[tuple, ...] = tuple(p for p in PREFIXES if p == T1 or p[-1] == 1)
+_STOP_ROW = {p: j for j, p in enumerate(STOPS)}
+
+
 @dataclass
 class QPolicy:
-    """Acceptance table q(prefix, ones-count) over the 31 prefixes x {0..4k}."""
+    """Acceptance table q(prefix, ones-count): one read-only (16, 4k+1) array over STOPS."""
 
     k: int
-    table: dict[tuple, np.ndarray] = field(default_factory=dict)
+    table: np.ndarray
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        width = 4 * self.k + 1
-        norm: dict[tuple, np.ndarray] = {}
-        for prefix, row in self.table.items():
-            prefix = tuple(prefix)
-            if prefix not in _PREFIX_SET:
-                raise ValueError(f"unknown prefix {prefix!r}")
-            arr = np.asarray(row, dtype=float)
-            if arr.shape != (width,):
-                raise ValueError(f"row for {prefix!r} must have length {width}")
-            if np.any((arr < 0.0) | (arr > 1.0)):
-                raise ValueError("acceptance probabilities must lie in [0, 1]")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            norm[prefix] = arr
-        self.table = norm
+        table = np.array(self.table, dtype=float)
+        if table.shape != (len(STOPS), 4 * self.k + 1):
+            raise ValueError(f"table must have shape ({len(STOPS)}, {4 * self.k + 1}), got {table.shape}")
+        if not np.all((table >= 0.0) & (table <= 1.0)):
+            raise ValueError("acceptance probabilities must lie in [0, 1]")
+        table.setflags(write=False)
+        self.table = table
 
     def row(self, prefix: tuple) -> np.ndarray:
-        if tuple(prefix) not in _PREFIX_SET:
-            raise ValueError(f"unknown prefix {tuple(prefix)!r}")
-        got = self.table.get(tuple(prefix))
-        if got is None:
-            return np.zeros(4 * self.k + 1)
-        return got
-
-    def q(self, prefix: tuple, i: int) -> float:
-        if not 0 <= i <= 4 * self.k:
-            raise ValueError(f"ones-count {i} outside [0, {4 * self.k}]")
-        return float(self.row(prefix)[i])
+        """Acceptance probability at a prefix in STOPS, per ones-count."""
+        j = _STOP_ROW.get(tuple(prefix))
+        if j is None:
+            raise ValueError(f"prefix {tuple(prefix)!r} is not in STOPS")
+        return self.table[j]
 
     @classmethod
     def constant(cls, k: int, value: float) -> "QPolicy":
-        width = 4 * k + 1
-        return cls(k=k, table={p: np.full(width, float(value)) for p in PREFIXES})
+        return cls(k=k, table=np.full((len(STOPS), 4 * k + 1), float(value)))
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator) -> "QPolicy":
-        width = 4 * k + 1
-        return cls(k=k, table={p: rng.random(width) for p in PREFIXES})
+        """One uniform row per prefix in PREFIXES order; the rows of STOPS are kept."""
+        rows = rng.random((len(PREFIXES), 4 * k + 1))
+        return cls(k=k, table=rows[[PREFIXES.index(p) for p in STOPS]])
 
 
 def _is_int(x) -> bool:
@@ -162,7 +153,7 @@ def _is_int(x) -> bool:
 
 
 def policy_from_json(obj: Mapping) -> QPolicy:
-    """Sparse policy file: missing (prefix, i) entries default to 0."""
+    """Sparse policy file: entries name a prefix in STOPS; missing (prefix, i) entries are 0."""
     k = obj.get("k") if isinstance(obj, Mapping) else None
     if not _is_int(k) or not 1 <= k <= _MAX_K:
         raise ValueError(f"policy JSON must contain an integer 'k' in [1, {_MAX_K}], got {k!r}")
@@ -170,7 +161,7 @@ def policy_from_json(obj: Mapping) -> QPolicy:
     if not isinstance(entries, list):
         raise ValueError(f"policy 'entries' must be a list, got {entries!r}")
     width = 4 * k + 1
-    table: dict[tuple, np.ndarray] = {}
+    table = np.zeros((len(STOPS), width))
     for pos, entry in enumerate(entries):
         try:
             prefix = tuple(entry["prefix"])
@@ -182,15 +173,15 @@ def policy_from_json(obj: Mapping) -> QPolicy:
             raise ValueError(f"entry {pos} has ones-count {i!r}, which is not an integer")
         if not isinstance(q, (int, float)) or isinstance(q, bool):
             raise ValueError(f"entry {pos} has q={q!r}, which is not a number")
-        if not all(isinstance(b, (str, int)) for b in prefix) or prefix not in _PREFIX_SET:
+        if not all(isinstance(b, str) or _is_int(b) for b in prefix) or prefix not in PREFIXES:
             raise ValueError(f"entry {pos} has unknown prefix {list(prefix)!r}")
+        if prefix not in _STOP_ROW:
+            raise ValueError(f"entry {pos} has prefix {list(prefix)!r}, which ends in 0 where no policy stops")
         if not 0 <= i < width:
             raise ValueError(f"entry {pos} has ones-count {i} outside [0, {width - 1}]")
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"entry {pos} has q={q} outside [0, 1]")
-        if prefix not in table:
-            table[prefix] = np.zeros(width)
-        table[prefix][i] = q
+        table[_STOP_ROW[prefix], i] = q
     return QPolicy(k=k, table=table)
 
 
@@ -222,21 +213,19 @@ def _spike_prob(p6: float, k: int) -> float:
 
 # -- exact policy evaluation -----------------------------------------------------------
 
-# The 16 value paths of boxes 2..5 (1 = the box shows its nonzero value), and
-# the 16 prefixes where the policy may stop: the anchor and the 15 that end in 1.
+# The 16 value paths of boxes 2..5 (1 = the box shows its nonzero value).
 _PATHS: tuple[tuple[int, ...], ...] = tuple(itertools.product((0, 1), repeat=4))
-_STOPS: tuple[tuple, ...] = tuple(p for p in PREFIXES if p == T1 or p[-1] == 1)
 # Row r of the stop table is scored by the product over j of the factor
 # _ROW_BITS[r, j] picks for box j + 2: 0 -> 1 - p, 1 -> p, 2 -> 1.
 _ROW_BITS = np.array(
-    [list(p[1:]) + [2] * (5 - len(p)) for p in _STOPS] + [list(b) for b in _PATHS]
+    [list(p[1:]) + [2] * (5 - len(p)) for p in STOPS] + [list(b) for b in _PATHS]
 )
 
 
 def _stop_table(policy: QPolicy) -> np.ndarray:
     """Per ones-count stop probabilities and path survivals, shape (32, 4k+1).
 
-    Rows 0..15 hold s(P, i) = alive(P, i) * q(P, i) for P in _STOPS; rows
+    Rows 0..15 hold s(P, i) = alive(P, i) * q(P, i) for P in STOPS; rows
     16..31 hold the chance that the walk along each of the 16 paths never
     stopped. Survival is carried as its own product, not as 1 - sum(s), so
     every entry is a nonnegative product and nothing cancels.
@@ -246,7 +235,7 @@ def _stop_table(policy: QPolicy) -> np.ndarray:
     rows = []
     for prefix in PREFIXES:
         before = alive.get(prefix[:-1], start)
-        if prefix in _STOPS:
+        if prefix in _STOP_ROW:
             q = policy.row(prefix)
             rows.append(before * q)
             alive[prefix] = before * (1.0 - q)
@@ -284,7 +273,7 @@ def _member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.
     weights = np.prod(factors[:, np.arange(4), _ROW_BITS], axis=-1)
     tail = vals[:, 5] * params.spike_value
     weights[:, 0] *= params.xi
-    weights[:, len(_STOPS) :] *= tail[:, None]
+    weights[:, len(STOPS) :] *= tail[:, None]
     no_spike = np.vecdot(weights, pooled)
     spike = np.array([_spike_prob(row[5], params.k) for row in rows])
     return spike * tail + (1.0 - spike) * no_spike
@@ -314,6 +303,7 @@ def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> floa
     if k > 3:
         raise ValueError("brute force supports k <= 3 only")
     vals = p.values
+    q = {prefix: policy.row(prefix).tolist() for prefix in STOPS}
     box_of_slot = [1 + s // k for s in range(5 * k)]
     total = 0.0
     for sample_bits in itertools.product((0, 1), repeat=5 * k):
@@ -336,13 +326,13 @@ def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> floa
             if spiked:
                 value = params.spike_value if vbits[4] else 0.0
             else:
-                value = params.xi * policy.q(T1, ones)
-                alive = 1.0 - policy.q(T1, ones)
+                value = params.xi * q[T1][ones]
+                alive = 1.0 - q[T1][ones]
                 prefix = T1
                 for b in vbits[:4]:
                     prefix = prefix + (b,)
                     if b:
-                        qq = policy.q(prefix, ones)
+                        qq = q[prefix][ones]
                         value += alive * qq
                         alive *= 1.0 - qq
                 if vbits[4]:
@@ -418,20 +408,15 @@ class MixtureSpec:
         )
 
 
-def build_dd_mixture(
-    params: HardParams, alt_success: bool = False
-) -> tuple[MixtureSpec, CountDist, CountDist]:
+def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountDist]:
     """The ones-count mixture and its two-binomial stand-in, both on {0..4k}.
 
     The mixture draws j from Bin(3k, 1/3) and then k + Bin(k, g(j)); the
     stand-in is Bin(3k, 1/3) + Bin(k, eps), which shares its mean k(1 + eps).
-    alt_success switches the component success to min(1, eps + g(j)), the
-    other reading of the ramp, for comparison.
     """
     k = params.k
     coeff = binom(3 * k, ONE_THIRD)
-    ramp = g_clamp(np.arange(3 * k + 1), params)
-    success = np.minimum(1.0, params.eps + ramp) if alt_success else ramp
+    success = g_clamp(np.arange(3 * k + 1), params)
 
     mix_masses = np.zeros(4 * k + 1)
     block = 512

@@ -103,13 +103,14 @@ def convolve(a: CountDist, b: CountDist) -> CountDist:
 
 
 def sum_of_binomials(specs: Sequence[tuple[int, float]]) -> CountDist:
-    """Left-fold of convolve over binom(n_i, p_i)."""
+    """Left-fold of np.convolve over the binom(n_i, p_i) masses, validated once."""
     if not specs:
         raise ValueError("need at least one (n, p) spec")
-    out = binom(*specs[0])
-    for n, p in specs[1:]:
-        out = convolve(out, binom(n, p))
-    return out
+    parts = [binom(n, p) for n, p in specs]
+    masses = parts[0].masses
+    for part in parts[1:]:
+        masses = np.convolve(masses, part.masses)
+    return CountDist(sum(part.offset for part in parts), masses)
 
 
 @dataclass(frozen=True)

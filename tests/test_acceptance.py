@@ -218,7 +218,9 @@ def test_criterion_08_hardness_adversary():
         worst = max(worst, ratio)
         assert ratio <= 0.51, ratio
     _, zero_ratio = adversary(QPolicy.constant(400, 0.0), params)
-    greedy = QPolicy(k=400, table={("xi",): np.ones(1601)})
+    greedy_table = np.zeros((16, 1601))
+    greedy_table[0] = 1.0  # accept the anchor, STOPS[0], always
+    greedy = QPolicy(k=400, table=greedy_table)
     _, greedy_ratio = adversary(greedy, params)
     elapsed = time.perf_counter() - t0
     ok = worst <= 0.51 and zero_ratio <= 0.01 and greedy_ratio <= 0.01

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +232,24 @@ _BAD_INPUTS = [
     ("policy-file-missing", "hardness-verify", {"policy": "absent.json"}, {}, "policy"),
     ("policy-params-boolean", "hardness-verify", {"policy": "p.json", "xi": True},
      {"p.json": _ZERO_POLICY}, "xi"),
+    ("policy-prefix-ending-in-0", "hardness-verify", {"policy": "p.json"},
+     {"p.json": {"k": 25, "entries": [{"prefix": ["xi", 0], "i": 3, "q": 1.0}]}}, "policy"),
+    ("segment-sum-overflows", "eval",
+     {"instances": [{"boxes": [{"segments": [[1.0, 0.0, 1e308]]}]}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].boxes"),
+    ("segment-square-overflows", "eval",
+     {"instances": [{"boxes": [{"segments": [[1.0, 0.0, 1e300]]}]}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].boxes"),
+    ("generator-case2-atom", "eval",
+     {"instances": [{"generator": {"name": "case2", "k": 2**53}}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].generator.k"),
+    ("generator-case2-k-huge", "eval",
+     {"instances": [{"generator": {"name": "case2", "k": 10**400}}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].generator.k"),
 ]
 
 
@@ -267,6 +286,23 @@ def test_bad_input_exits_2_on_its_field(tmp_path, monkeypatch, capsys, command, 
     assert "internal error" not in err
     assert out.read_bytes() == b"artifact of an earlier run\n"
     assert stdout_open
+
+
+def test_eval_accepts_values_up_to_2_to_the_64(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "big.json",
+        {
+            "command": "eval",
+            "instances": [{"id": "big", "boxes": [{"segments": [[1.0, 0.0, 2.0**64]]}]}],
+            "rule": {"rule": "max_sample"},
+            "k": 1,
+            "reps": 10,
+            "seed": 1,
+        },
+    )
+    assert run_cli(["eval", "--config", cfg]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert all(math.isfinite(float(x)) for x in row[6:])
 
 
 def test_unwritable_out_is_config_error(eval_config, tmp_path, capsys):

@@ -129,6 +129,16 @@ def test_validation_errors():
         ValueDist(((1.0, 2.0, 1.0),))  # inverted segment
     with pytest.raises(ValueError):
         ValueDist(((1.0, 0.0, math.inf),))
+    for hi in (1e300, 1e308, math.nextafter(2.0**64, math.inf), math.nan):
+        for dist in ((1.0, 0.0, hi),), ((1.0, hi, hi),):
+            with pytest.raises(ValueError, match="at most 2\\^64"):
+                ValueDist(dist)
+
+
+def test_segment_bounds_up_to_2_to_the_64_are_accepted():
+    d = ValueDist.uniform(0.0, 2.0**64)
+    assert d.mean() == 2.0**63
+    assert ValueDist.atom(2.0**64).mean() == 2.0**64
 
 
 def test_segments_sorted_after_construction():

@@ -21,6 +21,7 @@ from prophet_samples import (
 )
 from prophet_samples.algorithms import beta_moments, effective_rank, poly_times_linear, walk_terms
 from prophet_samples.evaluation import (
+    CASE2_MAX_K,
     MC_POOL_CAP,
     _exact_selected_distribution,
     _mc_chunk_size,
@@ -553,6 +554,13 @@ def test_case2_structure():
     assert inst.prophet_expectation() >= 25.0
     with pytest.raises(ValueError):
         case2_instance(25, 1)
+
+
+def test_case2_k_bounded_so_boxes_stay_segments():
+    assert not case2_instance(CASE2_MAX_K, 2).has_atoms
+    for k in (0, 2**53, 10**400):
+        with pytest.raises(ValueError, match=str(CASE2_MAX_K)):
+            case2_instance(k, 2)
 
 
 def test_default_case2_boxes():

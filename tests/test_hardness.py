@@ -28,6 +28,7 @@ from prophet_samples.hardness import (
     ANCHOR,
     ONE_THIRD,
     PREFIXES,
+    STOPS,
     T1,
     T2,
     adversary_candidates,
@@ -84,14 +85,21 @@ def walk_oracle(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
     return spike * spike_tail + (1.0 - spike) * no_spike_value
 
 
+def policy_with(k: int, rows: dict) -> QPolicy:
+    """A policy that is 0 except on the given STOPS rows."""
+    table = np.zeros((len(STOPS), 4 * k + 1))
+    for prefix, row in rows.items():
+        table[STOPS.index(prefix)] = row
+    return QPolicy(k=k, table=table)
+
+
 def named_policy(name: str, k: int, rng) -> QPolicy:
-    width = 4 * k + 1
     if name == "random":
         return QPolicy.random(k, rng)
     if name == "zero":
         return QPolicy.constant(k, 0.0)
     if name == "greedy":
-        return QPolicy(k=k, table={T1: np.ones(width)})
+        return policy_with(k, {T1: 1.0})
     return QPolicy.constant(k, 1.0)
 
 
@@ -197,17 +205,14 @@ def test_eval_never_accepting_policy():
 
 def test_eval_first_value_policy():
     params = HardParams(k=2)
-    q = QPolicy(k=2, table={T1: np.ones(9)})
+    q = policy_with(2, {T1: 1.0})
     vec = ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     assert eval_q_policy(vec, params, q) == pytest.approx(params.xi, abs=1e-12)
 
 
 def test_brute_force_deterministic_pool():
     params = HardParams(k=1)
-    table = {T1: np.zeros(5)}
-    table[T1] = np.zeros(5)
-    table[T1][1] = 1.0  # accept the anchor iff exactly one 1 was sampled
-    q = QPolicy(k=1, table=table)
+    q = policy_with(1, {T1: [0.0, 1.0, 0.0, 0.0, 0.0]})  # accept the anchor iff exactly one 1 was sampled
     vec = ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     assert brute_force_eval(vec, params, q) == pytest.approx(params.xi, abs=1e-12)
 
@@ -276,10 +281,7 @@ def test_eval_requires_matching_k():
 
 def test_over_selection_constants():
     k = 4
-    q = QPolicy(
-        k=k,
-        table={T1: np.full(4 * k + 1, 0.3), T2: np.full(4 * k + 1, 0.4)},
-    )
+    q = policy_with(k, {T1: 0.3, T2: 0.4})
     vec = ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
     assert over_selection_score(q, vec, k) == pytest.approx(0.58, abs=1e-12)
     assert over_selection_score(QPolicy.constant(k, 0.0), vec, k) == 0.0
@@ -313,6 +315,12 @@ def test_family_prophet_cross_check(rng):
         assert direct == pytest.approx(via_instance, rel=1e-12, abs=1e-9)
 
 
+def test_family_instance_builds_at_the_largest_k():
+    params = HardParams(k=10_000)
+    inst = family_instance(ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, params.spike_prob)), params)
+    assert max(hi for box in inst.boxes for _, _, hi in box.segments) == 1e16
+
+
 def test_family_prophet_spike_dominates():
     params = HardParams(k=50)
     vec = ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, params.spike_prob))
@@ -341,27 +349,27 @@ def test_build_dd_mixture_means():
 
 # masses of build_dd_mixture recorded by .hex() before all-zero blocks were skipped
 DD_MIXTURE_DIGESTS = [
-    (200, 0.1, False, "7ea2e3ceb4c0c195b9c6bc3302734104e86112c35510a88d6a1a021eadecf479",
+    (200, 0.1, "7ea2e3ceb4c0c195b9c6bc3302734104e86112c35510a88d6a1a021eadecf479",
      "d1c9a245555bb5f9e16cc9a9c03888db2436902ce1f96977cd3a60cd8272ed5a"),
-    (800, 0.1, False, "8382e214460e0d942663724105e8ac1eebd2b897c772d960e12309fa51e16be2",
+    (800, 0.1, "8382e214460e0d942663724105e8ac1eebd2b897c772d960e12309fa51e16be2",
      "4f53f02b5a80cd7507626ef19e7e19bc1393c2494ea4b59c96d6141d0f3803e2"),
-    (3200, 0.1, False, "6ccfdbc4200219e96b2254365ad5a9ca1b63b543f53138a6278561094ab6913d",
+    (3200, 0.1, "6ccfdbc4200219e96b2254365ad5a9ca1b63b543f53138a6278561094ab6913d",
      "0cab1e1ab823d4009c0198694f559b861c87f558e01ed575548df8107fe209e0"),
-    (800, None, False, "96afd29f87db5b5e3ecd36dfe84ddcbfa5a75df7616e1b4f444d12b3271970a5",
+    (800, None, "96afd29f87db5b5e3ecd36dfe84ddcbfa5a75df7616e1b4f444d12b3271970a5",
      "da9ed188fdf848233636ae38a7af4179d02b60dd5dd48bce15344cb87fb4a126"),
-    (400, 0.1, True, "cc971eac783c1e23e00ac32ba37a605702db34e99777796d977293fad9af105f",
-     "891d3a7aad93e5ea8f596cb10eb18b9dd838e6cfe9f79333d3d68c1425197262"),
 ]
 
 
+# The ids keep the "altFalse" suffix from when build_dd_mixture also had a
+# min(1, eps + g(j)) reading of the ramp, so the case names stay stable.
 @pytest.mark.parametrize(
-    "k, eps, alt, mix_digest, star_digest",
+    "k, eps, mix_digest, star_digest",
     DD_MIXTURE_DIGESTS,
-    ids=[f"k{k}-eps{eps}-alt{alt}" for k, eps, alt, _, _ in DD_MIXTURE_DIGESTS],
+    ids=[f"k{k}-eps{eps}-altFalse" for k, eps, _, _ in DD_MIXTURE_DIGESTS],
 )
-def test_build_dd_mixture_golden(k, eps, alt, mix_digest, star_digest):
+def test_build_dd_mixture_golden(k, eps, mix_digest, star_digest):
     params = HardParams(k=k) if eps is None else HardParams(k=k, eps=eps)
-    _, mix, star = build_dd_mixture(params, alt_success=alt)
+    _, mix, star = build_dd_mixture(params)
     assert (masses_digest(mix), masses_digest(star)) == (mix_digest, star_digest)
 
 
@@ -390,13 +398,6 @@ def test_build_dd_mixture_tv_decreasing_smallish():
         _, mix, star = build_dd_mixture(HardParams(k=k, eps=0.1))
         tvs.append(tv_distance(mix, star))
     assert tvs[1] < tvs[0]
-
-
-def test_alt_success_reading_diverges():
-    params = HardParams(k=400, eps=0.1)
-    _, mix, star = build_dd_mixture(params)
-    _, mix_alt, _ = build_dd_mixture(params, alt_success=True)
-    assert tv_distance(mix, star) < 0.1 < tv_distance(mix_alt, star)
 
 
 # -- certificate --------------------------------------------------------------------------------
@@ -436,7 +437,7 @@ def test_adversary_canonical_policies():
     assert ratio == 0.0
     assert vec.values[5] == 0.0
 
-    greedy = QPolicy(k=400, table={T1: np.ones(1601)})
+    greedy = policy_with(400, {T1: 1.0})
     vec, ratio = adversary(greedy, params)
     assert ratio <= 0.01
     assert vec.values[5] == params.spike_prob
@@ -486,6 +487,72 @@ def test_adversary_envelope_random(rng):
         assert ratio <= 0.51
 
 
+# Outputs recorded by .hex() while QPolicy still stored all 31 prefix rows;
+# the (16, 4k+1) table must reproduce them bit for bit. The member is given by
+# its index in adversary_candidates.
+ADVERSARY_GOLDEN = [
+    (1, "random", 0, "0x1.f55dc1881ae53p-3", 0),
+    (1, "random", 1, "0x1.87b862d15006cp-1", 126),
+    (1, "random", 2, "0x1.7ee2cbf5b9237p-2", 0),
+    (1, "zero", None, "0x0.0p+0", 0),
+    (1, "greedy", None, "0x1.ccccccccccccdp-1", 0),
+    (3, "random", 0, "0x1.4d263aefeb054p-3", 2),
+    (3, "random", 1, "0x1.248971bf9cd7fp-2", 1),
+    (3, "random", 2, "0x1.6bd851495e3d8p-3", 0),
+    (3, "zero", None, "0x0.0p+0", 0),
+    (3, "greedy", None, "0x1.22a3b01f89b99p-2", 1),
+    (400, "random", 0, "0x1.eb9dcbe83b033p-4", 123),
+    (400, "random", 1, "0x1.68c85424f36ddp-7", 3),
+    (400, "random", 2, "0x1.dbb5c3523e7e1p-7", 1),
+    (400, "zero", None, "0x0.0p+0", 0),
+    (400, "greedy", None, "0x1.26fdeb7e06f0dp-9", 7),
+]
+
+
+@pytest.mark.parametrize(
+    "k, name, seed, ratio_hex, member",
+    ADVERSARY_GOLDEN,
+    ids=[f"{n}-{k}-{s}" for k, n, s, _, _ in ADVERSARY_GOLDEN],
+)
+def test_adversary_golden(k, name, seed, ratio_hex, member):
+    params = HardParams(k=k)
+    vec, ratio = adversary(named_policy(name, k, np.random.default_rng(seed)), params)
+    assert ratio.hex() == ratio_hex
+    assert vec.values == tuple(adversary_candidates(params)[member])
+
+
+# (k, policy seed, member, eval_q_policy, brute_force_eval), recorded like ADVERSARY_GOLDEN
+EVAL_GOLDEN = [
+    (1, 0, 0, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (1, 0, 1, "0x1.70baeeb569be5p-1", "0x1.70baeeb569be6p-1"),
+    (1, 0, 2, "0x1.d1fd579120fcep-2", "0x1.d1fd579120fcep-2"),
+    (1, 1, 0, "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    (1, 1, 1, "0x1.28c0f8ee00b9ap-1", "0x1.28c0f8ee00b9cp-1"),
+    (1, 1, 2, "0x1.692f6fc2ca82ep-1", "0x1.692f6fc2ca82dp-1"),
+    (2, 0, 0, "0x1.4f1383ce0b3c7p+0", "0x1.4f1383ce0b3c9p+0"),
+    (2, 0, 1, "0x1.62e1b035e43d0p-1", "0x1.62e1b035e43cep-1"),
+    (2, 0, 2, "0x1.91a050add15f6p-1", "0x1.91a050add15f9p-1"),
+    (2, 1, 0, "0x1.829421630e7bfp+0", "0x1.829421630e7c0p+0"),
+    (2, 1, 1, "0x1.29cb046604db3p-1", "0x1.29cb046604dacp-1"),
+    (2, 1, 2, "0x1.dd2a34cf493aap-1", "0x1.dd2a34cf493aap-1"),
+]
+
+
+def test_eval_and_brute_force_golden():
+    for k, seed, member, eval_hex, brute_hex in EVAL_GOLDEN:
+        params = HardParams(k=k)
+        vec = ProbVector(
+            [
+                (1.0, ONE_THIRD, 1.0, 0.0, params.eps, params.spike_prob),
+                (1.0, ONE_THIRD, ONE_THIRD, ONE_THIRD, params.eps, 0.0),
+                (1.0, 1.0, 0.0, 0.0, 2.0 * params.eps, 0.0),
+            ][member]
+        )
+        policy = QPolicy.random(k, np.random.default_rng(10 + seed))
+        got = (eval_q_policy(vec, params, policy).hex(), brute_force_eval(vec, params, policy).hex())
+        assert got == (eval_hex, brute_hex), (k, seed, member)
+
+
 # -- policy serialization -----------------------------------------------------------------------
 
 
@@ -499,19 +566,19 @@ def test_load_policy_reads_sparse_file(tmp_path):
     path.write_text(json.dumps({"k": 2, "entries": entries}), encoding="utf-8")
     q = load_policy(str(path))
     assert q.k == 2
-    assert set(q.table) == {T1, T3}
+    assert q.table.shape == (16, 9)
     assert q.row(T1).tolist() == [0.25] + [0.0] * 8
     assert q.row(T3).tolist() == [0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 1.0]
-    for prefix in PREFIXES:
+    for prefix in STOPS:
         if prefix not in (T1, T3):
             assert not q.row(prefix).any()
 
 
 def test_policy_json_sparse_default():
     q = policy_from_json({"k": 2, "entries": [{"prefix": [ANCHOR, 1], "i": 3, "q": 0.5}]})
-    assert q.q(T2, 3) == 0.5
-    assert q.q(T2, 0) == 0.0
-    assert q.q(T1, 3) == 0.0
+    assert q.row(T2)[3] == 0.5
+    assert q.row(T2)[0] == 0.0
+    assert q.row(T1)[3] == 0.0
 
 
 def test_policy_json_validation():
@@ -538,9 +605,16 @@ def test_policy_json_validation():
         ({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": True}]}, "not a number"),
         ({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": "0.5"}]}, "not a number"),
         ({"k": 2, "entries": [{"prefix": [[ANCHOR]], "i": 0, "q": 0.5}]}, "unknown prefix"),
+        ({"k": 2, "entries": [{"prefix": [ANCHOR, True], "i": 0, "q": 0.5}]}, "unknown prefix"),
+        ({"k": 2, "entries": [{"prefix": [ANCHOR, 0], "i": 3, "q": 1.0}]},
+         r"entry 0 has prefix \['xi', 0\], which ends in 0"),
+        ({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": 0.5},
+                              {"prefix": [ANCHOR, 1, 1, 1, 0], "i": 3, "q": 1.0}]},
+         r"entry 1 has prefix \['xi', 1, 1, 1, 0\], which ends in 0"),
     ],
     ids=["entries-number", "k-boolean", "k-fraction", "k-string", "k-above-hardparams", "i-boolean",
-         "i-fraction", "q-boolean", "q-string", "prefix-nested"],
+         "i-fraction", "q-boolean", "q-string", "prefix-nested", "prefix-boolean", "prefix-ending-in-0",
+         "long-prefix-ending-in-0"],
 )
 def test_policy_json_rejects_non_json_integers(obj, match):
     with pytest.raises(ValueError, match=match):
@@ -548,9 +622,26 @@ def test_policy_json_rejects_non_json_integers(obj, match):
 
 
 def test_policy_table_validation():
-    with pytest.raises(ValueError):
-        QPolicy(k=2, table={("bad",): np.zeros(9)})
-    with pytest.raises(ValueError):
-        QPolicy(k=2, table={T1: np.zeros(5)})
-    with pytest.raises(ValueError):
-        QPolicy(k=2, table={T1: np.full(9, 1.5)})
+    with pytest.raises(ValueError, match="shape"):
+        QPolicy(k=2, table=np.zeros((31, 9)))
+    with pytest.raises(ValueError, match="shape"):
+        QPolicy(k=2, table=np.zeros((16, 5)))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        QPolicy(k=2, table=np.full((16, 9), 1.5))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        QPolicy(k=2, table=np.full((16, 9), np.nan))
+
+
+def test_policy_table_is_one_read_only_array_over_stops():
+    assert len(STOPS) == 16 and STOPS[0] == T1
+    assert all(p[-1] == 1 for p in STOPS[1:])
+    assert list(STOPS) == [p for p in PREFIXES if p in STOPS]
+    source = np.random.default_rng(5).random((16, 13))
+    q = QPolicy(k=3, table=source)
+    source[0, 0] = 2.0
+    assert q.table.shape == (16, 13) and q.table[0, 0] < 1.0
+    assert not q.table.flags.writeable
+    assert all(np.array_equal(q.row(p), q.table[j]) for j, p in enumerate(STOPS))
+    with pytest.raises(ValueError, match="not in STOPS"):
+        q.row((ANCHOR, 0))
+

@@ -89,6 +89,24 @@ def test_sum_of_binomials_merge_identity():
     assert np.allclose(got.masses, binom(4, 0.5).masses, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "specs",
+    [
+        [(5, 0.3)],
+        [(7, 1 / 3), (7, 0.0), (7, 1.0), (7, 2e-4)],
+        [(400, 1 / 3)] * 3 + [(400, 1e-4)],
+        [(3, 1.0), (2, 1.0)],
+    ],
+)
+def test_sum_of_binomials_is_the_convolve_fold_bit_for_bit(specs):
+    want = binom(*specs[0])
+    for n, p in specs[1:]:
+        want = convolve(want, binom(n, p))
+    got = sum_of_binomials(specs)
+    assert got.offset == want.offset
+    assert [x.hex() for x in got.masses.tolist()] == [x.hex() for x in want.masses.tolist()]
+
+
 def test_count_dist_validation():
     with pytest.raises(ValueError):
         CountDist(0, np.array([0.5, 0.4]))
