@@ -225,7 +225,7 @@ _SANDWICH_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ThresholdDiagnostics:
-    """Exact threshold summary: F(T), the exceedance mean g, and the floor h.
+    """Exact threshold summary: F(T), the exceedance mean g, and the derived floor h.
 
     Construction verifies 1 - g <= F <= exp(-g); a violation beyond 1e-12
     signals an arithmetic bug, since the bounds hold for any CDF values.
@@ -234,11 +234,8 @@ class ThresholdDiagnostics:
     t: float
     f_of_t: float
     g: float
-    h: float
 
     def __post_init__(self) -> None:
-        if abs(self.h - min(self.f_of_t, 1.0 - self.f_of_t)) > _SANDWICH_TOL:
-            raise ValueError("h must equal min(F, 1 - F)")
         if self.f_of_t < (1.0 - self.g) - _SANDWICH_TOL:
             raise ValueError(
                 f"lower sandwich violated: 1-g={1.0 - self.g!r} > F={self.f_of_t!r}"
@@ -248,6 +245,10 @@ class ThresholdDiagnostics:
                 f"upper sandwich violated: F={self.f_of_t!r} > e^-g={math.exp(-self.g)!r}"
             )
 
+    @property
+    def h(self) -> float:
+        return min(self.f_of_t, 1.0 - self.f_of_t)
+
 
 def threshold_diagnostics(inst: Instance, t: float) -> ThresholdDiagnostics:
     """Exact F(t), g(t) = sum_i Pr[v_i > t], h(t) = min(F, 1 - F)."""
@@ -256,4 +257,4 @@ def threshold_diagnostics(inst: Instance, t: float) -> ThresholdDiagnostics:
     for c in per_box:
         f *= c
     g = math.fsum(1.0 - c for c in per_box)
-    return ThresholdDiagnostics(t=t, f_of_t=f, g=g, h=min(f, 1.0 - f))
+    return ThresholdDiagnostics(t=t, f_of_t=f, g=g)

@@ -16,7 +16,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -35,29 +35,12 @@ from .evaluation import (
     semi_exact_ordinal,
 )
 
-COMMANDS = (
-    "eval",
-    "dominance",
-    "ordinal-sweep",
-    "hardness-verify",
-    "tv-convergence",
-    "stats-check",
-)
-
 _SEED_MAX = (1 << 64) - 1
 _REQUIRED = object()
 
 
 class ConfigError(ValueError):
     """Raised for invalid manifests; the message names the offending field."""
-
-
-@dataclass
-class ExperimentConfig:
-    command: str
-    payload: dict
-    out: str | None
-    threads: int
 
 
 def _fail(field: str, detail: str) -> "ConfigError":
@@ -325,7 +308,7 @@ def _run_tv_convergence(fields: _Fields, threads: int) -> str:
     family = fields.choice("family", ("binomial_normal", "count_mixture"))
     lines = ["family,param,secondary,tv"]
     if family == "binomial_normal":
-        ns = fields.scalars("n", _int, 1)
+        ns = fields.scalars("n", _int, 1, stats.SIZE_CAP)
         for p in fields.scalars("p", _number, 0.0, 1.0, True):
             for n in ns:
                 tv = stats.tv_binom_vs_normal(n, p)
@@ -349,24 +332,15 @@ def _run_stats_check(fields: _Fields, threads: int) -> str:
     result: dict[str, Any] = {}
     if "chernoff" in fields.obj:
         spec = fields.section("chernoff")
-        n = spec.integer("n", 1)
+        n = spec.integer("n", 1, stats.SIZE_CAP)
         p = spec.number("p", 0.0, 1.0)
         deltas = spec.scalars("deltas", _number, 0.0, 1.0, True)
-        reps = spec.integer("reps", 10_000, default=fields.get("reps", None))
+        reps = spec.integer("reps", 10_000, stats.SIZE_CAP, default=fields.get("reps", None))
         rows = []
         for i, delta in enumerate(deltas):
             rng = np.random.default_rng(derive_seed(seed, 1, i))
             report = stats.chernoff_check([p] * n, delta, reps, rng)
-            rows.append(
-                {
-                    "delta": delta,
-                    "mu": report.mu,
-                    "empirical": report.empirical,
-                    "bound": report.bound,
-                    "stderr": report.stderr,
-                    "passed": report.passed,
-                }
-            )
+            rows.append({key: v for key, v in asdict(report).items() if key != "reps"})
             print(f"chernoff delta={delta}: emp={report.empirical:.2e}", file=sys.stderr)
         result["chernoff"] = rows
     if "sandwich" in fields.obj:
@@ -396,30 +370,21 @@ _RUNNERS = {
 }
 
 
-def run(config: ExperimentConfig) -> None:
-    """Execute a validated config; the artifact goes to config.out or stdout.
+def _run(args: argparse.Namespace) -> None:
+    """Read the manifest, apply the flag overrides and run the command.
 
-    config.out is opened only after the command has succeeded, so a failed
-    run leaves an existing file as it was.
+    The artifact goes to --out or stdout. --out is opened only after the
+    command has succeeded, so a failed run leaves an existing file as it was.
     """
-    text = _RUNNERS[config.command](_Fields(config.payload), config.threads)
-    if not config.out:
-        sys.stdout.write(text)
-        return
-    with _on("out"), open(config.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def build_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
     payload: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with _on("config"), open(args.config, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise _fail("config", "top level must be a JSON object")
     declared = payload.get("command")
-    if declared is not None and declared != command:
-        raise _fail("command", f"config says {declared!r} but subcommand is {command!r}")
+    if declared is not None and declared != args.command:
+        raise _fail("command", f"config says {declared!r} but subcommand is {args.command!r}")
     # flags override the manifest; --policy and --k exist for hardness-verify only
     for key in ("seed", "reps", "policy", "k"):
         if getattr(args, key, None) is not None:
@@ -427,7 +392,12 @@ def build_config(command: str, args: argparse.Namespace) -> ExperimentConfig:
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     if threads < 1:
         raise _fail("threads", "must be >= 1")
-    return ExperimentConfig(command=command, payload=payload, out=args.out, threads=threads)
+    text = _RUNNERS[args.command](_Fields(payload), threads)
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    with _on("out"), open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -436,7 +406,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Config-driven prophet inequality experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment manifest")
         p.add_argument("--seed", type=int, help="override the manifest seed")
@@ -448,8 +418,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             p.add_argument("--k", type=int, help="samples per box")
     args = parser.parse_args(argv)
     try:
-        config = build_config(args.command, args)
-        run(config)
+        _run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

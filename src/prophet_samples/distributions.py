@@ -27,20 +27,6 @@ def _gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def gauss_legendre_integral(func, lo: float, hi: float, nodes: int) -> float:
-    """Integrate func over [lo, hi] with a fixed Gauss-Legendre rule.
-
-    Exact for polynomials of degree <= 2*nodes - 1, which is how the exact
-    evaluators avoid Monte Carlo noise.
-    """
-    if hi <= lo:
-        return 0.0
-    x, w = _gauss_nodes(nodes)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return float(half * np.sum(w * func(mid + half * x)))
-
-
 @dataclass(frozen=True)
 class ValueDist:
     """Finite mixture of uniform segments ``(weight, lo, hi)``.
@@ -224,16 +210,15 @@ class Instance:
         """Exact E[max_i v_i] as the integral of 1 - prod F_i.
 
         Between consecutive breakpoints every per-box CDF is linear, so the
-        integrand is a polynomial of degree <= n; ceil((n+1)/2) Gauss nodes
-        integrate it exactly.
+        integrand is a polynomial of degree <= n; ceil((n+1)/2) Gauss-Legendre
+        nodes integrate it exactly.
         """
         pts = [0.0] + [p for p in self.breakpoints() if p > 0.0]
-        nodes = (self.n + 2) // 2
+        x, w = _gauss_nodes((self.n + 2) // 2)
         total = 0.0
         for a, b in zip(pts, pts[1:]):
-            total += gauss_legendre_integral(
-                lambda x: 1.0 - self.product_cdf(x), a, b, nodes
-            )
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            total += float(half * np.sum(w * (1.0 - self.product_cdf(mid + half * x))))
         return total
 
 

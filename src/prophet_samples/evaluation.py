@@ -109,16 +109,19 @@ class RatioReport:
 
     alg_value: float
     prophet_value: float
-    ratio: float
     ci_halfwidth: float
     reps: int
     seed: int
 
     def __post_init__(self) -> None:
         if not self.prophet_value > 0.0:
-            raise ValueError("prophet_value must be positive")
+            raise ValueError(f"prophet value {self.prophet_value!r} must be positive to form a ratio")
         if self.ci_halfwidth < 0.0:
             raise ValueError("ci_halfwidth must be nonnegative")
+
+    @property
+    def ratio(self) -> float:
+        return self.alg_value / self.prophet_value
 
     @property
     def ratio_ci_halfwidth(self) -> float:
@@ -130,7 +133,6 @@ class DominanceReport:
     """Worst-case tail ratio Pr[ALG >= x] / Pr[max >= x] over a grid."""
 
     gamma: float
-    grid: tuple[float, ...]
     worst_x: float
     worst_ratio: float
     mode: str = "exact"
@@ -160,22 +162,13 @@ def _finalize_ratio(
     Deviations are taken about each chunk's own mean, so values far from 0
     (spikes of 1e8 and more) do not cancel the variance away.
     """
-    if not prophet > 0.0:
-        raise ValueError(f"prophet value {prophet!r} must be positive to form a ratio")
     alg = math.fsum(s for s, _, _ in parts) / reps
     if reps > 1:
         m2 = math.fsum(m for _, m, _ in parts) + math.fsum(n * (s / n - alg) ** 2 for s, _, n in parts)
         ci = 1.96 * math.sqrt(m2 / (reps - 1) / reps)
     else:
         ci = 0.0
-    return RatioReport(
-        alg_value=alg,
-        prophet_value=prophet,
-        ratio=alg / prophet,
-        ci_halfwidth=ci,
-        reps=reps,
-        seed=seed,
-    )
+    return RatioReport(alg_value=alg, prophet_value=prophet, ci_halfwidth=ci, reps=reps, seed=seed)
 
 
 # -- full Monte Carlo -------------------------------------------------------------
@@ -278,24 +271,15 @@ def mc_ratio(
 # -- semi-exact ordinal evaluation --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LevelStructure:
-    """Descending strata of the pooled sample distribution.
+def _level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Descending strata of the pooled sample distribution: (is_atom, los, his, probs).
 
     Each stratum is either an atom or an open interval between adjacent
-    instance breakpoints; box_probs[i, j] is the chance one sample of box i
+    instance breakpoints; probs[i, j] is the chance one sample of box i
     lands in stratum j. Sampling per-stratum counts is an exact factorization
     of drawing k samples per box, and within an interval stratum the points
     are conditionally iid uniform.
     """
-
-    is_atom: np.ndarray
-    los: np.ndarray
-    his: np.ndarray
-    box_probs: np.ndarray
-
-
-def _level_structure(inst: Instance) -> _LevelStructure:
     breaks = inst.breakpoints()
     levels: list[tuple[bool, float, float]] = []
     for idx in range(len(breaks) - 1, -1, -1):
@@ -319,12 +303,8 @@ def _level_structure(inst: Instance) -> _LevelStructure:
     keep = probs.sum(axis=0) > 0.0
     levels = [lv for lv, used in zip(levels, keep) if used]
     probs = probs[:, keep]
-    return _LevelStructure(
-        is_atom=np.array([lv[0] for lv in levels]),
-        los=np.array([lv[1] for lv in levels]),
-        his=np.array([lv[2] for lv in levels]),
-        box_probs=probs,
-    )
+    is_atom, los, his = (np.array(col) for col in zip(*levels))
+    return is_atom, los, his, probs
 
 
 def semi_exact_ordinal(
@@ -348,12 +328,12 @@ def semi_exact_ordinal(
     if not 1 <= rank <= inst.n * k:
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
     prophet = inst.prophet_expectation()
-    struct = _level_structure(inst)
+    is_atom, los, his, probs = _level_structure(inst)
 
     def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
-        counts = np.zeros((rows, len(struct.is_atom)), dtype=np.int64)
+        counts = np.zeros((rows, len(is_atom)), dtype=np.int64)
         for i in range(inst.n):
-            counts += rng.multinomial(k, struct.box_probs[i], size=rows)
+            counts += rng.multinomial(k, probs[i], size=rows)
         cum = np.cumsum(counts, axis=1)
         lvl = np.argmax(cum >= rank, axis=1)
         rows_idx = np.arange(rows)
@@ -361,10 +341,10 @@ def semi_exact_ordinal(
         r = rank - (cum[rows_idx, lvl] - n_at)
 
         out = np.zeros(rows)
-        interval = ~struct.is_atom[lvl]
+        interval = ~is_atom[lvl]
         if np.any(interval):
-            a = struct.los[lvl[interval]]
-            b = struct.his[lvl[interval]]
+            a = los[lvl[interval]]
+            b = his[lvl[interval]]
             n_i = n_at[interval].astype(float)
             r_i = r[interval].astype(float)
             pos = rng.beta(n_i + 1.0 - r_i, r_i)
@@ -373,7 +353,7 @@ def semi_exact_ordinal(
         for level in np.unique(lvl[~interval]):
             hit = lvl == level
             out[hit] = threshold_value_with_rank_law(
-                inst, float(struct.los[level]), alpha=n_at[hit] + 1 - r[hit], beta=r[hit]
+                inst, float(los[level]), alpha=n_at[hit] + 1 - r[hit], beta=r[hit]
             )
         return _chunk_moments(out)
 
@@ -509,7 +489,6 @@ def dominance_check(
     worst_x, worst_ratio = min(pairs, key=lambda it: (it[1], -it[0]))
     return DominanceReport(
         gamma=gamma,
-        grid=tuple(x for x, _ in pairs),
         worst_x=worst_x,
         worst_ratio=worst_ratio,
         mode=mode,
@@ -559,12 +538,7 @@ def case2_instance(k: int, n: int) -> Instance:
 
 def default_case2_boxes(k: int) -> int:
     """Integer floor of k**(1/4), clamped below at 2."""
-    n = max(2, int(round(k ** 0.25)))
-    while n ** 4 > k:
-        n -= 1
-    while (n + 1) ** 4 <= k:
-        n += 1
-    return max(2, n)
+    return max(2, math.isqrt(math.isqrt(k)))
 
 
 @dataclass(frozen=True)
@@ -643,7 +617,6 @@ def random_discrete_instance(
     rng: np.random.Generator,
     max_boxes: int = 5,
     max_support: int = 4,
-    pool: Sequence[float] = _DISCRETE_POOL,
 ) -> Instance:
     """Small all-atoms instance; shared pool values make cross-box ties common.
 
@@ -655,7 +628,7 @@ def random_discrete_instance(
         boxes = []
         for _ in range(n):
             s = int(rng.integers(1, max_support + 1))
-            vals = rng.choice(np.asarray(pool, dtype=float), size=s, replace=False)
+            vals = rng.choice(np.array(_DISCRETE_POOL), size=s, replace=False)
             weights = rng.random(s) + 0.05
             weights = weights / weights.sum()
             boxes.append(ValueDist(tuple((w, v, v) for w, v in zip(weights, vals))))
@@ -664,16 +637,13 @@ def random_discrete_instance(
             return inst
 
 
-def random_mixture_instance(
-    rng: np.random.Generator,
-    max_boxes: int = 5,
-    max_segments: int = 3,
-) -> Instance:
-    """Mixture instance with heterogeneous scales and wide uniform segments."""
-    n = int(rng.integers(2, max_boxes + 1))
+def random_mixture_instance(rng: np.random.Generator) -> Instance:
+    """Mixture instance of 2 to 5 boxes of 1 to 3 segments, with heterogeneous
+    scales and wide uniform segments."""
+    n = int(rng.integers(2, 6))
     boxes = []
     for _ in range(n):
-        segs = int(rng.integers(1, max_segments + 1))
+        segs = int(rng.integers(1, 4))
         weights = rng.random(segs) + 0.1
         weights = weights / weights.sum()
         parts = []

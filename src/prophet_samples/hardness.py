@@ -56,7 +56,6 @@ class HardParams:
     delta1: float = 0.01
     delta2: float = 0.5005
     eps: float = 0.0001
-    c: float = 0.4997
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= _MAX_K:
@@ -354,13 +353,9 @@ def over_selection_score(policy: QPolicy, p: ProbVector, k: int) -> float:
 # -- family instances and prophet values --------------------------------------------------
 
 
-def family_values(params: HardParams) -> tuple[float, ...]:
-    return (params.xi, 1.0, 1.0, 1.0, 1.0, params.spike_value)
-
-
 def family_instance(p: ProbVector, params: HardParams) -> Instance:
     """The family member as a plain all-atoms instance."""
-    u = family_values(params)
+    u = (params.xi, 1.0, 1.0, 1.0, 1.0, params.spike_value)
     boxes = []
     for ui, pi in zip(u, p.values):
         if pi == 1.0:
@@ -464,9 +459,9 @@ def certificate(params: HardParams) -> float:
     return max(certificate_terms(params))
 
 
-def overselection_grid(params: HardParams, points: int = 21) -> np.ndarray:
-    """Evenly spaced p5 probes over [0, 2*eps], endpoints included."""
-    return np.linspace(0.0, 2.0 * params.eps, points)
+def overselection_grid(params: HardParams) -> np.ndarray:
+    """21 evenly spaced p5 probes over [0, 2*eps], endpoints included."""
+    return np.linspace(0.0, 2.0 * params.eps, 21)
 
 
 def adversary_candidates(params: HardParams) -> np.ndarray:

@@ -15,6 +15,9 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 _MASS_TOL = 1e-10
+# Largest binomial n, Bernoulli count and replication count the TV and tail
+# checks accept, checked before allocation: a call at 2^22 peaks near 200 MB.
+SIZE_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,8 @@ def tv_binom_vs_normal(n: int, p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
+    if n > SIZE_CAP:
+        raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
     spec = NormalSpec(mu=n * p, sigma2=n * p * (1.0 - p))
     bin_masses = binom(n, p).masses
     norm_masses = _normal_bin_masses(spec, 0, n)
@@ -216,8 +221,10 @@ def chernoff_check(
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    if reps < 10_000:
-        raise ValueError("reps must be >= 10000")
+    if not 10_000 <= reps <= SIZE_CAP:
+        raise ValueError(f"reps must be in [10000, {SIZE_CAP}], got {reps}")
+    if len(ps) > SIZE_CAP:
+        raise ValueError(f"{len(ps)} Bernoulli parameters exceed the cap of {SIZE_CAP}")
     ps = np.asarray(ps, dtype=float)
     if np.any((ps < 0.0) | (ps > 1.0)):
         raise ValueError("Bernoulli parameters must be in [0, 1]")

@@ -228,9 +228,7 @@ def test_threshold_diagnostics_extremes(instance_a):
 
 def test_diagnostics_reject_inconsistent_fields():
     with pytest.raises(ValueError):
-        ThresholdDiagnostics(t=0.0, f_of_t=0.5, g=0.5, h=0.4)
-    with pytest.raises(ValueError):
-        ThresholdDiagnostics(t=0.0, f_of_t=0.2, g=0.1, h=0.2)
+        ThresholdDiagnostics(t=0.0, f_of_t=0.2, g=0.1)
 
 
 @settings(max_examples=100, deadline=None)

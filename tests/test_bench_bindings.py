@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import prophet_samples.cli  # noqa: F401  the tracer patches cli.main
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -40,10 +42,17 @@ def _library_aliases(tree: ast.Module) -> dict[str, object]:
     return aliases
 
 
-def test_workload_library_names_resolve():
-    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+# Every bench module that imports the library; their attribute chains must resolve.
+_CLIENTS = sorted(
+    path.name for path in BENCH.glob("*.py")
+    if _library_aliases(ast.parse(path.read_text(encoding="utf-8")))
+)
+
+
+@pytest.mark.parametrize("module", _CLIENTS)
+def test_workload_library_names_resolve(module):
+    tree = ast.parse((BENCH / module).read_text(encoding="utf-8"))
     aliases = _library_aliases(tree)
-    assert aliases, "bench/workloads.py no longer imports prophet_samples"
     checked = 0
     for node in ast.walk(tree):
         chain = []
@@ -53,7 +62,11 @@ def test_workload_library_names_resolve():
         if chain and isinstance(node, ast.Name) and node.id in aliases:
             obj = aliases[node.id]
             for attr in reversed(chain):
-                assert hasattr(obj, attr), f"bench/workloads.py uses {node.id}.{'.'.join(reversed(chain))}"
+                assert hasattr(obj, attr), f"bench/{module} uses {node.id}.{'.'.join(reversed(chain))}"
                 obj = getattr(obj, attr)
             checked += 1
     assert checked
+
+
+def test_bench_clients_include_the_workloads():
+    assert {"run.py", "spans.py", "workloads.py"} <= set(_CLIENTS)

@@ -196,6 +196,11 @@ _BAD_INPUTS = [
     ("deltas-empty", "stats-check",
      {"chernoff": {"n": 10, "p": 0.5, "deltas": [], "reps": 10_000}, "seed": 1}, {}, "chernoff.deltas"),
     ("p-empty", "tv-convergence", {"family": "binomial_normal", "n": [100], "p": []}, {}, "p"),
+    ("tv-n-above-cap", "tv-convergence", {"family": "binomial_normal", "n": [10**15], "p": [0.5]}, {}, "n"),
+    ("chernoff-n-above-cap", "stats-check",
+     {"chernoff": {"n": 10**15, "p": 0.5, "deltas": [0.5], "reps": 10_000}, "seed": 1}, {}, "chernoff.n"),
+    ("chernoff-reps-above-cap", "stats-check",
+     {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "reps": 10**15}, "seed": 1}, {}, "chernoff.reps"),
     ("mixture-k-above-hardparams", "tv-convergence",
      {"family": "count_mixture", "k": [20_000], "eps": 0.1}, {}, "k"),
     ("policy-boolean", "hardness-verify", {"policy": True, "k": 25}, {}, "policy"),

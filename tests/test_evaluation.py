@@ -570,6 +570,21 @@ def test_default_case2_boxes():
     assert default_case2_boxes(2) == 2
 
 
+@pytest.mark.parametrize(
+    "k",
+    [*range(1, 16), CASE2_MAX_K]
+    + [k for n in (2, 3, 10, 100, 1000, 9741) for k in (n**4 - 1, n**4)],
+)
+def test_default_case2_boxes_is_the_floored_fourth_root(k):
+    n = default_case2_boxes(k)
+    if k < 16:
+        assert n == 2
+    else:
+        assert n**4 <= k < (n + 1) ** 4
+    if k == CASE2_MAX_K:
+        assert n == 9741
+
+
 def test_sweep_determinism():
     rows_a = ordinal_upper_bound_sweep(60, [1, 20, 40], 500, seed=14)
     rows_b = ordinal_upper_bound_sweep(60, [1, 20, 40], 500, seed=14)

@@ -18,7 +18,7 @@ from prophet_samples import (
     tv_distance,
     tv_same_mean_normals,
 )
-from prophet_samples.stats import point_mass
+from prophet_samples.stats import SIZE_CAP, point_mass
 
 # Frozen from the quadrature oracle: sup of tv / |ratio - 1| over variance
 # ratios in [0.5, 2] is 0.3321; the bound below uses a small cushion.
@@ -279,6 +279,16 @@ def test_chernoff_extreme_tail(rng):
     report = chernoff_check([0.5] * 2000, 0.9, 10_000, rng)
     assert report.empirical == 0.0
     assert report.bound < 1e-100
+
+
+def test_sizes_above_the_cap_fail_before_allocation(rng):
+    with pytest.raises(ValueError, match=str(SIZE_CAP)):
+        tv_binom_vs_normal(10**15, 0.5)
+    with pytest.raises(ValueError, match=str(SIZE_CAP)):
+        chernoff_check([0.5], 0.5, 10**15, rng)
+    # a lazy sequence: its length is checked before it is read
+    with pytest.raises(ValueError, match=str(SIZE_CAP)):
+        chernoff_check(range(10**15), 0.5, 10_000, rng)
 
 
 def test_chernoff_validation(rng):
