@@ -1,8 +1,11 @@
 """Finite integer-support distributions and the distance/tail toolkit.
 
 CountDist is a dense pmf over consecutive integers. Binomial pmfs are computed
-in log space with log-gamma so n up to 1e6 stays accurate; normal CDF values
-go through scipy's erf-based ndtr.
+in log space with log-gamma for n up to SIZE_CAP; at n = 1e6 a bin is off by
+1e-10 to 1.1e-9 relative (against 40-digit arithmetic). Only the columns within
+sqrt(380 n) of the mean are evaluated: Hoeffding bounds every other log-mass
+below -760, where the formula rounds to exactly 0.0. Normal CDF values go
+through scipy's erf-based ndtr, evaluated only where it is neither 0.0 nor 1.0.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ _MASS_TOL = 1e-10
 # Largest binomial n, Bernoulli count and replication count the TV and tail
 # checks accept, checked before allocation: a call at 2^22 peaks near 200 MB.
 SIZE_CAP = 1 << 22
+# np.exp rounds every argument at or below this to exactly 0.0.
+_EXP_ZERO = -745.2
+# ndtr is exactly 0.0 at and below the first value and 1.0 at and above the second.
+_NDTR_RANGE = (-40.0, 9.0)
 
 
 @dataclass(frozen=True)
@@ -71,28 +78,51 @@ def point_mass(value: int) -> CountDist:
 
 
 def binom_pmf_rows(n: int, ps: np.ndarray) -> np.ndarray:
-    """Row r holds the Bin(n, ps[r]) pmf over {0..n}; log-space, renormalized."""
+    """Row r holds the Bin(n, ps[r]) pmf over {0..n}; log-space, renormalized.
+
+    Only the columns within sqrt(380 n) of n * ps are evaluated: Hoeffding puts
+    the log-mass of every other column below -760, so the formula there would
+    round to exp(<= _EXP_ZERO) = 0.0 anyway.
+    """
+    if n > SIZE_CAP:
+        raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
     ps = np.asarray(ps, dtype=float)
-    i = np.arange(n + 1, dtype=float)
-    lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
     rows = np.zeros((len(ps), n + 1))
     interior = (ps > 0.0) & (ps < 1.0)
     if np.any(interior):
         pi = ps[interior][:, None]
-        rows[interior] = np.exp(
-            lg[None, :] + i[None, :] * np.log(pi) + (n - i)[None, :] * np.log1p(-pi)
-        )
+        h = math.sqrt(380.0 * n)
+        lo = max(0, math.floor(n * pi.min() - h))
+        hi = min(n, math.ceil(n * pi.max() + h))
+        i = np.arange(lo, hi + 1, dtype=float)
+        lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+        in_place = interior.all()
+        out = rows[:, lo : hi + 1] if in_place else np.empty((len(pi), hi - lo + 1))
+        # lg + i log(p) + (n - i) log1p(-p), in place and in that order
+        np.multiply(i, np.log(pi), out=out)
+        out += lg
+        out += (n - i) * np.log1p(-pi)
+        live = out > _EXP_ZERO
+        np.exp(out, out=out, where=live)
+        out[~live] = 0.0
+        if not in_place:
+            rows[interior, lo : hi + 1] = out
     rows[ps == 0.0, 0] = 1.0
     rows[ps == 1.0, n] = 1.0
-    return rows / rows.sum(axis=1, keepdims=True)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows
 
 
-def binom(n: int, p: float) -> CountDist:
-    """Exact binomial pmf over {0..n}, renormalized after log-space evaluation."""
+def _check_binom(n: int, p: float) -> None:
     if n < 0:
         raise ValueError("n must be >= 0")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
+
+
+def binom(n: int, p: float) -> CountDist:
+    """Exact binomial pmf over {0..n}, renormalized after log-space evaluation."""
+    _check_binom(n, p)
     if n == 0 or p == 0.0:
         return point_mass(0)
     if p == 1.0:
@@ -106,14 +136,23 @@ def convolve(a: CountDist, b: CountDist) -> CountDist:
 
 
 def sum_of_binomials(specs: Sequence[tuple[int, float]]) -> CountDist:
-    """Left-fold of np.convolve over the binom(n_i, p_i) masses, validated once."""
+    """Left-fold of np.convolve over the Bin(n_i, p_i) masses, validated once.
+
+    A degenerate part only moves the offset (convolving with [1.0] is exact),
+    and the other parts with the same n come from one binom_pmf_rows call.
+    """
     if not specs:
         raise ValueError("need at least one (n, p) spec")
-    parts = [binom(n, p) for n, p in specs]
-    masses = parts[0].masses
-    for part in parts[1:]:
-        masses = np.convolve(masses, part.masses)
-    return CountDist(sum(part.offset for part in parts), masses)
+    for n, p in specs:
+        _check_binom(n, p)
+    offset = sum(n for n, p in specs if p == 1.0)
+    interior = [(n, p) for n, p in specs if n > 0 and 0.0 < p < 1.0]
+    ns = dict.fromkeys(n for n, _ in interior)
+    rows = {n: iter(binom_pmf_rows(n, [q for m, q in interior if m == n])) for n in ns}
+    masses = np.ones(1)
+    for n, _ in interior:
+        masses = np.convolve(masses, next(rows[n]))
+    return CountDist(offset, masses)
 
 
 @dataclass(frozen=True)
@@ -132,8 +171,13 @@ class NormalSpec:
 
 def _normal_bin_masses(spec: NormalSpec, lo: int, hi: int) -> np.ndarray:
     """Mass of [i - 0.5, i + 0.5] per integer bin, tails not yet folded."""
-    edges = np.arange(lo, hi + 2, dtype=float) - 0.5
-    cdf = ndtr((edges - spec.mu) / spec.sigma)
+    z = (np.arange(lo, hi + 2, dtype=float) - 0.5 - spec.mu) / spec.sigma
+    a = np.searchsorted(z, _NDTR_RANGE[0])
+    b = np.searchsorted(z, _NDTR_RANGE[1], side="right")
+    cdf = np.empty_like(z)
+    cdf[:a] = 0.0
+    cdf[a:b] = ndtr(z[a:b])
+    cdf[b:] = 1.0
     return np.diff(cdf)
 
 

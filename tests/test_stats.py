@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, ndtr
 
 from prophet_samples import (
     CountDist,
@@ -18,7 +19,9 @@ from prophet_samples import (
     tv_distance,
     tv_same_mean_normals,
 )
-from prophet_samples.stats import SIZE_CAP, point_mass
+from prophet_samples import stats
+from prophet_samples.hardness import ProbVector, ones_count_dist
+from prophet_samples.stats import SIZE_CAP, _normal_bin_masses, binom_pmf_rows, point_mass
 
 # Frozen from the quadrature oracle: sup of tv / |ratio - 1| over variance
 # ratios in [0.5, 2] is 0.3321; the bound below uses a small cushion.
@@ -105,6 +108,125 @@ def test_sum_of_binomials_is_the_convolve_fold_bit_for_bit(specs):
     got = sum_of_binomials(specs)
     assert got.offset == want.offset
     assert [x.hex() for x in got.masses.tolist()] == [x.hex() for x in want.masses.tolist()]
+
+
+@pytest.mark.parametrize(
+    "specs, match",
+    [
+        ([(-1, 0.5)], "n must be"),
+        ([(3, 0.5), (-2, 0.0)], "n must be"),
+        ([(3, -0.1)], "p must be"),
+        ([(3, 1.5)], "p must be"),
+        ([(2, 1.0), (2, 1.0 + 1e-12)], "p must be"),
+        ([(3, math.nan)], "p must be"),
+        ([(3, 0.5), (4, math.nan)], "p must be"),
+        ([(0, math.nan)], "p must be"),
+    ],
+)
+def test_sum_of_binomials_rejects_bad_parts(specs, match):
+    with pytest.raises(ValueError, match=match):
+        sum_of_binomials(specs)
+
+
+def test_sum_of_binomials_makes_one_row_call_per_trial_count(monkeypatch):
+    calls = []
+
+    def counted(n, ps):
+        calls.append((n, len(ps)))
+        return binom_pmf_rows(n, ps)
+
+    monkeypatch.setattr(stats, "binom_pmf_rows", counted)
+    d = ones_count_dist(ProbVector((1.0, 1 / 3, 1 / 3, 1 / 3, 1e-4, 0.0)), 16)
+    assert calls == [(16, 4)] and d.offset == 0
+    calls.clear()
+    d = sum_of_binomials([(5, 0.5), (3, 1.0), (7, 0.2), (5, 0.0), (5, 0.9), (0, 0.5)])
+    assert calls == [(5, 2), (7, 1)] and d.offset == 3
+
+
+# -- windowed kernels against their dense formulas -----------------------------------
+
+
+def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
+    """binom_pmf_rows without the window: the log-gamma formula on every column."""
+    ps = np.asarray(ps, dtype=float)
+    i = np.arange(n + 1, dtype=float)
+    lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+    rows = np.zeros((len(ps), n + 1))
+    interior = (ps > 0.0) & (ps < 1.0)
+    if np.any(interior):
+        pi = ps[interior][:, None]
+        rows[interior] = np.exp(
+            lg[None, :] + i[None, :] * np.log(pi) + (n - i)[None, :] * np.log1p(-pi)
+        )
+    rows[ps == 0.0, 0] = 1.0
+    rows[ps == 1.0, n] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def dense_normal_bin_masses(spec: NormalSpec, lo: int, hi: int) -> np.ndarray:
+    """_normal_bin_masses with ndtr evaluated at every edge."""
+    edges = np.arange(lo, hi + 2, dtype=float) - 0.5
+    return np.diff(ndtr((edges - spec.mu) / spec.sigma))
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    differ = int(np.count_nonzero(got.view(np.uint64) != want.view(np.uint64)))
+    assert differ == 0, f"{differ} of {want.size} entries differ in their bits"
+
+
+GRID_NS = (1, 2, 400, 3200, 10**5, 10**6, 1 << 22)
+GRID_PS = (0.0, 1.0, 1e-12, 1e-4, 1 / 3, 0.5, 1 - 1e-12)
+
+
+def test_exp_and_ndtr_are_exact_past_the_cuts():
+    # The windows skip exactly the arguments where these already hold.
+    assert np.exp(stats._EXP_ZERO) == 0.0 and np.exp(-745.2) == 0.0
+    assert np.exp(-745.0) > 0.0
+    assert stats._NDTR_RANGE == (-40.0, 9.0)
+    assert ndtr(-40.0) == 0.0 and ndtr(9.0) == 1.0
+
+
+@pytest.mark.parametrize("n", GRID_NS)
+def test_binom_pmf_rows_matches_the_dense_formula_bit_for_bit(n):
+    for p in GRID_PS:
+        assert_same_bits(binom_pmf_rows(n, [p]), dense_binom_pmf_rows(n, [p]))
+
+
+@pytest.mark.parametrize("n", [n for n in GRID_NS if n <= 10**5])
+def test_binom_pmf_rows_blocks_match_the_dense_formula_bit_for_bit(n):
+    interior = [p for p in GRID_PS if 0.0 < p < 1.0]
+    ramp = np.clip(np.linspace(-0.1, 1.1, 37), 0.0, 1.0)  # degenerate rows at both ends
+    for ps in (GRID_PS, interior, ramp, [0.0, 1.0], [0.3]):
+        assert_same_bits(binom_pmf_rows(n, ps), dense_binom_pmf_rows(n, ps))
+
+
+@pytest.mark.parametrize(
+    "mu, sigma2, lo, hi",
+    [
+        *[(n * p, n * p * (1.0 - p), 0, n) for n in (1, 400, 10**5, 10**6) for p in (1e-4, 0.3, 0.5)],
+        (0.0, 1.0, -60, 60),  # both cuts inside the range
+        (1e6, 1.0, 0, 50),  # every edge below -40
+        (-1e6, 1.0, 0, 50),  # every edge above 9
+        (5.0, 1e-6, 0, 10),  # a point-like normal
+    ],
+)
+def test_normal_bin_masses_match_full_range_ndtr_bit_for_bit(mu, sigma2, lo, hi):
+    spec = NormalSpec(mu, sigma2)
+    assert_same_bits(_normal_bin_masses(spec, lo, hi), dense_normal_bin_masses(spec, lo, hi))
+
+
+@pytest.mark.parametrize(
+    "n, p, want",
+    [
+        # recorded with the dense kernels
+        (10**6, 0.3, "0x1.ccb0e25e92c99p-13"),
+        (10**5, 0.3, "0x1.6c3508ac90cd8p-11"),
+        (1 << 22, 0.01, "0x1.3d48b03ff8bc6p-10"),
+    ],
+)
+def test_tv_binom_vs_normal_golden_at_large_n(n, p, want):
+    assert tv_binom_vs_normal(n, p).hex() == want
 
 
 def test_count_dist_validation():
@@ -284,6 +406,17 @@ def test_chernoff_extreme_tail(rng):
 def test_sizes_above_the_cap_fail_before_allocation(rng):
     with pytest.raises(ValueError, match=str(SIZE_CAP)):
         tv_binom_vs_normal(10**15, 0.5)
+    big = 10**15
+    for call in (
+        lambda: binom_pmf_rows(big, [0.0, 0.5]),
+        lambda: binom(big, 0.5),
+        lambda: sum_of_binomials([(3, 0.5), (big, 0.5)]),
+        lambda: ones_count_dist(ProbVector((1.0, 1 / 3, 0.0, 0.0, 0.0, 0.0)), big),
+    ):
+        with pytest.raises(ValueError, match=f"n = {big} exceeds the cap of {SIZE_CAP}"):
+            call()
+    # the largest accepted n still works
+    assert binom_pmf_rows(SIZE_CAP, [0.5]).shape == (1, SIZE_CAP + 1)
     with pytest.raises(ValueError, match=str(SIZE_CAP)):
         chernoff_check([0.5], 0.5, 10**15, rng)
     # a lazy sequence: its length is checked before it is read
