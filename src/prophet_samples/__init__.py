@@ -36,10 +36,10 @@ from .evaluation import (
     case2_instance,
     default_case2_boxes,
     dominance_check,
+    exact_ordinal_value,
     exact_single_sample_value,
     mc_ratio,
     ordinal_upper_bound_sweep,
-    random_discrete_instance,
     random_mixture_instance,
     semi_exact_ordinal,
 )
@@ -49,7 +49,6 @@ from .hardness import (
     ProbVector,
     QPolicy,
     adversary,
-    brute_force_eval,
     build_dd_mixture,
     certificate,
     certificate_terms,
@@ -57,8 +56,6 @@ from .hardness import (
     eval_q_policy,
     g_clamp,
     ones_count_dist,
-    over_selection_score,
-    spike_event_prob,
 )
 from .stats import (
     ChernoffReport,
@@ -67,11 +64,9 @@ from .stats import (
     binom,
     chernoff_check,
     convolve,
-    discretized_normal,
     sum_of_binomials,
     tv_binom_vs_normal,
     tv_distance,
-    tv_same_mean_normals,
 )
 
 __version__ = "0.1.0"

@@ -262,15 +262,9 @@ def _run_ordinal_sweep(fields: _Fields, threads: int) -> str:
     k = fields.integer("k", 2, CASE1_MAX_K)
     # case1 has two boxes, so its pool of 2k samples bounds the rank
     ranks = fields.scalars("ranks", _int, 1, 2 * k)
-    reps = fields.integer("reps", 1)
-    seed = fields.integer("seed", 0, _SEED_MAX)
-    rows = ordinal_upper_bound_sweep(k, ranks, reps, seed, threads=threads)
-    lines = ["k,l,case1_ratio,case1_ci,case2_ratio,case2_ci,min_ratio,reps,seed"]
-    for row in rows:
-        lines.append(_csv_row(
-            k, row.rank, row.case1.ratio, row.case1.ratio_ci_halfwidth,
-            row.case2.ratio, row.case2.ratio_ci_halfwidth, row.min_ratio, reps, seed,
-        ))
+    lines = ["k,l,case1_ratio,case2_ratio,min_ratio"]
+    for row in ordinal_upper_bound_sweep(k, ranks):
+        lines.append(_csv_row(k, row.rank, row.case1.ratio, row.case2.ratio, row.min_ratio))
         print(f"sweep l={row.rank}: min={row.min_ratio:.6f}", file=sys.stderr)
     return "\n".join(lines) + "\n"
 

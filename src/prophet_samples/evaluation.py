@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .algorithms import (
     MaxSample,
@@ -28,6 +29,7 @@ from .algorithms import (
     walk_terms,
 )
 from .distributions import Instance, ValueDist
+from .stats import SIZE_CAP, binom_pmf_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -44,6 +46,10 @@ _MC_CHUNK_BUDGET = 1 << 21
 MC_POOL_CAP = _MC_CHUNK_BUDGET
 _DOM_TOL = 1e-9
 _EXACT_ENUM_CAP = 300_000
+# Largest mass an exact count window leaves out of each tail of a marginal.
+_WINDOW_TAIL = 1e-18
+# Largest error bound the exact sweep accepts, relative to the value.
+_SWEEP_REL_ERR = 1e-12
 
 
 def _splitmix64(x: int) -> int:
@@ -361,6 +367,162 @@ def semi_exact_ordinal(
     return _finalize_ratio(parts, prophet, reps, seed)
 
 
+# -- exact ordinal evaluation ---------------------------------------------------------
+
+
+def _trim(row: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """(offset, masses, dropped): the shortest run of a pmf row whose two
+    tails each hold at most _WINDOW_TAIL, and the mass it leaves out."""
+    lo = int(np.searchsorted(np.cumsum(row), _WINDOW_TAIL, side="right"))
+    hi = len(row) - int(np.searchsorted(np.cumsum(row[::-1]), _WINDOW_TAIL, side="right"))
+    return lo, row[lo:hi], float(row[:lo].sum() + row[hi:].sum())
+
+
+def _check_window(rows: int, cols: int) -> None:
+    if rows * cols > SIZE_CAP:
+        raise ValueError(f"a {rows} x {cols} count-law window exceeds the cap of {SIZE_CAP} entries")
+
+
+def _box_count_law(k: int, above: float, inside: float, below: float) -> tuple[np.ndarray, int, int, float]:
+    """Windowed Multinomial(k; above, inside, below) law of one box's counts.
+
+    Returns (pmf, a0, c0, dropped): pmf[i, j] is the chance that a0 + i of
+    the box's k samples land above the stratum and c0 + j inside it, and
+    dropped bounds the mass outside the window. A category with no mass
+    makes the law one-dimensional; a box with a single category is an
+    offset alone.
+    """
+    total = above + inside + below
+    if np.count_nonzero([above, inside, below]) == 1:
+        return np.ones((1, 1)), k * int(above > 0.0), k * int(inside > 0.0), 0.0
+    if inside == 0.0 or below == 0.0:
+        # one binomial row: A alone, or A on the antidiagonal C = k - A
+        a0, masses, dropped = _trim(binom_pmf_rows(k, [above / total])[0])
+        if inside == 0.0:
+            return masses[:, None], a0, 0, dropped
+        m = len(masses)
+        _check_window(m, m)
+        pmf = np.zeros((m, m))
+        pmf[np.arange(m), np.arange(m - 1, -1, -1)] = masses
+        return pmf, a0, k - a0 - m + 1, dropped
+    if above == 0.0:
+        c0, masses, dropped = _trim(binom_pmf_rows(k, [inside / total])[0])
+        return masses[None, :], 0, c0, dropped
+    pa, pc, pr = above / total, inside / total, below / total
+    rows = binom_pmf_rows(k, [pa, pc])
+    a0, ma, da = _trim(rows[0])
+    c0, mc, dc = _trim(rows[1])
+    _check_window(len(ma), len(mc))
+    a = np.arange(a0, a0 + len(ma), dtype=float)[:, None]
+    c = np.arange(c0, c0 + len(mc), dtype=float)[None, :]
+    rest = k - a - c
+    fits = rest >= 0.0
+    rest = np.where(fits, rest, 0.0)
+    logp = gammaln(k + 1.0) - gammaln(a + 1.0) - gammaln(c + 1.0) - gammaln(rest + 1.0)
+    logp += a * math.log(pa) + c * math.log(pc) + rest * math.log(pr)
+    return np.where(fits, np.exp(logp), 0.0), a0, c0, da + dc
+
+
+def _fold(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2-D convolution of two count laws, with the window checked before allocation.
+
+    Laws along one axis fold by direct convolution; only laws that spread
+    along both axes go through the FFT, whose rounding noise is clipped at 0.
+    """
+    shape = (x.shape[0] + y.shape[0] - 1, x.shape[1] + y.shape[1] - 1)
+    _check_window(*shape)
+    if x.size == 1 or y.size == 1:
+        return x * y
+    if shape[1] == 1:
+        return np.convolve(x[:, 0], y[:, 0])[:, None]
+    if shape[0] == 1:
+        return np.convolve(x[0], y[0])[None, :]
+    return np.maximum(np.fft.irfft2(np.fft.rfft2(x, shape) * np.fft.rfft2(y, shape), shape), 0.0)
+
+
+def _stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
+    """The walk value on the open stratum (a, b) as two polynomials, lowest first.
+
+    Row 0 is in s with t = a + (b - a) s, row 1 in s with t = b - (b - a) s;
+    evaluating each near the end it expands around keeps thresholds close to
+    either end free of cancellation. No atom lies inside the stratum, so the
+    walk is tie-free: every CDF is linear in s, and each tail is quadratic,
+    factored as (hi - t)(hi + t) as in ValueDist.tail_expectation. The
+    degree is at most n + 1.
+    """
+    out = np.zeros((2, inst.n + 2))
+    for value, base, step in ((out[0], a, b - a), (out[1], b, a - b)):
+        reach = np.ones(1)
+        for box in inst.boxes:
+            cdf, tail = np.zeros(2), np.zeros(3)
+            for w, lo, hi in box.segments:
+                if hi <= a:
+                    cdf[0] += w
+                elif lo >= b:
+                    tail[0] += w * (lo + hi) / 2.0
+                else:
+                    cdf += w / (hi - lo) * np.array([base - lo, step])
+                    tail += (w / (2.0 * (hi - lo))) * np.convolve([hi - base, -step], [hi + base, step])
+            value[: len(reach) + 2] += np.convolve(reach, tail)
+            reach = np.convolve(reach, cdf)
+    return out
+
+
+def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple[np.ndarray, float]:
+    """exact_ordinal_value at every rank, from one count law per stratum.
+
+    The laws and the stratum polynomials do not depend on the rank, so they
+    are built once; the error bound is shared by every rank.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if np.any((ranks < 1) | (ranks > inst.n * k)):
+        raise ValueError(f"ranks {ranks.tolist()} not all in [1, {inst.n * k}]")
+    is_atom, los, his, probs = _level_structure(inst)
+    values = np.zeros(len(ranks))
+    dropped = 0.0
+    for j in range(len(is_atom)):
+        law, a0, c0 = np.ones((1, 1)), 0, 0
+        for row in probs:
+            pmf, b0, d0, lost = _box_count_law(k, row[:j].sum(), row[j], row[j + 1 :].sum())
+            law, a0, c0, dropped = _fold(law, pmf), a0 + b0, c0 + d0, dropped + lost
+        ai, ci = np.nonzero(law)
+        mass, a, c = law[ai, ci], ai + a0, ci + c0
+        # pairs (rank, count) that put the threshold in this stratum, as the
+        # r-th highest of its c samples
+        which, entry = np.nonzero((a < ranks[:, None]) & (ranks[:, None] <= a + c))
+        if not len(which):
+            continue
+        r, c = ranks[which] - a[entry], c[entry]
+        if is_atom[j]:
+            vals = threshold_value_with_rank_law(inst, float(los[j]), alpha=c + 1 - r, beta=r)
+        else:
+            # the position is Beta(c + 1 - r, r) from the bottom, Beta(r, c + 1 - r) from the top
+            up = 2 * r <= c + 1
+            polys = _stratum_polys(inst, los[j], his[j])
+            moments = beta_moments(np.where(up, r, c + 1 - r), np.where(up, c + 1 - r, r), inst.n + 1)
+            vals = np.vecdot(moments, polys[up.astype(int)])
+        values += np.bincount(which, weights=mass[entry] * vals, minlength=len(ranks))
+    return values, dropped * math.fsum(box.mean() for box in inst.boxes)
+
+
+def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float]:
+    """Expected value of the rank-th highest sample threshold rule, and an error bound.
+
+    Per stratum of _level_structure, the pooled counts A above it and C
+    inside it have the joint law of a fold of one trinomial per box; the
+    threshold lies in the stratum when A < rank <= A + C, as the
+    (rank - A)-th highest of its C samples. On an interval stratum the walk
+    value is a polynomial in the threshold's position, whose Beta moments
+    integrate it; on an atom the tie law does (threshold_value_with_rank_law).
+    Count windows leave out at most 1e-18 of mass per tail per box; the
+    error bound is the mass left out times sum_i E[v_i], which bounds the
+    walk value at any threshold. Raises ValueError before allocating a count
+    window of more than stats.SIZE_CAP entries.
+    """
+    values, err = _exact_ordinal_values(inst, k, [rank])
+    return float(values[0]), err
+
+
 # -- exact laws and stochastic dominance ------------------------------------------------
 
 
@@ -555,23 +717,24 @@ class SweepRow:
 def ordinal_upper_bound_sweep(
     k: int,
     ranks: Sequence[int],
-    reps: int,
-    seed: int,
-    threads: int = 1,
+    reps: int | None = None,
+    seed: int | None = None,
 ) -> list[SweepRow]:
-    """Per-rank minimum ratio over the two adversarial benchmark instances."""
-    inst1 = case1_instance(k)
-    inst2 = case2_instance(k, default_case2_boxes(k))
-    rows = []
-    for idx, rank in enumerate(ranks):
-        r1 = semi_exact_ordinal(
-            inst1, k, rank, reps, derive_seed(seed, 1, idx), threads=threads
-        )
-        r2 = semi_exact_ordinal(
-            inst2, k, rank, reps, derive_seed(seed, 2, idx), threads=threads
-        )
-        rows.append(SweepRow(rank=rank, case1=r1, case2=r2))
-    return rows
+    """Per-rank minimum exact ratio over the two adversarial benchmark instances.
+
+    Each instance's count laws, stratum polynomials and prophet value are
+    built once for all ranks, and every report has ci_halfwidth 0. Raises
+    ValueError when an error bound exceeds 1e-12 of its value. reps and seed
+    are ignored; they stay only while bench/workloads.py still passes them.
+    """
+    reports = []
+    for inst in (case1_instance(k), case2_instance(k, default_case2_boxes(k))):
+        values, err = _exact_ordinal_values(inst, k, ranks)
+        if np.any(err > _SWEEP_REL_ERR * values):
+            raise ValueError(f"error bound {err!r} exceeds {_SWEEP_REL_ERR} of a value in {values!r}")
+        prophet = inst.prophet_expectation()
+        reports.append([RatioReport(float(v), prophet, 0.0, reps=0, seed=0) for v in values])
+    return [SweepRow(rank=rank, case1=r1, case2=r2) for rank, r1, r2 in zip(ranks, *reports)]
 
 
 # -- diagnostics sweeps ---------------------------------------------------------------------
@@ -609,32 +772,6 @@ def diagnostics_sandwich_sweep(probes: int, seed: int) -> tuple[int, float]:
 
 
 # -- randomized instance corpora -----------------------------------------------------------
-
-_DISCRETE_POOL = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-
-
-def random_discrete_instance(
-    rng: np.random.Generator,
-    max_boxes: int = 5,
-    max_support: int = 4,
-) -> Instance:
-    """Small all-atoms instance; shared pool values make cross-box ties common.
-
-    Redraws the rare all-zero-values instance, which has no prophet tail to
-    compare against.
-    """
-    while True:
-        n = int(rng.integers(1, max_boxes + 1))
-        boxes = []
-        for _ in range(n):
-            s = int(rng.integers(1, max_support + 1))
-            vals = rng.choice(np.array(_DISCRETE_POOL), size=s, replace=False)
-            weights = rng.random(s) + 0.05
-            weights = weights / weights.sum()
-            boxes.append(ValueDist(tuple((w, v, v) for w, v in zip(weights, vals))))
-        inst = Instance(tuple(boxes))
-        if max(inst.support_atoms()) > 0.0:
-            return inst
 
 
 def random_mixture_instance(rng: np.random.Generator) -> Instance:

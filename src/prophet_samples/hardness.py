@@ -197,11 +197,6 @@ def ones_count_dist(p: ProbVector, k: int) -> CountDist:
     return sum_of_binomials([(k, p.values[i]) for i in (1, 2, 3, 4)])
 
 
-def spike_event_prob(p: ProbVector, k: int) -> float:
-    """Chance any of box 6's k samples shows the spike value."""
-    return _spike_prob(p.values[5], k)
-
-
 def _spike_prob(p6: float, k: int) -> float:
     if p6 == 0.0:
         return 0.0
@@ -293,61 +288,6 @@ def eval_q_policy(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
     """
     p.check_membership(params)
     return float(_member_values(np.array([p.values]), params, policy)[0])
-
-
-def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
-    """Independent oracle: enumerate all 2^(5k) sample pools and 32 value vectors."""
-    p.check_membership(params)
-    k = params.k
-    if k > 3:
-        raise ValueError("brute force supports k <= 3 only")
-    vals = p.values
-    q = {prefix: policy.row(prefix).tolist() for prefix in STOPS}
-    box_of_slot = [1 + s // k for s in range(5 * k)]
-    total = 0.0
-    for sample_bits in itertools.product((0, 1), repeat=5 * k):
-        prob_s = 1.0
-        for s, bit in enumerate(sample_bits):
-            pb = vals[box_of_slot[s]]
-            prob_s *= pb if bit else 1.0 - pb
-        if prob_s == 0.0:
-            continue
-        ones = sum(bit for s, bit in enumerate(sample_bits) if box_of_slot[s] <= 4)
-        spiked = any(bit for s, bit in enumerate(sample_bits) if box_of_slot[s] == 5)
-        inner = 0.0
-        for vbits in itertools.product((0, 1), repeat=5):
-            prob_v = 1.0
-            for idx, bit in enumerate(vbits):
-                pb = vals[idx + 1]
-                prob_v *= pb if bit else 1.0 - pb
-            if prob_v == 0.0:
-                continue
-            if spiked:
-                value = params.spike_value if vbits[4] else 0.0
-            else:
-                value = params.xi * q[T1][ones]
-                alive = 1.0 - q[T1][ones]
-                prefix = T1
-                for b in vbits[:4]:
-                    prefix = prefix + (b,)
-                    if b:
-                        qq = q[prefix][ones]
-                        value += alive * qq
-                        alive *= 1.0 - qq
-                if vbits[4]:
-                    value += alive * params.spike_value
-            inner += prob_v * value
-        total += prob_s * inner
-    return total
-
-
-def over_selection_score(policy: QPolicy, p: ProbVector, k: int) -> float:
-    """Expected chance of stopping within the first two boxes on an all-ones start."""
-    dist = ones_count_dist(p, k)
-    lo, hi = dist.offset, dist.offset + len(dist.masses)
-    q1 = policy.row(T1)[lo:hi]
-    q2 = policy.row(T2)[lo:hi]
-    return float(np.sum(dist.masses * (q1 + (1.0 - q1) * q2)))
 
 
 # -- family instances and prophet values --------------------------------------------------

@@ -21,6 +21,9 @@ _MASS_TOL = 1e-10
 # Largest binomial n, Bernoulli count and replication count the TV and tail
 # checks accept, checked before allocation: a call at 2^22 peaks near 200 MB.
 SIZE_CAP = 1 << 22
+# Largest multiply-add count the direct convolutions of sum_of_binomials may
+# take, checked before any row is built: four parts of n = 10_000 take 6e8.
+CONVOLVE_CAP = 1 << 30
 # np.exp rounds every argument at or below this to exactly 0.0.
 _EXP_ZERO = -745.2
 # ndtr is exactly 0.0 at and below the first value and 1.0 at and above the second.
@@ -140,6 +143,8 @@ def sum_of_binomials(specs: Sequence[tuple[int, float]]) -> CountDist:
 
     A degenerate part only moves the offset (convolving with [1.0] is exact),
     and the other parts with the same n come from one binom_pmf_rows call.
+    Raises ValueError before any row is built when the folds would take more
+    than CONVOLVE_CAP multiply-adds, or a part's n exceeds SIZE_CAP.
     """
     if not specs:
         raise ValueError("need at least one (n, p) spec")
@@ -147,6 +152,14 @@ def sum_of_binomials(specs: Sequence[tuple[int, float]]) -> CountDist:
         _check_binom(n, p)
     offset = sum(n for n, p in specs if p == 1.0)
     interior = [(n, p) for n, p in specs if n > 0 and 0.0 < p < 1.0]
+    work, length = 0, 1
+    for n, _ in interior:
+        if n > SIZE_CAP:
+            raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
+        work += length * (n + 1)
+        length += n
+    if work > CONVOLVE_CAP:
+        raise ValueError(f"folding the parts takes {work} multiply-adds, over the cap of {CONVOLVE_CAP}")
     ns = dict.fromkeys(n for n, _ in interior)
     rows = {n: iter(binom_pmf_rows(n, [q for m, q in interior if m == n])) for n in ns}
     masses = np.ones(1)
@@ -170,7 +183,7 @@ class NormalSpec:
 
 
 def _normal_bin_masses(spec: NormalSpec, lo: int, hi: int) -> np.ndarray:
-    """Mass of [i - 0.5, i + 0.5] per integer bin, tails not yet folded."""
+    """Mass of [i - 0.5, i + 0.5] per integer bin i in [lo, hi]; the tails outside are left out."""
     z = (np.arange(lo, hi + 2, dtype=float) - 0.5 - spec.mu) / spec.sigma
     a = np.searchsorted(z, _NDTR_RANGE[0])
     b = np.searchsorted(z, _NDTR_RANGE[1], side="right")
@@ -179,19 +192,6 @@ def _normal_bin_masses(spec: NormalSpec, lo: int, hi: int) -> np.ndarray:
     cdf[a:b] = ndtr(z[a:b])
     cdf[b:] = 1.0
     return np.diff(cdf)
-
-
-def discretized_normal(spec: NormalSpec, lo: int, hi: int) -> CountDist:
-    """Normal rounded to integer bins on [lo, hi], exterior tails folded in."""
-    if hi < lo:
-        raise ValueError("hi must be >= lo")
-    masses = _normal_bin_masses(spec, lo, hi)
-    left_tail = float(ndtr((lo - 0.5 - spec.mu) / spec.sigma))
-    right_tail = float(1.0 - ndtr((hi + 0.5 - spec.mu) / spec.sigma))
-    masses = masses.copy()
-    masses[0] += left_tail
-    masses[-1] += right_tail
-    return CountDist(lo, masses / masses.sum())
 
 
 # -- distances -----------------------------------------------------------------
@@ -222,23 +222,6 @@ def tv_binom_vs_normal(n: int, p: float) -> float:
     left_tail = float(ndtr((-0.5 - spec.mu) / spec.sigma))
     right_tail = float(1.0 - ndtr((n + 0.5 - spec.mu) / spec.sigma))
     return core + left_tail + right_tail
-
-
-def tv_same_mean_normals(s1: NormalSpec, s2: NormalSpec) -> float:
-    """Exact TV distance between two same-mean normals.
-
-    The densities cross at mu +/- t with t^2 = 2 ln(s_hi/s_lo) * s_lo^2 s_hi^2
-    / (s_hi^2 - s_lo^2); integrating between the crossings gives
-    2 * (Phi(t/s_lo) - Phi(t/s_hi)).
-    """
-    if s1.mu != s2.mu:
-        raise ValueError("means must match")
-    if s1.sigma2 == s2.sigma2:
-        return 0.0
-    lo, hi = sorted((s1.sigma, s2.sigma))
-    t2 = 2.0 * math.log(hi / lo) * (lo * lo * hi * hi) / (hi * hi - lo * lo)
-    t = math.sqrt(t2)
-    return float(2.0 * (ndtr(t / lo) - ndtr(t / hi)))
 
 
 # -- tail verification -----------------------------------------------------------

@@ -19,7 +19,6 @@ from prophet_samples import (
     QPolicy,
     ValueDist,
     adversary,
-    brute_force_eval,
     build_dd_mixture,
     case2_instance,
     certificate,
@@ -39,11 +38,12 @@ from prophet_samples.evaluation import (
     default_case2_boxes,
     derive_seed,
     diagnostics_sandwich_sweep,
-    random_discrete_instance,
     random_mixture_instance,
 )
 from prophet_samples.hardness import ONE_THIRD
 from prophet_samples.stats import CountDist
+
+from conftest import brute_force_eval, random_discrete_instance
 
 DOMINANCE_CORPUS_SEED = 20260803
 MIXTURE_CORPUS_SEED = 20260801

@@ -23,9 +23,9 @@ from prophet_samples.algorithms import (
     rule_to_config,
     static_threshold_values,
 )
-from prophet_samples.evaluation import dominance_check, mc_ratio, random_discrete_instance
+from prophet_samples.evaluation import dominance_check, mc_ratio
 
-from conftest import instances
+from conftest import instances, random_discrete_instance
 
 
 def run_static_threshold(values, t: float, rng=None) -> float:

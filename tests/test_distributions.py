@@ -201,7 +201,7 @@ def test_prophet_two_uniforms():
 
 
 def test_prophet_matches_enumeration_on_random_atom_instances(rng):
-    from prophet_samples.evaluation import random_discrete_instance
+    from conftest import random_discrete_instance
 
     for _ in range(25):
         inst = random_discrete_instance(rng)

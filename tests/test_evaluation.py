@@ -1,4 +1,9 @@
+import importlib.util
 import math
+import sys
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,14 +18,18 @@ from prophet_samples import (
     case2_instance,
     default_case2_boxes,
     dominance_check,
+    exact_ordinal_value,
     exact_single_sample_value,
     mc_ratio,
+    omega_rho,
     ordinal_upper_bound_sweep,
+    recommended_rank,
     semi_exact_ordinal,
     threshold_value_with_rank_law,
 )
 from prophet_samples.algorithms import beta_moments, effective_rank, poly_times_linear, walk_terms
 from prophet_samples.evaluation import (
+    CASE1_MAX_K,
     CASE2_MAX_K,
     MC_POOL_CAP,
     _exact_selected_distribution,
@@ -28,9 +37,12 @@ from prophet_samples.evaluation import (
     _select_pooled,
     derive_seed,
     diagnostics_sandwich_sweep,
-    random_discrete_instance,
     random_mixture_instance,
 )
+
+from conftest import random_discrete_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- mc_ratio ----------------------------------------------------------------------
@@ -315,6 +327,132 @@ def test_all_zero_instance_has_no_ratio():
         semi_exact_ordinal(inst, 2, 1, 100, seed=1)
     with pytest.raises(ValueError, match="prophet value"):
         mc_ratio(inst, MaxSample(), 1, 100, seed=1)
+
+
+# -- exact ordinal evaluation ------------------------------------------------------------
+
+
+def _bench_oracles():
+    spec = importlib.util.spec_from_file_location("bench_oracles", ROOT / "bench" / "oracles.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look the module up
+    spec.loader.exec_module(module)
+    return module
+
+
+ORACLES = _bench_oracles()
+
+
+def case1_reference(k: int, rank: int) -> float:
+    """The bench oracle, which keeps the threshold in U(1, 2), plus the event
+    that at least rank spike samples put it inside the spike U(k^3, k^3 + 1).
+    There only box 2 can win: (w / 2)(1 - x)(2k^3 + 1 + x) for x ~ Beta(a + 1 - rank, rank)."""
+    from scipy.stats import binom
+
+    w = 1.0 / (k * k)
+    a = np.arange(rank, rank + 40)
+    m = ORACLES.beta_moments(a + 1 - rank, rank, 2)
+    spike = w / 2.0 * ((2.0 * float(k) ** 3 + 1.0) * (1.0 - m[1]) + m[1] - m[2])
+    return ORACLES.case1_walk_value(k, rank) + float(np.sum(binom.pmf(a, k, w) * spike))
+
+
+def case2_reference(k: int, n: int, rank: int) -> float:
+    """The bench oracle's closed form for case2 in rational arithmetic: its
+    float form loses up to 5e-12 to cancellation in 1 - E[x^n] at rank 1."""
+    alpha, beta = n * k + 1 - rank, rank
+    m = [Fraction(1)]
+    for d in range(n + 1):
+        m.append(m[-1] * (alpha + d) / (alpha + beta + d))
+    return float(((2 * k + 1) * (1 - m[n]) + m[1] - m[n + 1]) / 2)
+
+
+@pytest.mark.parametrize("k", [100, 1000, 10_000, 100_000])
+def test_exact_ordinal_value_matches_the_closed_forms(k):
+    n = default_case2_boxes(k)
+    ranks = [1, round(0.4 * k), recommended_rank(k), math.ceil(omega_rho() * k), round(0.7 * k), k]
+    for rank in ranks:
+        for inst, want in (
+            (case1_instance(k), case1_reference(k, rank)),
+            (case2_instance(k, n), case2_reference(k, n, rank)),
+        ):
+            got, err = exact_ordinal_value(inst, k, rank)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (k, rank)
+            assert err <= 1e-12 * got
+        if rank > 1:  # the bench oracles themselves, where they cover every event
+            assert exact_ordinal_value(case1_instance(k), k, rank)[0] == pytest.approx(
+                ORACLES.case1_walk_value(k, rank), rel=1e-12, abs=0.0
+            )
+
+
+def test_exact_ordinal_value_matches_enumeration_on_atoms():
+    rng = np.random.default_rng(20261018)
+    checked = 0
+    while checked < 20:
+        inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
+        k = int(rng.integers(1, 4))
+        rank = int(rng.integers(1, inst.n * k + 1))
+        selected = _exact_selected_distribution(inst, OrdinalRank(rank), k)
+        want = math.fsum(v * p for v, p in selected.items())
+        got, err = exact_ordinal_value(inst, k, rank)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert err == 0.0 or err <= 1e-12 * got
+        checked += 1
+
+
+def test_exact_ordinal_value_within_the_semi_exact_ci():
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(10):
+        inst = random_mixture_instance(rng)
+        k = int(rng.integers(5, 60))
+        cases.append((inst, k, int(rng.integers(1, inst.n * k + 1))))
+    # case1 ranks past k put the threshold in the lower box's U(0, 1) part
+    cases += [(case1_instance(50), 50, rank) for rank in (51, 75, 100)]
+    for idx, (inst, k, rank) in enumerate(cases):
+        got, err = exact_ordinal_value(inst, k, rank)
+        report = semi_exact_ordinal(inst, k, rank, 4000, seed=idx)
+        assert abs(got - report.alg_value) <= report.ci_halfwidth + 1e-12 * got, (idx, got, report)
+        assert err <= 1e-12 * got
+
+
+@pytest.mark.parametrize("k", [2, 3, 16, 100, 10_000, CASE1_MAX_K])
+def test_exact_sweep_error_bound_on_every_cli_case(k):
+    # the CLI accepts k in [2, CASE1_MAX_K] and ranks in [1, 2k]
+    ranks = sorted({1, 2, k // 2, k, k + 1, (3 * k) // 2, 2 * k})
+    for inst in (case1_instance(k), case2_instance(k, default_case2_boxes(k))):
+        for rank in ranks:
+            value, err = exact_ordinal_value(inst, k, rank)
+            assert value > 0.0 and err <= 1e-12 * value, (k, rank, value, err)
+    rows = ordinal_upper_bound_sweep(k, ranks)
+    assert [row.case1.ci_halfwidth for row in rows] == [0.0] * len(ranks)
+
+
+def test_exact_sweep_rows_are_the_single_rank_values():
+    k = 300
+    ranks = [1, 120, 170, 300, 450, 600]
+    rows = ordinal_upper_bound_sweep(k, ranks, 500, 7)  # reps and seed are ignored
+    assert rows == ordinal_upper_bound_sweep(k, ranks)
+    for row in rows:
+        assert row.case1.alg_value == exact_ordinal_value(case1_instance(k), k, row.rank)[0]
+        inst2 = case2_instance(k, default_case2_boxes(k))
+        assert row.case2.alg_value == exact_ordinal_value(inst2, k, row.rank)[0]
+        assert row.case2.prophet_value == inst2.prophet_expectation()
+
+
+def test_exact_ordinal_window_cap_raises_before_allocating():
+    # three equal-weight parts put (1/3, 1/3, 1/3) on the middle stratum: an
+    # (8e3 x 8e3) window at k = 1e6, over stats.SIZE_CAP
+    inst = Instance((ValueDist(((1 / 3, 0.0, 1.0), (1 / 3, 1.0, 2.0), (1 / 3, 2.0, 3.0))),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="window"):
+            exact_ordinal_value(inst, 1_000_000, 500_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+    with pytest.raises(ValueError, match="rank"):
+        exact_ordinal_value(inst, 10, 11)
 
 
 # -- exact single-sample ---------------------------------------------------------------

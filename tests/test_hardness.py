@@ -10,7 +10,6 @@ from prophet_samples import (
     ProbVector,
     QPolicy,
     adversary,
-    brute_force_eval,
     build_dd_mixture,
     certificate,
     certificate_terms,
@@ -18,8 +17,6 @@ from prophet_samples import (
     eval_q_policy,
     g_clamp,
     ones_count_dist,
-    over_selection_score,
-    spike_event_prob,
     tv_distance,
 )
 from prophet_samples import hardness
@@ -39,6 +36,8 @@ from prophet_samples.hardness import (
     p_star,
     policy_from_json,
 )
+
+from conftest import brute_force_eval
 
 
 T3 = (ANCHOR, 0, 1)
@@ -81,7 +80,7 @@ def walk_oracle(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
         val = val + alive * spike_tail
         walk = walk + w_b * val
     no_spike_value = float(np.sum(dist.masses * walk))
-    spike = spike_event_prob(p, params.k)
+    spike = hardness._spike_prob(p.values[5], params.k)
     return spike * spike_tail + (1.0 - spike) * no_spike_value
 
 
@@ -187,10 +186,11 @@ def test_ones_count_mean_linearity():
 
 def test_spike_event_prob_values():
     params = HardParams(k=10)
-    assert spike_event_prob(ProbVector((1.0, 0, 0, 0, 0, 0)), 10) == 0.0
+    # the chance that any of box 6's k samples shows the spike value
+    assert hardness._spike_prob(ProbVector((1.0, 0, 0, 0, 0, 0)).values[5], 10) == 0.0
     spiked = ProbVector((1.0, 0, 0, 0, 0, params.spike_prob))
-    assert spike_event_prob(spiked, 10) == pytest.approx(1.0 - 0.999 ** 10, rel=1e-12)
-    assert spike_event_prob(spiked, 10) <= 1.0 / 100.0
+    assert hardness._spike_prob(spiked.values[5], 10) == pytest.approx(1.0 - 0.999 ** 10, rel=1e-12)
+    assert hardness._spike_prob(spiked.values[5], 10) <= 1.0 / 100.0
 
 
 # -- policy evaluation -------------------------------------------------------------------
@@ -277,6 +277,15 @@ def test_eval_requires_matching_k():
 
 
 # -- over-selection ------------------------------------------------------------------------
+
+
+def over_selection_score(policy: QPolicy, p: ProbVector, k: int) -> float:
+    """Expected chance of stopping within the first two boxes on an all-ones start."""
+    dist = ones_count_dist(p, k)
+    lo, hi = dist.offset, dist.offset + len(dist.masses)
+    q1 = policy.row(T1)[lo:hi]
+    q2 = policy.row(T2)[lo:hi]
+    return float(np.sum(dist.masses * (q1 + (1.0 - q1) * q2)))
 
 
 def test_over_selection_constants():

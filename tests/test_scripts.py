@@ -13,7 +13,7 @@ ROOT = Path(__file__).resolve().parents[1]
     "script, args, header",
     [
         ("run_hardness_probe.py", ["--k", "2", "--policies", "2"], "policy,ratio,p"),
-        ("run_rank_curve.py", ["--k", "20", "--points", "3", "--reps", "100"], "k,l,case1_ratio,case2_ratio,min_ratio"),
+        ("run_rank_curve.py", ["--k", "20", "--points", "3"], "k,l,case1_ratio,case2_ratio,min_ratio"),
     ],
 )
 def test_script_runs_and_prints_its_csv_header(script, args, header):

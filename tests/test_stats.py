@@ -1,10 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.special import gammaln, ndtr
 
 from prophet_samples import (
@@ -13,20 +13,13 @@ from prophet_samples import (
     binom,
     chernoff_check,
     convolve,
-    discretized_normal,
     sum_of_binomials,
     tv_binom_vs_normal,
     tv_distance,
-    tv_same_mean_normals,
 )
 from prophet_samples import stats
 from prophet_samples.hardness import ProbVector, ones_count_dist
 from prophet_samples.stats import SIZE_CAP, _normal_bin_masses, binom_pmf_rows, point_mass
-
-# Frozen from the quadrature oracle: sup of tv / |ratio - 1| over variance
-# ratios in [0.5, 2] is 0.3321; the bound below uses a small cushion.
-TV_RATIO_CONSTANT = 0.34
-
 
 @st.composite
 def count_dists(draw, max_len: int = 8, max_offset: int = 5) -> CountDist:
@@ -143,6 +136,19 @@ def test_sum_of_binomials_makes_one_row_call_per_trial_count(monkeypatch):
     assert calls == [(5, 2), (7, 1)] and d.offset == 3
 
 
+def test_sum_of_binomials_bounds_the_fold_before_building_rows(monkeypatch):
+    # four parts of 2^17 each pass the per-part cap, but their folds would take 1e11 steps
+    monkeypatch.setattr(stats, "binom_pmf_rows", lambda n, ps: pytest.fail("a row was built"))
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="multiply-adds"):
+        sum_of_binomials([(2**17, 0.5)] * 4)
+    assert time.perf_counter() - t0 < 0.1
+    monkeypatch.undo()
+    # the adversary's largest ones-count law stays inside the cap
+    d = ones_count_dist(ProbVector((1.0, 0.5, 0.5, 0.5, 0.5, 0.0)), 10_000)
+    assert d.upper == 40_000
+
+
 # -- windowed kernels against their dense formulas -----------------------------------
 
 
@@ -236,26 +242,6 @@ def test_count_dist_validation():
         CountDist(0, np.array([1.5, -0.5]))
 
 
-# -- discretized normal ------------------------------------------------------------
-
-
-def test_discretized_normal_center_bin():
-    d = discretized_normal(NormalSpec(0.0, 1.0), -8, 8)
-    assert d.pmf(0) == pytest.approx(0.3829249225480262, abs=1e-12)
-
-
-def test_discretized_normal_symmetry_and_mass():
-    d = discretized_normal(NormalSpec(0.0, 1.0), -8, 8)
-    assert d.pmf(1) == pytest.approx(d.pmf(-1), abs=1e-14)
-    assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_discretized_normal_folds_tails():
-    d = discretized_normal(NormalSpec(0.0, 4.0), -1, 1)
-    assert d.masses.sum() == pytest.approx(1.0, abs=1e-12)
-    assert d.pmf(-1) > d.pmf(0) * 0.5  # boundary bins absorb the tails
-
-
 # -- total variation -----------------------------------------------------------------
 
 
@@ -340,45 +326,6 @@ def test_tv_binom_vs_normal_trend():
 def test_tv_binom_vs_normal_validates_p():
     with pytest.raises(ValueError):
         tv_binom_vs_normal(10, 0.0)
-
-
-# -- same-mean normals ----------------------------------------------------------------------
-
-
-def tv_normals_quad_oracle(s1: NormalSpec, s2: NormalSpec) -> float:
-    def gap(x):
-        d1 = math.exp(-((x - s1.mu) ** 2) / (2 * s1.sigma2)) / math.sqrt(2 * math.pi * s1.sigma2)
-        d2 = math.exp(-((x - s2.mu) ** 2) / (2 * s2.sigma2)) / math.sqrt(2 * math.pi * s2.sigma2)
-        return abs(d1 - d2)
-
-    width = 12.0 * max(s1.sigma, s2.sigma)
-    val, _ = quad(gap, s1.mu - width, s1.mu + width, limit=200)
-    return 0.5 * val
-
-
-def test_tv_same_mean_normals_trivia():
-    s = NormalSpec(1.0, 2.0)
-    assert tv_same_mean_normals(s, s) == 0.0
-    a, b = NormalSpec(0.0, 1.0), NormalSpec(0.0, 1.7)
-    assert tv_same_mean_normals(a, b) == tv_same_mean_normals(b, a)
-    with pytest.raises(ValueError):
-        tv_same_mean_normals(NormalSpec(0.0, 1.0), NormalSpec(1.0, 1.0))
-
-
-def test_tv_same_mean_normals_matches_quadrature():
-    for s2 in (0.6, 0.9, 1.1, 1.9):
-        a, b = NormalSpec(0.5, 1.0), NormalSpec(0.5, s2)
-        assert tv_same_mean_normals(a, b) == pytest.approx(
-            tv_normals_quad_oracle(a, b), abs=1e-7
-        )
-
-
-def test_tv_same_mean_normals_ratio_bound():
-    for ratio in np.linspace(0.5, 2.0, 31):
-        if abs(ratio - 1.0) < 1e-9:
-            continue
-        got = tv_same_mean_normals(NormalSpec(0.0, float(ratio)), NormalSpec(0.0, 1.0))
-        assert got <= TV_RATIO_CONSTANT * abs(ratio - 1.0)
 
 
 # -- Chernoff -----------------------------------------------------------------------------
