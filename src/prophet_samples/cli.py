@@ -27,6 +27,7 @@ from .distributions import Instance, instance_from_json, instance_to_json, load_
 from .evaluation import (
     CASE1_MAX_K,
     CASE2_MAX_K,
+    MAX_THREADS,
     MC_POOL_CAP,
     derive_seed,
     dominance_check,
@@ -88,11 +89,13 @@ class _Fields:
     def __init__(self, obj: Mapping, path: str = "") -> None:
         self.obj = obj
         self.path = path
+        self.asked: set[str] = set()
 
     def name(self, key: str) -> str:
         return f"{self.path}.{key}" if self.path else key
 
     def get(self, key: str, default: Any = _REQUIRED) -> Any:
+        self.asked.add(key)
         if key in self.obj:
             return self.obj[key]
         if default is _REQUIRED:
@@ -127,6 +130,15 @@ class _Fields:
         if not isinstance(value, str) or not value:
             raise _fail(self.name(key), f"must be a file path string, got {value!r}")
         return value
+
+    def done(self) -> None:
+        """Reject a key that no reader has asked for ("command" names the
+        command and is always allowed), so that a misspelled or unused key
+        fails instead of being ignored."""
+        for key in self.obj:
+            if key != "command" and key not in self.asked:
+                asked = ", ".join(sorted(self.asked))
+                raise _fail(self.name(key), f"is never read; the fields read are {asked}")
 
 
 def _instance(entry: _Fields) -> Instance:
@@ -204,7 +216,8 @@ def _csv_row(*fields: Any) -> str:
 
 
 # -- subcommands -------------------------------------------------------------------
-# Each runner reads its fields, runs, and returns the artifact text.
+# Each runner reads its fields, checks with fields.done() that the manifest
+# holds no other top-level key, runs, and returns the artifact text.
 
 
 def _run_eval(fields: _Fields, threads: int) -> str:
@@ -217,6 +230,7 @@ def _run_eval(fields: _Fields, threads: int) -> str:
     rank = _check_pools(instances, rule, ks, mc=method == "mc")
     if method == "semi_exact" and rank is None:
         raise _fail("method", "semi_exact requires an ordinal rule")
+    fields.done()
     lines = ["instance_id,rule,k,l,reps,seed,alg_value,prophet_value,ratio,ci"]
     for idx, (inst_id, inst) in enumerate(instances):
         for k in ks:
@@ -243,6 +257,7 @@ def _run_dominance(fields: _Fields, threads: int) -> str:
     reps = fields.integer("reps", 1) if mc else 0
     seed = fields.integer("seed", 0, _SEED_MAX) if mc else 0
     _check_pools(instances, rule, [k], mc)
+    fields.done()
     lines = ["instance_id,rule,k,gamma,mode,worst_x,worst_ratio,passed,reps,seed"]
     for idx, (inst_id, inst) in enumerate(instances):
         with _on(f"instances[{idx}]"):
@@ -262,6 +277,7 @@ def _run_ordinal_sweep(fields: _Fields, threads: int) -> str:
     k = fields.integer("k", 2, CASE1_MAX_K)
     # case1 has two boxes, so its pool of 2k samples bounds the rank
     ranks = fields.scalars("ranks", _int, 1, 2 * k)
+    fields.done()
     lines = ["k,l,case1_ratio,case2_ratio,min_ratio"]
     for row in ordinal_upper_bound_sweep(k, ranks):
         lines.append(_csv_row(k, row.rank, row.case1.ratio, row.case2.ratio, row.min_ratio))
@@ -283,6 +299,7 @@ def _run_hardness_verify(fields: _Fields, threads: int) -> str:
     }
     with _on("k"):
         params = hardness.HardParams(k=k, **kwargs)
+    fields.done()
     vec, ratio = hardness.adversary(policy, params)
     inst = hardness.family_instance(vec, params)
     result = {
@@ -303,7 +320,9 @@ def _run_tv_convergence(fields: _Fields, threads: int) -> str:
     lines = ["family,param,secondary,tv"]
     if family == "binomial_normal":
         ns = fields.scalars("n", _int, 1, stats.SIZE_CAP)
-        for p in fields.scalars("p", _number, 0.0, 1.0, True):
+        ps = fields.scalars("p", _number, 0.0, 1.0, True)
+        fields.done()
+        for p in ps:
             for n in ns:
                 tv = stats.tv_binom_vs_normal(n, p)
                 lines.append(_csv_row("binomial_normal", n, p, tv))
@@ -313,6 +332,7 @@ def _run_tv_convergence(fields: _Fields, threads: int) -> str:
         eps = fields.number("eps", 0.0, 1.0, open_=True)
         with _on("k"):
             all_params = [hardness.HardParams(k=k, eps=eps) for k in ks]
+        fields.done()
         for params in all_params:
             _, mix, star = hardness.build_dd_mixture(params)
             tv = stats.tv_distance(mix, star)
@@ -323,13 +343,19 @@ def _run_tv_convergence(fields: _Fields, threads: int) -> str:
 
 def _run_stats_check(fields: _Fields, threads: int) -> str:
     seed = fields.integer("seed", 0, _SEED_MAX)
-    result: dict[str, Any] = {}
-    if "chernoff" in fields.obj:
+    chernoff = "chernoff" in fields.obj
+    if chernoff:
         spec = fields.section("chernoff")
         n = spec.integer("n", 1, stats.SIZE_CAP)
         p = spec.number("p", 0.0, 1.0)
         deltas = spec.scalars("deltas", _number, 0.0, 1.0, True)
         reps = spec.integer("reps", 10_000, stats.SIZE_CAP, default=fields.get("reps", None))
+    probes = fields.section("sandwich").integer("probes", 1) if "sandwich" in fields.obj else None
+    if not chernoff and probes is None:
+        raise _fail("checks", "config must include 'chernoff' and/or 'sandwich'")
+    fields.done()
+    result: dict[str, Any] = {}
+    if chernoff:
         rows = []
         for i, delta in enumerate(deltas):
             rng = np.random.default_rng(derive_seed(seed, 1, i))
@@ -337,8 +363,7 @@ def _run_stats_check(fields: _Fields, threads: int) -> str:
             rows.append({key: v for key, v in asdict(report).items() if key != "reps"})
             print(f"chernoff delta={delta}: emp={report.empirical:.2e}", file=sys.stderr)
         result["chernoff"] = rows
-    if "sandwich" in fields.obj:
-        probes = fields.section("sandwich").integer("probes", 1)
+    if probes is not None:
         violations, worst = evaluation.diagnostics_sandwich_sweep(
             probes, derive_seed(seed, 2)
         )
@@ -349,8 +374,6 @@ def _run_stats_check(fields: _Fields, threads: int) -> str:
             "passed": violations == 0,
         }
         print(f"sandwich probes={probes}: violations={violations}", file=sys.stderr)
-    if not result:
-        raise _fail("checks", "config must include 'chernoff' and/or 'sandwich'")
     return json.dumps(result, sort_keys=True, indent=2) + "\n"
 
 
@@ -362,6 +385,9 @@ _RUNNERS = {
     "tv-convergence": _run_tv_convergence,
     "stats-check": _run_stats_check,
 }
+# The commands that read a seed and a replication count, and so take --seed
+# and --reps.
+_SEEDED = ("eval", "dominance", "stats-check")
 
 
 def _run(args: argparse.Namespace) -> None:
@@ -379,13 +405,13 @@ def _run(args: argparse.Namespace) -> None:
     declared = payload.get("command")
     if declared is not None and declared != args.command:
         raise _fail("command", f"config says {declared!r} but subcommand is {args.command!r}")
-    # flags override the manifest; --policy and --k exist for hardness-verify only
+    # flags override the manifest; --seed and --reps exist for _SEEDED only,
+    # --policy and --k for hardness-verify only
     for key in ("seed", "reps", "policy", "k"):
         if getattr(args, key, None) is not None:
             payload[key] = getattr(args, key)
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
-    if threads < 1:
-        raise _fail("threads", "must be >= 1")
+    threads = args.threads if args.threads else min(os.cpu_count() or 1, MAX_THREADS)
+    _int(threads, "threads", 1, MAX_THREADS)
     text = _RUNNERS[args.command](_Fields(payload), threads)
     if not args.out:
         sys.stdout.write(text)
@@ -403,8 +429,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment manifest")
-        p.add_argument("--seed", type=int, help="override the manifest seed")
-        p.add_argument("--reps", type=int, help="override the manifest reps")
+        if name in _SEEDED:
+            p.add_argument("--seed", type=int, help="override the manifest seed")
+            p.add_argument("--reps", type=int, help="override the manifest reps")
         p.add_argument("--out", help="artifact path (default stdout)")
         p.add_argument("--threads", type=int, default=0, help="worker count (default: machine)")
         if name == "hardness-verify":

@@ -141,16 +141,35 @@ class ValueDist:
     # -- sampling ------------------------------------------------------------
 
     def sample_many(self, rng: np.random.Generator, shape) -> np.ndarray:
-        """Vectorized draws with a fixed (choice, position) call pattern."""
-        weights = np.array([w for w, _, _ in self.segments])
+        """Vectorized draws: a segment index, then a position in the segment.
+
+        With more than one segment it draws rng.random(shape) for the index,
+        then rng.random(shape) for the position; one segment draws the
+        position only. The index is the inverse-CDF pick that
+        rng.choice(m, size=shape, p=weights / weights.sum()) makes from the
+        same uniform u: the cumulative sums of p, divided by their last
+        entry, searched with side="right" for u. So the draws, and the
+        generator state afterwards, are bit for bit those of rng.choice.
+        The gathers run with mode="clip" (every index is in range), which
+        writes straight into `out=`; so at most three arrays of the block's
+        size are live at once.
+        """
         los = np.array([lo for _, lo, _ in self.segments])
-        his = np.array([hi for _, _, hi in self.segments])
+        width = np.array([hi - lo for _, lo, hi in self.segments])
+        u = rng.random(shape)
         if len(self.segments) == 1:
-            idx = np.zeros(shape, dtype=np.intp)
-        else:
-            idx = rng.choice(len(self.segments), size=shape, p=weights / weights.sum())
-        pos = rng.random(shape)
-        return los[idx] + (his[idx] - los[idx]) * pos
+            u *= width[0]
+            u += los[0]
+            return u
+        weights = np.array([w for w, _, _ in self.segments])
+        cdf = np.cumsum(weights / weights.sum())
+        cdf /= cdf[-1]
+        idx = cdf.searchsorted(u, side="right")
+        pos = rng.random(shape, out=u)
+        out = width.take(idx, mode="clip")
+        out *= pos
+        out += los.take(idx, out=pos, mode="clip")
+        return out
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,6 +45,9 @@ _MC_CHUNK_BUDGET = 1 << 21
 # Largest pooled sample n * k a replication may draw, so that even a one-row
 # chunk stays near the chunk budget.
 MC_POOL_CAP = _MC_CHUNK_BUDGET
+# Largest worker count a chunk map accepts. Worker pools outlive the call, so
+# the count is bounded before any pool exists.
+MAX_THREADS = 64
 _DOM_TOL = 1e-9
 _EXACT_ENUM_CAP = 300_000
 # Largest mass an exact count window leaves out of each tail of a marginal.
@@ -83,14 +87,31 @@ def _mc_chunk_size(n: int, k: int) -> int:
     return max(1, min(65536, _MC_CHUNK_BUDGET // max(1, n * (k + 2))))
 
 
+@lru_cache(maxsize=4)
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The process-wide pool of `threads` workers, built on first use.
+
+    Its threads start lazily, at most one per chunk in flight, and then stay
+    for the next map. A pool evicted from the cache shuts its threads down
+    once the last map using it has returned and dropped it.
+    """
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix=f"prophet-samples-{threads}")
+
+
 def _map_chunks(fn: Callable, reps: int, chunk: int, seed: int, tag: int, threads: int) -> list:
     """fn(rows, rng) per chunk of `reps` rows, in chunk order.
 
     Chunk c holds min(chunk, reps - c * chunk) rows and draws from substream
-    (seed, tag, c), so the worker count cannot change what a chunk sees.
+    (seed, tag, c), so the worker count cannot change what a chunk sees. With
+    threads > 1 the chunks run on the shared pool of that many workers
+    (`_pool`), which every map at that worker count reuses, so repeated runs
+    do not start fresh threads. Raises ValueError above MAX_THREADS workers,
+    before any pool is built.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads = {threads} exceeds the cap of {MAX_THREADS}")
     chunks = (reps + chunk - 1) // chunk
 
     def worker(c: int) -> tuple:
@@ -98,8 +119,7 @@ def _map_chunks(fn: Callable, reps: int, chunk: int, seed: int, tag: int, thread
 
     if threads <= 1 or chunks <= 1:
         return [worker(c) for c in range(chunks)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(worker, range(chunks)))
+    return list(_pool(threads).map(worker, range(chunks)))
 
 
 # -- reports ---------------------------------------------------------------------

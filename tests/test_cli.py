@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 from prophet_samples import cli
-from prophet_samples.evaluation import MC_POOL_CAP
+from prophet_samples.evaluation import MAX_THREADS, MC_POOL_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("run_benchmarks", ROOT / "scripts" / "run_benchmarks.py")
@@ -155,9 +156,7 @@ def test_all_zero_instance_is_config_error(tmp_path, capsys, command):
             "instances": [INSTANCE_A, zero],
             "rule": {"rule": "max_sample"},
             "k": 1,
-            "gamma": 0.5,
-            "reps": 100,
-            "seed": 1,
+            **({"reps": 100, "seed": 1} if command == "eval" else {"gamma": 0.5}),
         },
     )
     assert run_cli([command, "--config", cfg]) == 2
@@ -175,8 +174,7 @@ def test_mc_pool_above_cap_is_config_error(tmp_path, capsys, command):
             "instances": [INSTANCE_A],
             "rule": {"rule": "max_sample"},
             "k": MC_POOL_CAP // 2 + 1,
-            "gamma": 0.5,
-            "mode": "mc",
+            **({"gamma": 0.5, "mode": "mc"} if command == "dominance" else {}),
             "reps": 1,
             "seed": 1,
         },
@@ -227,7 +225,7 @@ _BAD_INPUTS = [
      {"p.json": {"k": True, "entries": []}}, "policy"),
     ("policy-k-fraction", "hardness-verify", {"policy": "p.json"},
      {"p.json": {"k": 2.7, "entries": []}}, "policy"),
-    ("sweep-spike-atom", "ordinal-sweep", {"k": 208_064, "ranks": [1], "reps": 10, "seed": 1}, {}, "k"),
+    ("sweep-spike-atom", "ordinal-sweep", {"k": 208_064, "ranks": [1]}, {}, "k"),
     ("generator-spike-atom", "eval",
      {"instances": [{"generator": {"name": "case1", "k": 208_064}}], "rule": {"rule": "max_sample"},
       "k": 1, "reps": 100, "seed": 1},
@@ -255,6 +253,15 @@ _BAD_INPUTS = [
      {"instances": [{"generator": {"name": "case2", "k": 10**400}}], "rule": {"rule": "max_sample"},
       "k": 1, "reps": 10, "seed": 1},
      {}, "instances[0].generator.k"),
+    ("eval-misspelled-key", "eval",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "reps": 10, "seed": 1,
+      "metod": "semi_exact"},
+     {}, "metod"),
+    ("sweep-unread-reps", "ordinal-sweep", {"k": 60, "ranks": [1], "reps": 400}, {}, "reps"),
+    ("dominance-exact-unread-reps", "dominance",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "reps": 10, "seed": 1},
+     {}, "reps"),
+    ("stats-unread-reps", "stats-check", {"seed": 1, "reps": 20_000, "sandwich": {"probes": 1}}, {}, "reps"),
 ]
 
 
@@ -308,6 +315,43 @@ def test_eval_accepts_values_up_to_2_to_the_64(tmp_path, capsys):
     assert run_cli(["eval", "--config", cfg]) == 0
     row = capsys.readouterr().out.splitlines()[1].split(",")
     assert all(math.isfinite(float(x)) for x in row[6:])
+
+
+def test_threads_above_cap_is_config_error(eval_config, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    active = threading.active_count()
+    code = run_cli(["eval", "--config", eval_config, "--out", str(out), "--threads", str(MAX_THREADS + 1)])
+    assert code == 2
+    assert "field 'threads'" in capsys.readouterr().err
+    assert threading.active_count() == active
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--reps"])
+def test_ordinal_sweep_has_no_seed_or_reps_flag(tmp_path, capsys, flag):
+    cfg = write_json(tmp_path / "sweep.json", {"command": "ordinal-sweep", "k": 60, "ranks": [1]})
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ordinal-sweep", "--config", cfg, flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, manifest, artifact",
+    run_benchmarks.MANIFESTS,
+    ids=[artifact for _, _, artifact in run_benchmarks.MANIFESTS],
+)
+def test_unread_manifest_key_is_config_error(command, manifest, artifact, tmp_path, monkeypatch, capsys):
+    """Every command rejects a top-level key it never reads, before it runs."""
+    monkeypatch.chdir(ROOT)
+    payload = json.loads((ROOT / "configs" / manifest).read_text())
+    cfg = write_json(tmp_path / "manifest.json", {**payload, "bogus": 1})
+    out = tmp_path / artifact
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1  # no progress line: nothing ran
+    assert err[0].startswith("config error: field 'bogus': is never read")
+    assert not out.exists()
 
 
 def test_unwritable_out_is_config_error(eval_config, tmp_path, capsys):
@@ -434,8 +478,6 @@ def test_ordinal_sweep(tmp_path):
             "command": "ordinal-sweep",
             "k": 60,
             "ranks": [1, 30],
-            "reps": 400,
-            "seed": 3,
         },
     )
     out1 = tmp_path / "s1.csv"
@@ -453,7 +495,7 @@ def test_ordinal_sweep_rank_bounded_by_case1_pool(tmp_path, capsys):
     def sweep(ranks):
         cfg = write_json(
             tmp_path / "sweep.json",
-            {"command": "ordinal-sweep", "k": 100, "ranks": ranks, "reps": 50, "seed": 3},
+            {"command": "ordinal-sweep", "k": 100, "ranks": ranks},
         )
         return run_cli(["ordinal-sweep", "--config", cfg, "--out", str(tmp_path / "s.csv")])
 

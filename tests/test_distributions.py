@@ -2,6 +2,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,11 +13,25 @@ from prophet_samples import (
     instance_from_json,
     instance_to_json,
 )
+from prophet_samples.evaluation import _substream
 
 from conftest import instances, value_dists
 
 
 # -- oracles -------------------------------------------------------------------
+
+
+def choice_sample_many(dist: ValueDist, rng, shape):
+    """The sampler as it was built on rng.choice: the oracle for sample_many's bits."""
+    weights = np.array([w for w, _, _ in dist.segments])
+    los = np.array([lo for _, lo, _ in dist.segments])
+    his = np.array([hi for _, _, hi in dist.segments])
+    if len(dist.segments) == 1:
+        idx = np.zeros(shape, dtype=np.intp)
+    else:
+        idx = rng.choice(len(dist.segments), size=shape, p=weights / weights.sum())
+    pos = rng.random(shape)
+    return los[idx] + (his[idx] - los[idx]) * pos
 
 
 def atoms_tail_oracle(dist: ValueDist, t: float) -> float:
@@ -161,6 +176,38 @@ def test_sample_many_matches_mixture_weights(rng):
     draws = d.sample_many(rng, 200_000)
     assert abs((draws == 0.0).mean() - 0.25) < 0.01
     assert abs(draws[draws > 0].mean() - 2.5) < 0.01
+
+
+def _random_segments(rng, case: int) -> tuple:
+    """Segment sets that cover atoms, zero weights (the last segment's too),
+    single segments, and 64-segment boxes."""
+    m = 1 if case % 10 == 0 else (64 if case % 10 == 1 else int(rng.integers(2, 8)))
+    los = np.sort(rng.uniform(0.0, 10.0, m)) * 10.0 ** rng.integers(0, 9)
+    widths = np.where(rng.random(m) < 0.4, 0.0, rng.uniform(0.0, 3.0, m))
+    weights = rng.random(m) + 0.01
+    weights[rng.random(m) < 0.25] = 0.0
+    if m > 1 and case % 4 == 2:
+        weights[-1] = 0.0  # segments are sorted by (lo, hi), so this stays last
+    if not weights.sum():
+        weights[0] = 1.0
+    weights /= weights.sum()
+    return tuple(zip(weights.tolist(), los.tolist(), (los + widths).tolist()))
+
+
+@pytest.mark.parametrize("shape", [1000, (37, 29)], ids=["int", "2d"])
+def test_sample_many_bits_match_choice_oracle(shape):
+    """sample_many's draws and the generator state afterwards are the ones
+    rng.choice gives, bit for bit, on the production Philox substreams."""
+    cases = np.random.default_rng(2024)
+    for case in range(200):
+        dist = ValueDist(_random_segments(cases, case))
+        got_rng, want_rng = _substream(case, 7, 3), _substream(case, 7, 3)
+        got = dist.sample_many(got_rng, shape)
+        want = choice_sample_many(dist, want_rng, shape)
+        assert got.shape == want.shape
+        assert (got.view(np.uint64) == want.view(np.uint64)).all(), dist.segments
+        # the Philox state holds numpy arrays (counter, key, buffer), so compare reprs
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
 
 # -- Instance ---------------------------------------------------------------------

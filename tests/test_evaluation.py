@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -18,6 +19,7 @@ from prophet_samples import (
     case2_instance,
     default_case2_boxes,
     dominance_check,
+    evaluation,
     exact_ordinal_value,
     exact_single_sample_value,
     mc_ratio,
@@ -31,8 +33,10 @@ from prophet_samples.algorithms import beta_moments, effective_rank, poly_times_
 from prophet_samples.evaluation import (
     CASE1_MAX_K,
     CASE2_MAX_K,
+    MAX_THREADS,
     MC_POOL_CAP,
     _exact_selected_distribution,
+    _map_chunks,
     _mc_chunk_size,
     _select_pooled,
     derive_seed,
@@ -71,6 +75,63 @@ def test_mc_ratio_thread_determinism(instance_a):
     c = mc_ratio(instance_a, MaxSample(), 1, 50_000, seed=11, threads=16)
     assert a == b == c
     assert repr(a) == repr(b) == repr(c)
+
+
+def test_mc_ratio_reuses_one_worker_pool(instance_a, monkeypatch):
+    """Maps at one worker count share a pool: the second call runs on the
+    threads the first started, and repeated calls start no threads."""
+    workers = []
+    simulate = evaluation._simulate_chunk
+
+    def recorded(*args):
+        workers.append(threading.current_thread())
+        return simulate(*args)
+
+    monkeypatch.setattr(evaluation, "_simulate_chunk", recorded)
+    reps = 2 * _mc_chunk_size(instance_a.n, 100)  # one chunk per worker
+    first = mc_ratio(instance_a, OrdinalRank(50), 100, reps, seed=3, threads=2)
+    first_workers = set(workers)
+    second = mc_ratio(instance_a, OrdinalRank(50), 100, reps, seed=3, threads=2)
+    assert first == second
+    assert len(workers) == 4
+    assert threading.main_thread() not in workers
+    assert set(workers) == first_workers
+    assert len(first_workers) <= 2
+    active = threading.active_count()
+    for seed in range(5):
+        mc_ratio(instance_a, OrdinalRank(50), 100, reps, seed=seed, threads=2)
+        assert threading.active_count() <= active
+
+
+def test_concurrent_callers_share_the_pool_without_mixing_chunks(instance_a):
+    """Callers on four threads map onto the same two-worker pool at once;
+    each still gets exactly its serial result."""
+    reps = 2 * _mc_chunk_size(instance_a.n, 100)
+    want = [mc_ratio(instance_a, OrdinalRank(50), 100, reps, seed=s, threads=1) for s in range(4)]
+    got = [None] * 4
+
+    def call(s):
+        got[s] = mc_ratio(instance_a, OrdinalRank(50), 100, reps, seed=s, threads=2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(s,)) for s in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+
+
+def test_map_chunks_rejects_threads_above_cap_before_any_pool():
+    active = threading.active_count()
+    with pytest.raises(ValueError, match="threads"):
+        _map_chunks(lambda rows, rng: rows, 10, 1, seed=1, tag=1, threads=MAX_THREADS + 1)
+    assert threading.active_count() == active
 
 
 def test_mc_ratio_seed_sensitivity(instance_a):
