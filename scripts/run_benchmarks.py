@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
 """Run the checked-in experiment manifests and drop CSV/JSON artifacts in results/.
 
-Usage: python scripts/run_benchmarks.py [--threads N]
+Usage: python scripts/run_benchmarks.py [--threads N] [--out-dir DIR]
+
+--out-dir writes the artifacts elsewhere (default results/), so a
+regeneration can be compared with the committed files. Each manifest's wall
+time is printed to stderr as `time <command> <manifest> <seconds> s`.
 """
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,10 +32,11 @@ MANIFESTS = [
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--threads", type=int, default=0)
+    parser.add_argument("--out-dir", type=Path, default=ROOT / "results")
     args = parser.parse_args()
 
-    results = ROOT / "results"
-    results.mkdir(exist_ok=True)
+    results = args.out_dir
+    results.mkdir(parents=True, exist_ok=True)
     for command, manifest, artifact in MANIFESTS:
         argv = [
             command,
@@ -42,7 +48,9 @@ def main() -> int:
         if args.threads:
             argv += ["--threads", str(args.threads)]
         print(f"== {command} {manifest}", file=sys.stderr)
+        start = time.perf_counter()
         code = cli_main(argv)
+        print(f"time {command} {manifest} {time.perf_counter() - start:.3f} s", file=sys.stderr)
         if code != 0:
             return code
     print(f"artifacts in {results}", file=sys.stderr)

@@ -19,6 +19,8 @@ from numpy.polynomial.legendre import leggauss
 
 WEIGHT_TOL = 1e-12
 VALUE_MAX = 2.0**64  # sums of squares over 2^63 replications stay far below 1.8e308
+# Array entries per block of the prophet integral's (interval, node) grid.
+_GRID_BUDGET = 1 << 15
 
 
 @lru_cache(maxsize=128)
@@ -230,14 +232,23 @@ class Instance:
 
         Between consecutive breakpoints every per-box CDF is linear, so the
         integrand is a polynomial of degree <= n; ceil((n+1)/2) Gauss-Legendre
-        nodes integrate it exactly.
+        nodes integrate it exactly. The (interval, node) grid is evaluated in
+        blocks of whole intervals of at most _GRID_BUDGET entries (one
+        interval at least), one product_cdf call per block, so the scratch
+        memory is bounded for any n. Each interval's node terms are summed
+        along its row and scaled by its half width; the interval totals are
+        then added left to right in Python floats.
         """
-        pts = [0.0] + [p for p in self.breakpoints() if p > 0.0]
+        pts = np.array([0.0] + [p for p in self.breakpoints() if p > 0.0])
         x, w = _gauss_nodes((self.n + 2) // 2)
+        mid, half = 0.5 * (pts[:-1] + pts[1:]), 0.5 * (pts[1:] - pts[:-1])
+        step = max(1, _GRID_BUDGET // len(x))
         total = 0.0
-        for a, b in zip(pts, pts[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            total += float(half * np.sum(w * (1.0 - self.product_cdf(mid + half * x))))
+        for s in range(0, len(mid), step):
+            m, h = mid[s : s + step], half[s : s + step]
+            terms = w * (1.0 - self.product_cdf(m[:, None] + h[:, None] * x))
+            for part in (h * np.sum(terms, axis=1)).tolist():
+                total += part
         return total
 
 

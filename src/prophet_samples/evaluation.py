@@ -297,6 +297,17 @@ def mc_ratio(
 # -- semi-exact ordinal evaluation --------------------------------------------------
 
 
+def check_strata(inst: Instance) -> None:
+    """Raise ValueError when the stratum table of `inst` would exceed SIZE_CAP.
+
+    The table has one row per box and a column per breakpoint and per gap
+    between adjacent breakpoints, before empty strata are dropped.
+    """
+    strata = 2 * len(inst.breakpoints()) - 1
+    if inst.n * strata > SIZE_CAP:
+        raise ValueError(f"the {inst.n} x {strata} stratum table exceeds the cap of {SIZE_CAP} entries")
+
+
 def _level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Descending strata of the pooled sample distribution: (is_atom, los, his, probs).
 
@@ -304,33 +315,25 @@ def _level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray
     instance breakpoints; probs[i, j] is the chance one sample of box i
     lands in stratum j. Sampling per-stratum counts is an exact factorization
     of drawing k samples per box, and within an interval stratum the points
-    are conditionally iid uniform.
+    are conditionally iid uniform. Strata no box can land in are dropped.
+    Raises ValueError (check_strata) before the table is allocated.
     """
-    breaks = inst.breakpoints()
-    levels: list[tuple[bool, float, float]] = []
-    for idx in range(len(breaks) - 1, -1, -1):
-        b = breaks[idx]
-        if any(box.mass_at(b) > 0.0 for box in inst.boxes):
-            levels.append((True, b, b))
-        if idx > 0:
-            a = breaks[idx - 1]
-            levels.append((False, a, b))
-    probs = np.zeros((inst.n, len(levels)))
-    for i, box in enumerate(inst.boxes):
-        for j, (atom, a, b) in enumerate(levels):
-            if atom:
-                probs[i, j] = box.mass_at(a)
-            else:
-                total = 0.0
-                for w, lo, hi in box.segments:
-                    if lo < hi and lo <= a and b <= hi:
-                        total += w * (b - a) / (hi - lo)
-                probs[i, j] = total
+    check_strata(inst)
+    breaks = np.array(inst.breakpoints())[::-1]
+    # column 2j is the atom at breaks[j], column 2j + 1 the interval (breaks[j + 1], breaks[j])
+    doubled = np.repeat(breaks, 2)
+    los, his = doubled[1:], doubled[:-1]
+    is_atom = np.arange(len(los)) % 2 == 0
+    a, b = breaks[1:], breaks[:-1]
+    probs = np.zeros((inst.n, len(los)))
+    for row, box in zip(probs, inst.boxes):
+        row[0::2] = box.mass_at(breaks)
+        total = row[1::2]
+        for w, lo, hi in box.segments:
+            if lo < hi:
+                total += np.where((lo <= a) & (b <= hi), w * (b - a) / (hi - lo), 0.0)
     keep = probs.sum(axis=0) > 0.0
-    levels = [lv for lv, used in zip(levels, keep) if used]
-    probs = probs[:, keep]
-    is_atom, los, his = (np.array(col) for col in zip(*levels))
-    return is_atom, los, his, probs
+    return is_atom[keep], los[keep], his[keep], probs[:, keep]
 
 
 def semi_exact_ordinal(
@@ -353,8 +356,9 @@ def semi_exact_ordinal(
     """
     if not 1 <= rank <= inst.n * k:
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
-    prophet = inst.prophet_expectation()
+    # the stratum table's size check runs before the prophet integral
     is_atom, los, his, probs = _level_structure(inst)
+    prophet = inst.prophet_expectation()
 
     def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
         counts = np.zeros((rows, len(is_atom)), dtype=np.int64)

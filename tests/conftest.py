@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
+from prophet_samples.distributions import _gauss_nodes
 from prophet_samples.hardness import STOPS, T1
 
 
@@ -68,6 +69,80 @@ def random_discrete_instance(
         inst = Instance(tuple(boxes))
         if max(inst.support_atoms()) > 0.0:
             return inst
+
+
+def scalar_prophet_expectation(inst: Instance) -> float:
+    """Reference E[max_i v_i]: one product_cdf call and one Python add per interval."""
+    pts = [0.0] + [p for p in inst.breakpoints() if p > 0.0]
+    x, w = _gauss_nodes((inst.n + 2) // 2)
+    total = 0.0
+    for a, b in zip(pts, pts[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        total += float(half * np.sum(w * (1.0 - inst.product_cdf(mid + half * x))))
+    return total
+
+
+def scalar_level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Reference stratum table: a list of strata, then one scalar entry per (box, stratum)."""
+    breaks = inst.breakpoints()
+    levels: list[tuple[bool, float, float]] = []
+    for idx in range(len(breaks) - 1, -1, -1):
+        b = breaks[idx]
+        if any(box.mass_at(b) > 0.0 for box in inst.boxes):
+            levels.append((True, b, b))
+        if idx > 0:
+            a = breaks[idx - 1]
+            levels.append((False, a, b))
+    probs = np.zeros((inst.n, len(levels)))
+    for i, box in enumerate(inst.boxes):
+        for j, (atom, a, b) in enumerate(levels):
+            if atom:
+                probs[i, j] = box.mass_at(a)
+            else:
+                total = 0.0
+                for w, lo, hi in box.segments:
+                    if lo < hi and lo <= a and b <= hi:
+                        total += w * (b - a) / (hi - lo)
+                probs[i, j] = total
+    keep = probs.sum(axis=0) > 0.0
+    levels = [lv for lv, used in zip(levels, keep) if used]
+    probs = probs[:, keep]
+    is_atom, los, his = (np.array(col) for col in zip(*levels))
+    return is_atom, los, his, probs
+
+
+def set_up_oracle_instances() -> list[Instance]:
+    """Instances on which the array set-up passes must match the scalar oracles
+    bit for bit: 2000 random mixtures, then named edges."""
+    from prophet_samples.distributions import VALUE_MAX
+    from prophet_samples.evaluation import (
+        CASE1_MAX_K,
+        case1_instance,
+        case2_instance,
+        random_mixture_instance,
+    )
+
+    rng = np.random.default_rng(20261018)
+    out = [random_mixture_instance(rng) for _ in range(2000)]
+    out += [random_discrete_instance(rng) for _ in range(20)]  # all atoms
+    out += [
+        case1_instance(2),
+        case1_instance(CASE1_MAX_K),
+        case2_instance(10_000, 10),
+        Instance((ValueDist.atom(1.5),)),
+        Instance((ValueDist.atom(0.0),)),
+        # an atom at the end of an interval, in its own box and in another
+        Instance((ValueDist(((0.5, 0.0, 1.0), (0.5, 1.0, 1.0))), ValueDist.discrete({0.0: 0.3, 2.0: 0.7}))),
+        # the only positive value is one box's atom
+        Instance((ValueDist.atom(0.0), ValueDist.discrete({0.0: 0.8, 3.0: 0.2}), ValueDist.atom(0.0))),
+        # bounds at and near VALUE_MAX
+        Instance((ValueDist.uniform(0.0, VALUE_MAX), ValueDist(((0.5, VALUE_MAX / 2, VALUE_MAX), (0.5, VALUE_MAX, VALUE_MAX))))),
+        Instance((ValueDist.atom(VALUE_MAX), ValueDist.uniform(VALUE_MAX / 4, VALUE_MAX / 2))),
+        # 20 boxes: 11 Gauss nodes per interval, past the 8 terms below which
+        # numpy sums a row one term at a time
+        Instance(tuple(ValueDist(((0.4, i / 7, 1.0 + i / 3), (0.6, 0.5, 2.0 + i / 5))) for i in range(20))),
+    ]
+    return out
 
 
 def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> float:

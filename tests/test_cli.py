@@ -257,6 +257,10 @@ _BAD_INPUTS = [
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "reps": 10, "seed": 1,
       "metod": "semi_exact"},
      {}, "metod"),
+    ("semi-exact-stratum-cap", "eval",
+     {"instances": [{"boxes": [{"segments": [[1.0, i, i + 1]]} for i in range(1500)]}],
+      "rule": {"rule": "ordinal", "rank": 1}, "k": 1, "reps": 10, "seed": 1, "method": "semi_exact"},
+     {}, "instances"),
     ("sweep-unread-reps", "ordinal-sweep", {"k": 60, "ranks": [1], "reps": 400}, {}, "reps"),
     ("dominance-exact-unread-reps", "dominance",
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "reps": 10, "seed": 1},

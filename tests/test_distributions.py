@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,9 +14,10 @@ from prophet_samples import (
     instance_from_json,
     instance_to_json,
 )
+from prophet_samples import distributions
 from prophet_samples.evaluation import _substream
 
-from conftest import instances, value_dists
+from conftest import instances, scalar_prophet_expectation, set_up_oracle_instances, value_dists
 
 
 # -- oracles -------------------------------------------------------------------
@@ -255,6 +257,37 @@ def test_prophet_matches_enumeration_on_random_atom_instances(rng):
         assert inst.prophet_expectation() == pytest.approx(
             prophet_enumeration_oracle(inst), abs=1e-10
         )
+
+
+def test_prophet_expectation_bits_match_scalar_oracle(monkeypatch):
+    insts = set_up_oracle_instances()
+    want = [scalar_prophet_expectation(inst).hex() for inst in insts]
+    assert [inst.prophet_expectation().hex() for inst in insts] == want
+    # one interval per block
+    monkeypatch.setattr(distributions, "_GRID_BUDGET", 1)
+    assert [inst.prophet_expectation().hex() for inst in insts] == want
+
+
+def _traced_prophet(inst: Instance) -> tuple[float, int]:
+    tracemalloc.start()
+    try:
+        value = inst.prophet_expectation()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def test_prophet_expectation_grid_is_blocked(monkeypatch):
+    # 300 boxes: 600 intervals of 151 nodes, a grid of about 90k entries
+    inst = Instance(tuple(ValueDist.uniform(i / 3, i / 3 + 1.5) for i in range(300)))
+    blocked, blocked_peak = _traced_prophet(inst)
+    block_bytes = 8 * distributions._GRID_BUDGET
+    monkeypatch.setattr(distributions, "_GRID_BUDGET", 1 << 40)
+    whole, whole_peak = _traced_prophet(inst)
+    assert blocked.hex() == whole.hex()
+    assert blocked_peak < whole_peak / 2
+    assert blocked_peak < 8 * block_bytes
 
 
 def test_empty_instance_rejected():

@@ -44,7 +44,7 @@ from prophet_samples.evaluation import (
     random_mixture_instance,
 )
 
-from conftest import random_discrete_instance
+from conftest import random_discrete_instance, scalar_level_structure, set_up_oracle_instances
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -146,6 +146,31 @@ def test_mc_ratio_ordinal_rank_bounds(instance_a):
 
 
 # -- semi-exact --------------------------------------------------------------------
+
+
+def test_level_structure_bits_match_list_oracle():
+    for inst in set_up_oracle_instances():
+        got, want = evaluation._level_structure(inst), scalar_level_structure(inst)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes())
+
+
+def test_stratum_table_cap_raises_before_allocating():
+    # 1500 boxes over 1501 breakpoints: a 1500 x 3001 table, over stats.SIZE_CAP
+    inst = Instance(tuple(ValueDist.uniform(float(i), i + 1.0) for i in range(1500)))
+    for call in (
+        lambda: evaluation._level_structure(inst),
+        lambda: semi_exact_ordinal(inst, 1, 1, reps=10, seed=1),
+        lambda: exact_ordinal_value(inst, 1, 1),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1500 x 3001 stratum table"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 def test_semi_exact_instance_a(instance_a):

@@ -1,4 +1,5 @@
-"""Smoke runs of the standalone scripts under scripts/ on small inputs."""
+"""Runs of the standalone scripts under scripts/: smoke runs on small inputs,
+and the artifact regeneration byte for byte."""
 
 import subprocess
 import sys
@@ -25,3 +26,25 @@ def test_script_runs_and_prints_its_csv_header(script, args, header):
     lines = proc.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+# tv_mixture.csv and tv_binomial_normal.csv drift in their last digits between
+# regenerations, so they are not compared.
+STABLE_ARTIFACTS = (
+    "eval_instance_a.csv",
+    "dominance_corpus.csv",
+    "ordinal_sweep_10k.csv",
+    "hardness_k400.json",
+    "stats_check.json",
+)
+
+
+def test_run_benchmarks_regenerates_stable_artifacts_byte_for_byte(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_benchmarks.py"), "--threads", "2", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("time ")]) == 7
+    for name in STABLE_ARTIFACTS:
+        assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes(), name
