@@ -20,6 +20,7 @@ from prophet_samples.cli import main as cli_main  # noqa: E402
 
 MANIFESTS = [
     ("eval", "eval_instance_a.json", "eval_instance_a.csv"),
+    ("eval", "eval_semi_exact.json", "eval_semi_exact.csv"),
     ("dominance", "dominance_corpus.json", "dominance_corpus.csv"),
     ("ordinal-sweep", "ordinal_sweep_10k.json", "ordinal_sweep_10k.csv"),
     ("hardness-verify", "hardness_k400.json", "hardness_k400.json"),

@@ -230,12 +230,13 @@ def _run_eval(fields: _Fields, threads: int) -> str:
     rank = _check_pools(instances, rule, ks, mc=method == "mc")
     if method == "semi_exact" and rank is None:
         raise _fail("method", "semi_exact requires an ordinal rule")
-    if method == "semi_exact":
-        for inst_id, inst in instances:
-            try:
+    for inst_id, inst in instances:
+        try:
+            inst.check_prophet_cost()
+            if method == "semi_exact":
                 evaluation.check_strata(inst)
-            except ValueError as exc:
-                raise _fail("instances", f"instance {inst_id!r}: {exc}") from None
+        except ValueError as exc:
+            raise _fail("instances", f"instance {inst_id!r}: {exc}") from None
     fields.done()
     lines = ["instance_id,rule,k,l,reps,seed,alg_value,prophet_value,ratio,ci"]
     for idx, (inst_id, inst) in enumerate(instances):

@@ -21,6 +21,9 @@ WEIGHT_TOL = 1e-12
 VALUE_MAX = 2.0**64  # sums of squares over 2^63 replications stay far below 1.8e308
 # Array entries per block of the prophet integral's (interval, node) grid.
 _GRID_BUDGET = 1 << 15
+# Largest count of box CDF entries the prophet integral may evaluate: n per point
+# of its (interval, node) grid. 600 boxes, 2.2e8 entries, take 1.5 s on 2 x86-64 cores.
+PROPHET_CDF_CAP = 1 << 28
 
 
 @lru_cache(maxsize=128)
@@ -227,6 +230,14 @@ class Instance:
         res = 1.0 - out
         return float(res) if np.ndim(res) == 0 else res
 
+    def check_prophet_cost(self) -> None:
+        """Raise ValueError when prophet_expectation would evaluate more than PROPHET_CDF_CAP
+        box CDF entries: n per interval of [0, max breakpoint] per ceil((n+1)/2) nodes."""
+        intervals = sum(1 for p in self.breakpoints() if p > 0.0)
+        entries = self.n * intervals * ((self.n + 2) // 2)
+        if entries > PROPHET_CDF_CAP:
+            raise ValueError(f"prophet integral: {entries} CDF entries exceed the cap of {PROPHET_CDF_CAP}")
+
     def prophet_expectation(self) -> float:
         """Exact E[max_i v_i] as the integral of 1 - prod F_i.
 
@@ -237,8 +248,10 @@ class Instance:
         interval at least), one product_cdf call per block, so the scratch
         memory is bounded for any n. Each interval's node terms are summed
         along its row and scaled by its half width; the interval totals are
-        then added left to right in Python floats.
+        then added left to right in Python floats. Raises ValueError
+        (check_prophet_cost) before any CDF is evaluated.
         """
+        self.check_prophet_cost()
         pts = np.array([0.0] + [p for p in self.breakpoints() if p > 0.0])
         x, w = _gauss_nodes((self.n + 2) // 2)
         mid, half = 0.5 * (pts[:-1] + pts[1:]), 0.5 * (pts[1:] - pts[:-1])

@@ -25,7 +25,6 @@ from .algorithms import (
     beta_moments,
     effective_rank,
     poly_times_linear,
-    static_threshold_values,
     threshold_value_with_rank_law,
     walk_terms,
 )
@@ -148,10 +147,6 @@ class RatioReport:
     @property
     def ratio(self) -> float:
         return self.alg_value / self.prophet_value
-
-    @property
-    def ratio_ci_halfwidth(self) -> float:
-        return self.ci_halfwidth / self.prophet_value
 
 
 @dataclass(frozen=True)
@@ -344,15 +339,13 @@ def semi_exact_ordinal(
     seed: int,
     threads: int = 1,
 ) -> RatioReport:
-    """Monte Carlo over the sample pool only; the inner value is exact.
+    """Monte Carlo over the pooled stratum counts only; the value given them is exact.
 
-    Per replication the rank-th highest sample is drawn from its exact law
-    (stratum counts, then an order-statistic Beta within the stratum) and the
-    walk value at that threshold is evaluated in closed form, including tie
-    masses when the threshold lands on an atom. Atom thresholds cost one walk
-    polynomial per atom level per chunk: every row at that level pairs it with
-    the Beta moments of its own (count, rank) law. The confidence interval
-    reflects threshold randomness alone.
+    The counts of a replication fix the stratum of the rank-th highest sample
+    and its rank r among the c samples there; _stratum_values integrates the
+    threshold's position out, with one call per stratum hit in a chunk.
+    The confidence interval reflects count randomness alone, so where every
+    replication draws the same counts (case2) this is exact_ordinal_value.
     """
     if not 1 <= rank <= inst.n * k:
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
@@ -370,21 +363,10 @@ def semi_exact_ordinal(
         n_at = counts[rows_idx, lvl]
         r = rank - (cum[rows_idx, lvl] - n_at)
 
-        out = np.zeros(rows)
-        interval = ~is_atom[lvl]
-        if np.any(interval):
-            a = los[lvl[interval]]
-            b = his[lvl[interval]]
-            n_i = n_at[interval].astype(float)
-            r_i = r[interval].astype(float)
-            pos = rng.beta(n_i + 1.0 - r_i, r_i)
-            thresholds = a + (b - a) * pos
-            out[interval] = static_threshold_values(inst, thresholds)
-        for level in np.unique(lvl[~interval]):
+        out = np.empty(rows)
+        for level in np.unique(lvl):
             hit = lvl == level
-            out[hit] = threshold_value_with_rank_law(
-                inst, float(los[level]), alpha=n_at[hit] + 1 - r[hit], beta=r[hit]
-            )
+            out[hit] = _stratum_values(inst, is_atom[level], los[level], his[level], n_at[hit], r[hit])
         return _chunk_moments(out)
 
     parts = _map_chunks(run, reps, _SEMI_CHUNK, seed, _TAG_SEMI, threads)
@@ -492,6 +474,22 @@ def _stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
     return out
 
 
+def _stratum_values(inst: Instance, is_atom: bool, lo: float, hi: float, c, r) -> np.ndarray:
+    """Expected walk value when the threshold is the r-th highest of the c
+    samples in one stratum, per pair of the integer arrays c and r.
+
+    On an atom the tie law integrates the walk (threshold_value_with_rank_law).
+    On the interval (lo, hi) the position is Beta(c + 1 - r, r) from the
+    bottom, Beta(r, c + 1 - r) from the top; its moments integrate the
+    _stratum_polys row that expands about the nearer end.
+    """
+    if is_atom:
+        return threshold_value_with_rank_law(inst, float(lo), alpha=c + 1 - r, beta=r)
+    up = 2 * r <= c + 1
+    moments = beta_moments(np.where(up, r, c + 1 - r), np.where(up, c + 1 - r, r), inst.n + 1)
+    return np.vecdot(moments, _stratum_polys(inst, lo, hi)[up.astype(int)])
+
+
 def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple[np.ndarray, float]:
     """exact_ordinal_value at every rank, from one count law per stratum.
 
@@ -516,15 +514,7 @@ def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple
         which, entry = np.nonzero((a < ranks[:, None]) & (ranks[:, None] <= a + c))
         if not len(which):
             continue
-        r, c = ranks[which] - a[entry], c[entry]
-        if is_atom[j]:
-            vals = threshold_value_with_rank_law(inst, float(los[j]), alpha=c + 1 - r, beta=r)
-        else:
-            # the position is Beta(c + 1 - r, r) from the bottom, Beta(r, c + 1 - r) from the top
-            up = 2 * r <= c + 1
-            polys = _stratum_polys(inst, los[j], his[j])
-            moments = beta_moments(np.where(up, r, c + 1 - r), np.where(up, c + 1 - r, r), inst.n + 1)
-            vals = np.vecdot(moments, polys[up.astype(int)])
+        vals = _stratum_values(inst, is_atom[j], los[j], his[j], c[entry], ranks[which] - a[entry])
         values += np.bincount(which, weights=mass[entry] * vals, minlength=len(ranks))
     return values, dropped * math.fsum(box.mean() for box in inst.boxes)
 

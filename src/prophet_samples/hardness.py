@@ -336,12 +336,6 @@ class MixtureSpec:
     component_trials: int
     component_success: np.ndarray
 
-    def component(self, j: int) -> CountDist:
-        return convolve(
-            CountDist(self.component_shift, np.array([1.0])),
-            binom(self.component_trials, float(self.component_success[j])),
-        )
-
 
 def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountDist]:
     """The ones-count mixture and its two-binomial stand-in, both on {0..4k}.

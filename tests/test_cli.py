@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from prophet_samples import cli
+from prophet_samples import ValueDist, cli
 from prophet_samples.evaluation import MAX_THREADS, MC_POOL_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -261,6 +262,11 @@ _BAD_INPUTS = [
      {"instances": [{"boxes": [{"segments": [[1.0, i, i + 1]]} for i in range(1500)]}],
       "rule": {"rule": "ordinal", "rank": 1}, "k": 1, "reps": 10, "seed": 1, "method": "semi_exact"},
      {}, "instances"),
+    # 1400 boxes fit the stratum table but not the prophet integral's CDF cap
+    ("semi-exact-prophet-cost-cap", "eval",
+     {"instances": [{"boxes": [{"segments": [[1.0, i, i + 1]]} for i in range(1400)]}],
+      "rule": {"rule": "ordinal", "rank": 1}, "k": 1, "reps": 10, "seed": 1, "method": "semi_exact"},
+     {}, "instances"),
     ("sweep-unread-reps", "ordinal-sweep", {"k": 60, "ranks": [1], "reps": 400}, {}, "reps"),
     ("dominance-exact-unread-reps", "dominance",
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "reps": 10, "seed": 1},
@@ -302,6 +308,25 @@ def test_bad_input_exits_2_on_its_field(tmp_path, monkeypatch, capsys, command, 
     assert "internal error" not in err
     assert out.read_bytes() == b"artifact of an earlier run\n"
     assert stdout_open
+
+
+@pytest.mark.parametrize("method", ["mc", "semi_exact"])
+def test_eval_prophet_cost_cap_exits_2_before_integrating(tmp_path, capsys, monkeypatch, method):
+    # 10^4 one-segment boxes at k = 1 pass every other cap of the mc method; the
+    # integral would evaluate about 5e11 CDF entries
+    boxes = [{"segments": [[1.0, i, i + 1]]} for i in range(10_000)]
+    cfg = write_json(tmp_path / "wide.json", {
+        "command": "eval", "instances": [{"id": "wide", "boxes": boxes}],
+        "rule": {"rule": "ordinal", "rank": 1}, "k": 1, "reps": 10, "seed": 1, "method": method,
+    })
+    monkeypatch.setattr(ValueDist, "cdf", lambda self, x: pytest.fail("a CDF was evaluated"))
+    start = time.perf_counter()
+    code = run_cli(["eval", "--config", cfg, "--threads", "1"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "field 'instances'" in err and "prophet integral" in err
+    assert elapsed < 1.0
 
 
 def test_eval_accepts_values_up_to_2_to_the_64(tmp_path, capsys):

@@ -14,7 +14,7 @@ from prophet_samples import (
     instance_from_json,
     instance_to_json,
 )
-from prophet_samples import distributions
+from prophet_samples import distributions, evaluation
 from prophet_samples.evaluation import _substream
 
 from conftest import instances, scalar_prophet_expectation, set_up_oracle_instances, value_dists
@@ -288,6 +288,15 @@ def test_prophet_expectation_grid_is_blocked(monkeypatch):
     assert blocked.hex() == whole.hex()
     assert blocked_peak < whole_peak / 2
     assert blocked_peak < 8 * block_bytes
+
+
+def test_prophet_cost_cap_raises_before_any_cdf(monkeypatch):
+    # 1400 boxes over 1400 unit intervals: 1400 * 1400 * 701 CDF entries
+    inst = Instance(tuple(ValueDist.uniform(float(i), i + 1.0) for i in range(1400)))
+    monkeypatch.setattr(ValueDist, "cdf", lambda self, x: pytest.fail("a CDF was evaluated"))
+    with pytest.raises(ValueError, match="1373960000 CDF entries exceed the cap"):
+        inst.prophet_expectation()
+    evaluation.check_strata(inst)  # the stratum table alone would fit
 
 
 def test_empty_instance_rejected():

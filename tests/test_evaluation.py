@@ -252,8 +252,9 @@ def _heavy_atom_mixtures():
         # the rank lands on the heavy atom at 1.0 in nearly every replication
         (0, 220, 1000, 1, "0x1.4748911d2ad14p+0", "0x1.76fbc0d90ba66p-11"),
         (1, 380, 1000, 1, "0x1.4ee2923c2c361p+0", "0x1.41eac1ce3ab14p-10"),
-        # the rank straddles the atom at 2.0 and the interval below; three chunks
-        (1, 120, 10_000, 2, "0x1.248592625b2ccp+0", "0x1.025d338fbc6e9p-10"),
+        # the rank straddles the atom at 2.0 and the interval below; three chunks.
+        # Recorded once interval rows took their expected value given the counts
+        (1, 120, 10_000, 2, "0x1.248314747af52p+0", "0x1.0065acb3a565dp-10"),
     ],
 )
 def test_semi_exact_atom_path_golden(which, rank, reps, threads, alg_hex, ci_hex):
@@ -499,6 +500,18 @@ def test_exact_ordinal_value_within_the_semi_exact_ci():
         report = semi_exact_ordinal(inst, k, rank, 4000, seed=idx)
         assert abs(got - report.alg_value) <= report.ci_halfwidth + 1e-12 * got, (idx, got, report)
         assert err <= 1e-12 * got
+
+
+@pytest.mark.parametrize("k", [100, 10_000])
+def test_semi_exact_equals_exact_on_case2(k):
+    # case2 has one stratum, so every replication draws the same counts and the
+    # estimate carries no randomness: only rounding in the chunk means remains
+    inst = case2_instance(k, default_case2_boxes(k))
+    rank = recommended_rank(k)
+    want, _ = exact_ordinal_value(inst, k, rank)
+    report = semi_exact_ordinal(inst, k, rank, 5000, seed=3)
+    assert report.alg_value == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert report.ci_halfwidth <= 1e-12 * report.alg_value
 
 
 @pytest.mark.parametrize("k", [2, 3, 16, 100, 10_000, CASE1_MAX_K])

@@ -32,6 +32,7 @@ def test_script_runs_and_prints_its_csv_header(script, args, header):
 # regenerations, so they are not compared.
 STABLE_ARTIFACTS = (
     "eval_instance_a.csv",
+    "eval_semi_exact.csv",
     "dominance_corpus.csv",
     "ordinal_sweep_10k.csv",
     "hardness_k400.json",
@@ -45,6 +46,6 @@ def test_run_benchmarks_regenerates_stable_artifacts_byte_for_byte(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert len([line for line in proc.stderr.splitlines() if line.startswith("time ")]) == 7
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("time ")]) == 8
     for name in STABLE_ARTIFACTS:
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes(), name
