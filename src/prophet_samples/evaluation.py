@@ -308,8 +308,9 @@ def _level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     Each stratum is either an atom or an open interval between adjacent
     instance breakpoints; probs[i, j] is the chance one sample of box i
-    lands in stratum j. Sampling per-stratum counts is an exact factorization
-    of drawing k samples per box, and within an interval stratum the points
+    lands in stratum j. The per-stratum counts of k samples per box
+    (Multinomial(k, probs[i])) can be drawn one stratum at a time from the
+    top down (_threshold_strata), and within an interval stratum the points
     are conditionally iid uniform. Strata no box can land in are dropped.
     Raises ValueError (check_strata) before the table is allocated.
     """
@@ -331,6 +332,48 @@ def _level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return is_atom[keep], los[keep], his[keep], probs[:, keep]
 
 
+def _threshold_strata(
+    probs: np.ndarray, k: int, rank: int, rows: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(level, c, r) per replication when each box i draws k samples over the
+    strata by probs[i]: its rank-th highest pooled sample is the r-th highest
+    of the c samples in stratum `level`.
+
+    Walking the strata from the top down, box i puts Binomial(left,
+    probs[i, j] / tail[i, j]) of its `left` unplaced samples in stratum j,
+    where tail[i, j] is its mass in j and below; stratum by stratum this is
+    the Multinomial(k, probs[i]) count law. A row leaves once its counts
+    reach `rank`, and the walk stops when no row is left, so no stratum
+    below the deepest threshold is drawn. A box with no mass in a stratum
+    draws nothing there, and its last stratum with mass, where tail equals
+    probs, takes all it has left.
+    """
+    tail = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
+    cond = np.divide(probs, tail, out=np.zeros_like(probs), where=tail > 0.0)
+    level = np.empty(rows, dtype=np.int64)
+    c = np.empty(rows, dtype=np.int64)
+    r = np.empty(rows, dtype=np.int64)
+    idx = np.arange(rows)
+    left = np.full((len(probs), rows), k, dtype=np.int64)
+    above = np.zeros(rows, dtype=np.int64)
+    for j, col in enumerate(cond.T):
+        # one call, box by box, for the boxes that split what they have left
+        draw = np.flatnonzero((col > 0.0) & (col < 1.0))
+        got = rng.binomial(left[draw], col[draw, None])
+        left[draw] -= got
+        here = got.sum(axis=0) + left[col == 1.0].sum(axis=0)
+        found = above + here >= rank
+        if found.any():
+            done = idx[found]
+            level[done], c[done], r[done] = j, here[found], rank - above[found]
+            if len(done) == len(idx):
+                break
+            keep = ~found
+            idx, left, above, here = idx[keep], left[:, keep], above[keep], here[keep]
+        above += here
+    return level, c, r
+
+
 def semi_exact_ordinal(
     inst: Instance,
     k: int,
@@ -341,11 +384,14 @@ def semi_exact_ordinal(
 ) -> RatioReport:
     """Monte Carlo over the pooled stratum counts only; the value given them is exact.
 
-    The counts of a replication fix the stratum of the rank-th highest sample
-    and its rank r among the c samples there; _stratum_values integrates the
-    threshold's position out, with one call per stratum hit in a chunk.
-    The confidence interval reflects count randomness alone, so where every
-    replication draws the same counts (case2) this is exact_ordinal_value.
+    Each replication draws its counts stratum by stratum from the top down,
+    as conditional binomials (_threshold_strata), and stops at the stratum
+    of the rank-th highest sample: those counts fix the stratum and the
+    sample's rank r among the c samples there, and no stratum below it is
+    drawn. _stratum_values integrates the threshold's position out, with one
+    call per stratum hit in a chunk. The confidence interval reflects count
+    randomness alone, so where every replication draws the same counts
+    (case2) this is exact_ordinal_value.
     """
     if not 1 <= rank <= inst.n * k:
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
@@ -354,15 +400,7 @@ def semi_exact_ordinal(
     prophet = inst.prophet_expectation()
 
     def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
-        counts = np.zeros((rows, len(is_atom)), dtype=np.int64)
-        for i in range(inst.n):
-            counts += rng.multinomial(k, probs[i], size=rows)
-        cum = np.cumsum(counts, axis=1)
-        lvl = np.argmax(cum >= rank, axis=1)
-        rows_idx = np.arange(rows)
-        n_at = counts[rows_idx, lvl]
-        r = rank - (cum[rows_idx, lvl] - n_at)
-
+        lvl, n_at, r = _threshold_strata(probs, k, rank, rows, rng)
         out = np.empty(rows)
         for level in np.unique(lvl):
             hit = lvl == level
