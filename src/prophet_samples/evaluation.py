@@ -332,36 +332,48 @@ def _level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return is_atom[keep], los[keep], his[keep], probs[:, keep]
 
 
-def _threshold_strata(
-    probs: np.ndarray, k: int, rank: int, rows: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(level, c, r) per replication when each box i draws k samples over the
-    strata by probs[i]: its rank-th highest pooled sample is the r-th highest
-    of the c samples in stratum `level`.
+def _conditional_probs(probs: np.ndarray) -> np.ndarray:
+    """cond[i, j] = probs[i, j] / tail[i, j], where tail[i, j] is box i's mass
+    in stratum j and below (0 where that mass is 0).
 
-    Walking the strata from the top down, box i puts Binomial(left,
-    probs[i, j] / tail[i, j]) of its `left` unplaced samples in stratum j,
-    where tail[i, j] is its mass in j and below; stratum by stratum this is
-    the Multinomial(k, probs[i]) count law. A row leaves once its counts
-    reach `rank`, and the walk stops when no row is left, so no stratum
-    below the deepest threshold is drawn. A box with no mass in a stratum
-    draws nothing there, and its last stratum with mass, where tail equals
-    probs, takes all it has left.
+    Drawing Binomial(left, cond[i, j]) of box i's `left` unplaced samples into
+    stratum j, from the top stratum down, is the Multinomial(k, probs[i])
+    count law. cond is exactly 1 at a box's last stratum with mass, and may
+    round to 1 above it where the mass below is under an ulp of probs[i, j].
     """
     tail = np.cumsum(probs[:, ::-1], axis=1)[:, ::-1]
-    cond = np.divide(probs, tail, out=np.zeros_like(probs), where=tail > 0.0)
+    return np.divide(probs, tail, out=np.zeros_like(probs), where=tail > 0.0)
+
+
+def _threshold_strata(
+    cond: np.ndarray, k: int, rank: int, rows: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(level, c, r) per replication when each box i draws k samples over the
+    strata by the conditional probabilities cond[i] (_conditional_probs): its
+    rank-th highest pooled sample is the r-th highest of the c samples in
+    stratum `level`.
+
+    Walking the strata from the top down, box i puts Binomial(left,
+    cond[i, j]) of its `left` unplaced samples in stratum j. A row leaves
+    once its counts reach `rank`, and the walk stops when no row is left, so
+    no stratum below the deepest threshold is drawn. A box with no mass in a
+    stratum draws nothing there, and a box whose cond is 1 puts all it has
+    left in the stratum without a draw.
+    """
     level = np.empty(rows, dtype=np.int64)
     c = np.empty(rows, dtype=np.int64)
     r = np.empty(rows, dtype=np.int64)
     idx = np.arange(rows)
-    left = np.full((len(probs), rows), k, dtype=np.int64)
+    left = np.full((len(cond), rows), k, dtype=np.int64)
     above = np.zeros(rows, dtype=np.int64)
     for j, col in enumerate(cond.T):
         # one call, box by box, for the boxes that split what they have left
         draw = np.flatnonzero((col > 0.0) & (col < 1.0))
         got = rng.binomial(left[draw], col[draw, None])
         left[draw] -= got
-        here = got.sum(axis=0) + left[col == 1.0].sum(axis=0)
+        sure = col == 1.0
+        here = got.sum(axis=0) + left[sure].sum(axis=0)
+        left[sure] = 0
         found = above + here >= rank
         if found.any():
             done = idx[found]
@@ -397,10 +409,11 @@ def semi_exact_ordinal(
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
     # the stratum table's size check runs before the prophet integral
     is_atom, los, his, probs = _level_structure(inst)
+    cond = _conditional_probs(probs)
     prophet = inst.prophet_expectation()
 
     def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
-        lvl, n_at, r = _threshold_strata(probs, k, rank, rows, rng)
+        lvl, n_at, r = _threshold_strata(cond, k, rank, rows, rng)
         out = np.empty(rows)
         for level in np.unique(lvl):
             hit = lvl == level

@@ -259,13 +259,32 @@ def test_threshold_strata_draw_has_the_multinomial_law(rank):
     _, _, _, probs = evaluation._level_structure(inst)
     assert probs.shape == (3, 5)
     law = _threshold_strata_law(probs, k, rank)
-    level, c, r = evaluation._threshold_strata(probs, k, rank, rows, np.random.default_rng(rank))
+    cond = evaluation._conditional_probs(probs)
+    level, c, r = evaluation._threshold_strata(cond, k, rank, rows, np.random.default_rng(rank))
     keys, counts = np.unique(np.stack([level, c, r], axis=1), axis=0, return_counts=True)
     seen = {tuple(int(x) for x in key): int(n) for key, n in zip(keys, counts)}
     assert set(seen) <= set(law), sorted(set(seen) - set(law))
     for key, p in law.items():
         got = seen.get(key, 0)
         assert abs(got - rows * p) <= 5.0 * math.sqrt(rows * p * (1.0 - p)), (key, got, rows * p)
+
+
+def test_threshold_strata_places_a_sure_box_once():
+    # box 1's mass below (1, 1e17) is 1e-17 of its mass there, so its
+    # conditional probability rounds to 1 in both strata it reaches; its one
+    # sample must be counted in the top stratum only. The threshold is then
+    # box 0's sample, and box 1 is taken whenever box 0 falls below it, so
+    # counting box 1's sample twice would move the value by about 1e16.
+    inst = Instance((ValueDist(((1.0, 0.0, 1.0),)), ValueDist(((1.0, 0.0, 1e17),))))
+    _, _, _, probs = evaluation._level_structure(inst)
+    cond = evaluation._conditional_probs(probs)
+    assert (cond[1] == 1.0).all()
+    level, c, r = evaluation._threshold_strata(cond, 1, 2, 4096, np.random.default_rng(0))
+    assert (level == 1).all() and (c == 1).all() and (r == 1).all()
+    semi = semi_exact_ordinal(inst, 1, 2, 4096, seed=1)
+    exact, err = exact_ordinal_value(inst, 1, 2)
+    assert semi.ci_halfwidth <= 1e-12 * semi.alg_value
+    assert semi.alg_value == pytest.approx(exact, rel=1e-12, abs=err)
 
 
 def test_semi_exact_agrees_with_mc_at_scale():
