@@ -39,7 +39,7 @@ _TAG_SEMI = 0x5345
 _TAG_DOM = 0x444F
 
 _SEMI_CHUNK = 4096
-# Array entries per Monte Carlo chunk; a replication costs about n * (k + 2).
+# Array entries per Monte Carlo chunk; a row draws n*k samples, n values, n ranks.
 _MC_CHUNK_BUDGET = 1 << 21
 # Largest pooled sample n * k a replication may draw, so that even a one-row
 # chunk stays near the chunk budget.
@@ -195,45 +195,31 @@ def _finalize_ratio(
 # -- full Monte Carlo -------------------------------------------------------------
 
 
-def _select_pooled(
-    samples: np.ndarray, sample_ranks: np.ndarray | None, pos: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per row, the entry at column `pos` of the pool sorted by (value, rank).
+def _tie_law(part: np.ndarray, thresh: np.ndarray, pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, the Beta(j, above + 1) law of the latent rank of the pick at `pos`.
 
-    Returns (value, latent rank); the rank is None when `sample_ranks` is.
-    A partition gives the value. Its samples strictly below fix how many of
-    the tied entries precede the pick, so sorting the ranks of the tied
-    entries alone finds it: the same element a full lexsort would read.
-    Overwrites `sample_ranks`.
+    Each row of `part` is partitioned at `pos`, which holds `thresh`. Of the
+    entries tied with it, j - 1 = pos - below precede it (`below` entries lie
+    strictly under it) and `above` follow it, so it is the j-th smallest of
+    j + above iid uniform ranks.
     """
-    part = np.partition(samples, pos, axis=1)
-    thresh = part[:, pos].copy()
-    if sample_ranks is None:
-        return thresh, None
-    below = np.count_nonzero(part[:, :pos] < thresh[:, None], axis=1)
-    del part
-    sample_ranks[samples != thresh[:, None]] = np.inf
-    sample_ranks.sort(axis=1)
-    return thresh, sample_ranks[np.arange(len(thresh)), pos - below]
+    col = thresh[:, None]
+    j = pos + 1 - np.count_nonzero(part[:, :pos] < col, axis=1)
+    return j, np.count_nonzero(part[:, pos + 1 :] == col, axis=1) + 1
 
 
 def _simulate_chunk(
-    inst: Instance,
-    rule: ThresholdRule,
-    k: int,
-    rows: int,
-    rng: np.random.Generator,
+    inst: Instance, rule: ThresholdRule, k: int, rows: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate `rows` replications; returns (accepted value, realized max).
 
-    Draw order is fixed per configuration: pooled samples, sample ranks,
-    values, value ranks, then any threshold rank. Latent ranks are drawn only
-    when the instance has atoms; without atoms ties are a null event.
+    Draw order is fixed per configuration: pooled samples, values, value
+    ranks, then the threshold's rank. Latent ranks are drawn only when the
+    instance has atoms; without atoms ties are a null event.
 
     An ordinal rule's threshold is the pooled entry at column n*k - rank in
-    (value, latent rank) order. `_select_pooled` finds it with a partition on
-    the values, then a sort of the latent ranks of the entries tied with the
-    threshold value, every other rank masked to inf.
+    (value, latent rank) order: a partition in place gives its value, and one
+    draw from `_tie_law` per row its latent rank, with no rank per sample.
     """
     n = inst.n
     ranked = inst.has_atoms
@@ -242,19 +228,21 @@ def _simulate_chunk(
     if rank is not None:
         if not 1 <= rank <= n * k:
             raise ValueError(f"rank {rank} outside [1, {n * k}]")
+        pos = n * k - rank
         samples = np.empty((rows, n * k))
         for i, box in enumerate(inst.boxes):
             samples[:, i * k : (i + 1) * k] = box.sample_many(rng, (rows, k))
-        sample_ranks = rng.random((rows, n * k)) if ranked else None
-
-    values = np.stack([box.sample_many(rng, rows) for box in inst.boxes], axis=1)
-    value_ranks = rng.random((rows, n)) if ranked else None
-
-    if rank is not None:
-        thresh, thresh_rank = _select_pooled(samples, sample_ranks, n * k - rank)
+        samples.partition(pos, axis=1)
+        thresh = samples[:, pos].copy()
+        if ranked:
+            law = _tie_law(samples, thresh, pos)
     else:
         thresh = np.full(rows, rule.t)
-        thresh_rank = rng.random(rows) if ranked else None
+
+    values = np.stack([box.sample_many(rng, rows) for box in inst.boxes], axis=1)
+    if ranked:
+        value_ranks = rng.random((rows, n))
+        thresh_rank = rng.random(rows) if rank is None else rng.beta(*law)
 
     out = np.zeros(rows)
     alive = np.ones(rows, dtype=bool)

@@ -182,8 +182,10 @@ def test_sample_many_matches_mixture_weights(rng):
 
 def _random_segments(rng, case: int) -> tuple:
     """Segment sets that cover atoms, zero weights (the last segment's too),
-    single segments, and 64-segment boxes."""
-    m = 1 if case % 10 == 0 else (64 if case % 10 == 1 else int(rng.integers(2, 8)))
+    single segments, 64-segment boxes, and the last segment count whose pick
+    sample_many counts and the first it searches."""
+    switch = distributions._COUNTED_BOUNDARIES + 1
+    m = {0: 1, 1: 64, 2: switch, 4: switch + 1}.get(case % 10) or int(rng.integers(2, 8))
     los = np.sort(rng.uniform(0.0, 10.0, m)) * 10.0 ** rng.integers(0, 9)
     widths = np.where(rng.random(m) < 0.4, 0.0, rng.uniform(0.0, 3.0, m))
     weights = rng.random(m) + 0.01
