@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import Instance, ValueDist
-from .stats import CountDist, binom, binom_pmf_rows, convolve, sum_of_binomials
+from .stats import CountDist, _binom_window, binom, convolve, sum_of_binomials
 
 ANCHOR = "xi"
 
@@ -337,24 +337,48 @@ class MixtureSpec:
     component_success: np.ndarray
 
 
+# build_dd_mixture adds the mixture's rows _BLOCK at a time, with one product
+# over the full-width block: a product over a column slice has other bits.
+_BLOCK = 512
+
+
 def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountDist]:
     """The ones-count mixture and its two-binomial stand-in, both on {0..4k}.
 
     The mixture draws j from Bin(3k, 1/3) and then k + Bin(k, g(j)); the
     stand-in is Bin(3k, 1/3) + Bin(k, eps), which shares its mean k(1 + eps).
+    The Bin(k, g(j)) rows go into one reused (_BLOCK, k + 1) block: a row with
+    g(j) = 0 or 1 is a single 1.0, the others are evaluated a chunk of rows at
+    a time on the chunk's own window (stats._binom_window), and a block whose
+    coefficients all underflow to 0 is skipped. Each mass has the bits of
+    building every block densely with binom_pmf_rows.
     """
     k = params.k
     coeff = binom(3 * k, ONE_THIRD)
     success = g_clamp(np.arange(3 * k + 1), params)
+    # g is nondecreasing in j: rows before first have g = 0, rows from last on g = 1
+    first = int(np.searchsorted(success, 0.0, side="right"))
+    last = int(np.searchsorted(success, 1.0))
 
     mix_masses = np.zeros(4 * k + 1)
-    block = 512
-    for start in range(0, 3 * k + 1, block):
-        stop = min(start + block, 3 * k + 1)
+    block = np.zeros((_BLOCK, k + 1))
+    for start in range(0, 3 * k + 1, _BLOCK):
+        stop = min(start + _BLOCK, 3 * k + 1)
         if not coeff.masses[start:stop].any():
             continue  # an all-zero block would add +0.0 everywhere
-        rows = binom_pmf_rows(k, success[start:stop])
+        rows = block[: stop - start]
+        zeros = min(max(first - start, 0), stop - start)
+        ones = min(max(last - start, zeros), stop - start)
+        rows[:zeros, 0] = 1.0
+        rows[ones:, k] = 1.0
+        written = []
+        if zeros < ones:
+            written = _binom_window(k, success[start + zeros : start + ones], rows[zeros:ones])
         mix_masses[k : 2 * k + 1] += coeff.masses[start:stop] @ rows
+        rows[:zeros, 0] = 0.0
+        rows[ones:, k] = 0.0
+        for a, b, lo, hi in written:
+            rows[zeros + a : zeros + b, lo:hi] = 0.0
     mix = CountDist(0, mix_masses / mix_masses.sum())
 
     star = convolve(binom(3 * k, ONE_THIRD), binom(k, params.eps))

@@ -26,6 +26,8 @@ SIZE_CAP = 1 << 22
 CONVOLVE_CAP = 1 << 30
 # np.exp rounds every argument at or below this to exactly 0.0.
 _EXP_ZERO = -745.2
+# Rows of binomial pmf evaluated together, each group on its own column window.
+_CHUNK = 32
 # ndtr is exactly 0.0 at and below the first value and 1.0 at and above the second.
 _NDTR_RANGE = (-40.0, 9.0)
 
@@ -80,39 +82,71 @@ def point_mass(value: int) -> CountDist:
     return CountDist(value, np.array([1.0]))
 
 
+def _binom_window(n: int, ps: np.ndarray, rows: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Fill the zeroed rows with the Bin(n, ps[r]) pmf, every ps[r] in (0, 1).
+
+    Rows go _CHUNK at a time, each chunk on its own window: the columns within
+    sqrt(380 n) of n * ps. Hoeffding puts the log-mass of every other column
+    below -760, so the formula there would round to exp(<= _EXP_ZERO) = 0.0
+    anyway. An entry is i log(p), then + the log binomial coefficient, then
+    + (n - i) log1p(-p), then exp if above _EXP_ZERO. The window is divided by
+    the sum of the whole zero-padded row, whose pairwise grouping sets the bits.
+    Returns the (first row, stop row, first column, stop column) of each chunk.
+    """
+    h = math.sqrt(380.0 * n)
+
+    def window(qs: np.ndarray) -> tuple[int, int]:
+        return max(0, math.floor(n * qs.min() - h)), min(n, math.ceil(n * qs.max() + h)) + 1
+
+    lo, hi = window(ps)
+    i = np.arange(lo, hi, dtype=float)
+    lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+    log_p = np.log(ps)[:, None]
+    log_q = np.log1p(-ps)[:, None]
+    # numpy's broadcast product runs several times slower into a C-contiguous
+    # block than into a column slice of a wider one, hence the spare column
+    scratch = np.empty((min(_CHUNK, len(ps)), hi - lo + 1))
+    written = []
+    for a in range(0, len(ps), _CHUNK):
+        b = min(a + _CHUNK, len(ps))
+        c, d = window(ps[a:b])
+        ic, lgc = i[c - lo : d - lo], lg[c - lo : d - lo]
+        out = rows[a:b, c:d]
+        np.multiply(ic, log_p[a:b], out=out)
+        out += lgc
+        tail = scratch[: b - a, : d - c]
+        np.multiply(n - ic, log_q[a:b], out=tail)
+        out += tail
+        live = out > _EXP_ZERO
+        np.exp(out, out=out, where=live)
+        out[~live] = 0.0
+        out /= rows[a:b].sum(axis=1, keepdims=True)
+        written.append((a, b, c, d))
+    return written
+
+
 def binom_pmf_rows(n: int, ps: np.ndarray) -> np.ndarray:
     """Row r holds the Bin(n, ps[r]) pmf over {0..n}; log-space, renormalized.
 
-    Only the columns within sqrt(380 n) of n * ps are evaluated: Hoeffding puts
-    the log-mass of every other column below -760, so the formula there would
-    round to exp(<= _EXP_ZERO) = 0.0 anyway.
+    A row with p = 0 or 1 is a single 1.0; the others are evaluated and
+    normalized on their window only (see _binom_window), in one call.
     """
     if n > SIZE_CAP:
         raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
     ps = np.asarray(ps, dtype=float)
     rows = np.zeros((len(ps), n + 1))
     interior = (ps > 0.0) & (ps < 1.0)
-    if np.any(interior):
-        pi = ps[interior][:, None]
-        h = math.sqrt(380.0 * n)
-        lo = max(0, math.floor(n * pi.min() - h))
-        hi = min(n, math.ceil(n * pi.max() + h))
-        i = np.arange(lo, hi + 1, dtype=float)
-        lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
-        in_place = interior.all()
-        out = rows[:, lo : hi + 1] if in_place else np.empty((len(pi), hi - lo + 1))
-        # lg + i log(p) + (n - i) log1p(-p), in place and in that order
-        np.multiply(i, np.log(pi), out=out)
-        out += lg
-        out += (n - i) * np.log1p(-pi)
-        live = out > _EXP_ZERO
-        np.exp(out, out=out, where=live)
-        out[~live] = 0.0
-        if not in_place:
-            rows[interior, lo : hi + 1] = out
+    if len(ps) and interior.all():
+        _binom_window(n, ps, rows)
+        return rows
+    if not np.all(interior | (ps == 0.0) | (ps == 1.0)):
+        raise ValueError("success probabilities must be in [0, 1]")
+    if interior.any():
+        part = np.zeros((np.count_nonzero(interior), n + 1))
+        _binom_window(n, ps[interior], part)
+        rows[interior] = part
     rows[ps == 0.0, 0] = 1.0
     rows[ps == 1.0, n] = 1.0
-    rows /= rows.sum(axis=1, keepdims=True)
     return rows
 
 

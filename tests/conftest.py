@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
 from prophet_samples.distributions import _gauss_nodes
@@ -189,3 +190,20 @@ def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> floa
             inner += prob_v * value
         total += prob_s * inner
     return total
+
+
+def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
+    """binom_pmf_rows without the window: the log-gamma formula on every column."""
+    ps = np.asarray(ps, dtype=float)
+    i = np.arange(n + 1, dtype=float)
+    lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
+    rows = np.zeros((len(ps), n + 1))
+    interior = (ps > 0.0) & (ps < 1.0)
+    if np.any(interior):
+        pi = ps[interior][:, None]
+        rows[interior] = np.exp(
+            lg[None, :] + i[None, :] * np.log(pi) + (n - i)[None, :] * np.log1p(-pi)
+        )
+    rows[ps == 0.0, 0] = 1.0
+    rows[ps == 1.0, n] = 1.0
+    return rows / rows.sum(axis=1, keepdims=True)

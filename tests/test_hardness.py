@@ -20,7 +20,7 @@ from prophet_samples import (
     tv_distance,
 )
 from prophet_samples import hardness
-from prophet_samples.stats import binom_pmf_rows
+from prophet_samples.stats import CountDist, _binom_window, binom
 from prophet_samples.hardness import (
     ANCHOR,
     ONE_THIRD,
@@ -37,7 +37,7 @@ from prophet_samples.hardness import (
     policy_from_json,
 )
 
-from conftest import brute_force_eval
+from conftest import brute_force_eval, dense_binom_pmf_rows
 
 
 T3 = (ANCHOR, 0, 1)
@@ -381,17 +381,45 @@ def test_build_dd_mixture_golden(k, eps, mix_digest, star_digest):
     assert (masses_digest(mix), masses_digest(star)) == (mix_digest, star_digest)
 
 
+def dense_dd_mixture_oracle(params: HardParams) -> CountDist:
+    """build_dd_mixture's mixture from dense Bin(k, g(j)) rows, 512 coefficients at a time."""
+    k = params.k
+    coeff = binom(3 * k, ONE_THIRD)
+    success = g_clamp(np.arange(3 * k + 1), params)
+    mix_masses = np.zeros(4 * k + 1)
+    for start in range(0, 3 * k + 1, 512):
+        stop = min(start + 512, 3 * k + 1)
+        if coeff.masses[start:stop].any():
+            mix_masses[k : 2 * k + 1] += coeff.masses[start:stop] @ dense_binom_pmf_rows(k, success[start:stop])
+    return CountDist(0, mix_masses / mix_masses.sum())
+
+
+# g = 1 rows (eps near 1) and chunks that mix g = 0 and interior rows, which the goldens never reach
+@pytest.mark.parametrize("eps", [0.5, 0.9, 0.99, 0.95, 0.999, 0.3, 0.05])
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 170, 512, 1365])
+def test_build_dd_mixture_bits_match_the_dense_oracle(k, eps):
+    params = HardParams(k=k, eps=eps)
+    _, mix, _ = build_dd_mixture(params)
+    assert mix.masses.tobytes() == dense_dd_mixture_oracle(params).masses.tobytes()
+
+
 def test_build_dd_mixture_skips_zero_blocks(monkeypatch):
-    blocks = []
+    evaluated = []
 
-    def counted(n, ps):
-        blocks.append(len(ps))
-        return binom_pmf_rows(n, ps)
+    def counted(n, ps, rows):
+        evaluated.extend(ps)
+        return _binom_window(n, ps, rows)
 
-    monkeypatch.setattr(hardness, "binom_pmf_rows", counted)
-    build_dd_mixture(HardParams(k=3200, eps=0.1))
-    # Bin(9600, 1/3) underflows to 0 in 11 of the 19 blocks of 512 coefficients
-    assert len(blocks) == 8
+    monkeypatch.setattr(hardness, "_binom_window", counted)
+    params = HardParams(k=3200, eps=0.1)
+    build_dd_mixture(params)
+    # Bin(9600, 1/3) underflows to 0 in 11 of the 19 blocks of 512 coefficients; of
+    # the other 8 blocks, only the rows with 0 < g(j) < 1 get a pmf evaluation
+    coeff = binom(3 * 3200, ONE_THIRD).masses
+    live = [b for b in range(19) if coeff[512 * b : 512 * (b + 1)].any()]
+    assert len(live) == 8
+    success = np.concatenate([g_clamp(np.arange(512 * b, 512 * (b + 1)), params) for b in live])
+    assert np.array_equal(evaluated, success[(success > 0.0) & (success < 1.0)])
 
 
 def test_build_dd_mixture_mean_gap_bound():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, ndtr
+from scipy.special import ndtr
 
 from prophet_samples import (
     CountDist,
@@ -20,6 +20,9 @@ from prophet_samples import (
 from prophet_samples import stats
 from prophet_samples.hardness import ProbVector, ones_count_dist
 from prophet_samples.stats import SIZE_CAP, _normal_bin_masses, binom_pmf_rows, point_mass
+
+from conftest import dense_binom_pmf_rows
+
 
 @st.composite
 def count_dists(draw, max_len: int = 8, max_offset: int = 5) -> CountDist:
@@ -152,23 +155,6 @@ def test_sum_of_binomials_bounds_the_fold_before_building_rows(monkeypatch):
 # -- windowed kernels against their dense formulas -----------------------------------
 
 
-def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
-    """binom_pmf_rows without the window: the log-gamma formula on every column."""
-    ps = np.asarray(ps, dtype=float)
-    i = np.arange(n + 1, dtype=float)
-    lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
-    rows = np.zeros((len(ps), n + 1))
-    interior = (ps > 0.0) & (ps < 1.0)
-    if np.any(interior):
-        pi = ps[interior][:, None]
-        rows[interior] = np.exp(
-            lg[None, :] + i[None, :] * np.log(pi) + (n - i)[None, :] * np.log1p(-pi)
-        )
-    rows[ps == 0.0, 0] = 1.0
-    rows[ps == 1.0, n] = 1.0
-    return rows / rows.sum(axis=1, keepdims=True)
-
-
 def dense_normal_bin_masses(spec: NormalSpec, lo: int, hi: int) -> np.ndarray:
     """_normal_bin_masses with ndtr evaluated at every edge."""
     edges = np.arange(lo, hi + 2, dtype=float) - 0.5
@@ -205,6 +191,23 @@ def test_binom_pmf_rows_blocks_match_the_dense_formula_bit_for_bit(n):
     ramp = np.clip(np.linspace(-0.1, 1.1, 37), 0.0, 1.0)  # degenerate rows at both ends
     for ps in (GRID_PS, interior, ramp, [0.0, 1.0], [0.3]):
         assert_same_bits(binom_pmf_rows(n, ps), dense_binom_pmf_rows(n, ps))
+
+
+def test_binom_pmf_rows_matches_the_dense_formula_on_random_draws():
+    # up to 80 rows, so several chunks of stats._CHUNK rows, some of them p = 0 or 1
+    rng = np.random.default_rng(1717)
+    for _ in range(200):
+        n = int(rng.integers(0, 3001))
+        ps = rng.random(int(rng.integers(1, 81))) ** rng.choice([1, 4, 12])
+        ps[rng.random(len(ps)) < 0.15] = 0.0
+        ps[rng.random(len(ps)) < 0.15] = 1.0
+        assert_same_bits(binom_pmf_rows(n, ps), dense_binom_pmf_rows(n, ps))
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+def test_binom_pmf_rows_rejects_probabilities_outside_the_unit_interval(bad):
+    with pytest.raises(ValueError, match="in \\[0, 1\\]"):
+        binom_pmf_rows(5, [0.5, bad])
 
 
 @pytest.mark.parametrize(
