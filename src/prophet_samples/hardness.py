@@ -381,7 +381,7 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
             rows[zeros + a : zeros + b, lo:hi] = 0.0
     mix = CountDist(0, mix_masses / mix_masses.sum())
 
-    star = convolve(binom(3 * k, ONE_THIRD), binom(k, params.eps))
+    star = convolve(coeff, binom(k, params.eps))
     star_masses = np.zeros(4 * k + 1)
     star_masses[star.offset : star.offset + len(star.masses)] = star.masses
     star_full = CountDist(0, star_masses)

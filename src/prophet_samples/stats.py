@@ -105,7 +105,7 @@ def _binom_window(n: int, ps: np.ndarray, rows: np.ndarray) -> list[tuple[int, i
     log_q = np.log1p(-ps)[:, None]
     # numpy's broadcast product runs several times slower into a C-contiguous
     # block than into a column slice of a wider one, hence the spare column
-    scratch = np.empty((min(_CHUNK, len(ps)), hi - lo + 1))
+    tails = np.empty((min(_CHUNK, len(ps)), hi - lo + 1))
     written = []
     for a in range(0, len(ps), _CHUNK):
         b = min(a + _CHUNK, len(ps))
@@ -114,7 +114,7 @@ def _binom_window(n: int, ps: np.ndarray, rows: np.ndarray) -> list[tuple[int, i
         out = rows[a:b, c:d]
         np.multiply(ic, log_p[a:b], out=out)
         out += lgc
-        tail = scratch[: b - a, : d - c]
+        tail = tails[: b - a, : d - c]
         np.multiply(n - ic, log_q[a:b], out=tail)
         out += tail
         live = out > _EXP_ZERO
@@ -128,8 +128,9 @@ def _binom_window(n: int, ps: np.ndarray, rows: np.ndarray) -> list[tuple[int, i
 def binom_pmf_rows(n: int, ps: np.ndarray) -> np.ndarray:
     """Row r holds the Bin(n, ps[r]) pmf over {0..n}; log-space, renormalized.
 
-    A row with p = 0 or 1 is a single 1.0; the others are evaluated and
-    normalized on their window only (see _binom_window), in one call.
+    A row with p = 0 or 1 is a single 1.0; the others go through
+    _binom_window, which evaluates and divides only each chunk's window.
+    A p outside [0, 1] raises ValueError.
     """
     if n > SIZE_CAP:
         raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
