@@ -9,12 +9,11 @@ a single output bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import gammaln
@@ -48,7 +47,6 @@ MC_POOL_CAP = _MC_CHUNK_BUDGET
 # the count is bounded before any pool exists.
 MAX_THREADS = 64
 _DOM_TOL = 1e-9
-_EXACT_ENUM_CAP = 300_000
 # Largest mass an exact count window leaves out of each tail of a marginal.
 _WINDOW_TAIL = 1e-18
 # Largest error bound the exact sweep accepts, relative to the value.
@@ -529,6 +527,23 @@ def _stratum_values(inst: Instance, is_atom: bool, lo: float, hi: float, c, r) -
     return np.vecdot(moments, _stratum_polys(inst, lo, hi)[up.astype(int)])
 
 
+def _stratum_counts(probs: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+    """Per stratum of the table `probs` (_level_structure), in order, the
+    joint law of the pooled counts A above it and C inside it when each box
+    draws k samples: (mass, a, c, dropped), one entry per pair (a, c) with
+    mass > 0, and the mass the count windows left out.
+
+    The law is a fold of one windowed trinomial per box (_box_count_law).
+    """
+    for j in range(probs.shape[1]):
+        law, a0, c0, dropped = np.ones((1, 1)), 0, 0, 0.0
+        for row in probs:
+            pmf, b0, d0, lost = _box_count_law(k, row[:j].sum(), row[j], row[j + 1 :].sum())
+            law, a0, c0, dropped = _fold(law, pmf), a0 + b0, c0 + d0, dropped + lost
+        ai, ci = np.nonzero(law)
+        yield law[ai, ci], ai + a0, ci + c0, dropped
+
+
 def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple[np.ndarray, float]:
     """exact_ordinal_value at every rank, from one count law per stratum.
 
@@ -541,13 +556,8 @@ def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple
     is_atom, los, his, probs = _level_structure(inst)
     values = np.zeros(len(ranks))
     dropped = 0.0
-    for j in range(len(is_atom)):
-        law, a0, c0 = np.ones((1, 1)), 0, 0
-        for row in probs:
-            pmf, b0, d0, lost = _box_count_law(k, row[:j].sum(), row[j], row[j + 1 :].sum())
-            law, a0, c0, dropped = _fold(law, pmf), a0 + b0, c0 + d0, dropped + lost
-        ai, ci = np.nonzero(law)
-        mass, a, c = law[ai, ci], ai + a0, ci + c0
+    for j, (mass, a, c, lost) in enumerate(_stratum_counts(probs, k)):
+        dropped += lost
         # pairs (rank, count) that put the threshold in this stratum, as the
         # r-th highest of its c samples
         which, entry = np.nonzero((a < ranks[:, None]) & (ranks[:, None] <= a + c))
@@ -584,20 +594,24 @@ def _exact_selected_distribution(
 ) -> dict[float, float]:
     """Exact law of the accepted value (all-atoms instances).
 
-    Ordinal rules enumerate the k*n pooled sample draws, up to
-    _EXACT_ENUM_CAP. Each pool adds its probability to the rank law
-    (t, m + 1 - j, j) of its threshold, the j-th ranked of m samples tied at
-    t, and each distinct law is walked once. Explicit thresholds need no
-    enumeration. Returns atom -> probability; the missing mass is the
-    no-selection event.
+    Every stratum of an all-atoms instance is an atom t. An ordinal rule's
+    threshold lies on t when the pooled counts A above it and C on it
+    (_stratum_counts) satisfy A < rank <= A + C, as the r-th highest of C
+    tied samples with r = rank - A: its latent rank is Beta(C + 1 - r, r).
+    The pairs of a stratum fold into one mass-weighted vector of Beta
+    moments, and each stratum is walked once. An explicit threshold is a
+    uniform latent rank at rule.t. Returns atom -> probability; the missing
+    mass is the no-selection event. The count windows leave out at most
+    1e-18 of mass per tail for each box and stratum, which bounds the
+    absolute error of the law. Raises ValueError before allocating a count
+    window of more than stats.SIZE_CAP entries.
     """
     if not inst.is_discrete:
         raise ValueError("exact evaluation requires an all-atoms instance")
     rank = effective_rank(rule)
     dist: dict[float, float] = {}
 
-    def accumulate(t: float, alpha: int, beta: int, weight: float) -> None:
-        moments = beta_moments(alpha, beta, inst.n + 1)
+    def accumulate(t: float, moments: np.ndarray) -> None:
         for i, (box, (reach, _)) in enumerate(zip(inst.boxes, walk_terms(inst, t))):
             reach = reach[: i + 1]  # np.dot's summation order depends on the length
             for v, p in box.atoms().items():
@@ -608,42 +622,26 @@ def _exact_selected_distribution(
                     sel = poly_times_linear(reach, p, -p)
                 else:
                     continue
-                dist[v] = dist.get(v, 0.0) + weight * float(
-                    np.dot(sel, moments[: len(sel)])
-                )
+                dist[v] = dist.get(v, 0.0) + float(np.dot(sel, moments[: len(sel)]))
 
     if rank is None:
-        accumulate(rule.t, 1, 1, 1.0)
+        accumulate(rule.t, beta_moments(1, 1, inst.n + 1))
         return dist
 
-    slots = [sorted(box.atoms().items()) for box in inst.boxes for _ in range(k)]
-    combos = 1
-    for s in slots:
-        combos *= len(s)
-    if combos > _EXACT_ENUM_CAP:
-        raise ValueError(f"{combos} sample combinations exceed the enumeration cap")
-    if not 1 <= rank <= len(slots):
-        raise ValueError(f"rank {rank} outside [1, {len(slots)}]")
-    laws: dict[tuple[float, int, int], float] = {}
-    for combo in itertools.product(*slots):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        pool = sorted((v for v, _ in combo), reverse=True)
-        t = pool[rank - 1]
-        gt = sum(1 for v in pool if v > t)
-        m = sum(1 for v in pool if v == t)
-        j = rank - gt
-        law = (t, m + 1 - j, j)
-        laws[law] = laws.get(law, 0.0) + prob
-    for law, weight in laws.items():
-        accumulate(*law, weight)
+    if not 1 <= rank <= inst.n * k:
+        raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
+    _, los, _, probs = _level_structure(inst)
+    for t, (mass, a, c, _) in zip(los, _stratum_counts(probs, k)):
+        hit = (a < rank) & (rank <= a + c)
+        if hit.any():
+            r = rank - a[hit]
+            accumulate(float(t), mass[hit] @ beta_moments(c[hit] + 1 - r, r, inst.n + 1))
     return dist
 
 
 def exact_single_sample_value(inst: Instance) -> float:
     """Exact value of the max-sample rule with one sample per box: the mean
-    of the exact selected law, for any all-atoms instance under the cap."""
+    of the exact selected law, for any all-atoms instance."""
     selected = _exact_selected_distribution(inst, MaxSample(), 1)
     return math.fsum(v * p for v, p in selected.items())
 
@@ -660,7 +658,8 @@ def dominance_check(
 ) -> DominanceReport:
     """Verify Pr[ALG >= x] >= gamma * Pr[max >= x] across a value grid.
 
-    Exact mode enumerates all-atoms instances; mc mode compares empirical
+    Exact mode takes the tails of the exact selected law on all-atoms
+    instances (_exact_selected_distribution); mc mode compares empirical
     tails on the breakpoint/midpoint grid. Grid points where the prophet tail
     vanishes are excluded.
     """

@@ -209,8 +209,8 @@ _BAD_INPUTS = [
     ("dominance-rank-above-pool", "dominance",
      {"instances": [INSTANCE_A], "rule": {"rule": "ordinal", "rank": 9}, "k": 2, "gamma": 0.5},
      {}, "rule.rank"),
-    ("dominance-enumeration-cap", "dominance",
-     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 40, "gamma": 0.5},
+    ("dominance-count-window-cap", "dominance",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1_000_000, "gamma": 0.5},
      {}, "instances[0]"),
     ("dominance-exact-interval", "dominance",
      {"instances": [{"boxes": [{"segments": [[1.0, 0.0, 1.0]]}]}], "rule": {"rule": "max_sample"},

@@ -44,6 +44,7 @@ from prophet_samples.evaluation import (
     diagnostics_sandwich_sweep,
     random_mixture_instance,
 )
+from prophet_samples.stats import SIZE_CAP
 
 from conftest import random_discrete_instance, scalar_level_structure, set_up_oracle_instances
 
@@ -598,7 +599,9 @@ def test_exact_ordinal_value_matches_enumeration_on_atoms():
         inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
         k = int(rng.integers(1, 4))
         rank = int(rng.integers(1, inst.n * k + 1))
-        selected = _exact_selected_distribution(inst, OrdinalRank(rank), k)
+        # the selected-value law shares the count folds, so the reference is
+        # the per-pool enumeration
+        selected = per_pool_selected_distribution(inst, OrdinalRank(rank), k)
         want = math.fsum(v * p for v, p in selected.items())
         got, err = exact_ordinal_value(inst, k, rank)
         assert got == pytest.approx(want, rel=0.0, abs=1e-12)
@@ -711,13 +714,33 @@ def test_exact_single_sample_rejects_continuous():
         exact_single_sample_value(Instance((ValueDist.uniform(0, 1),)))
 
 
-def test_exact_single_sample_rejects_large():
+def test_exact_single_sample_large_pool_and_count_cap():
     # the max sample is always 6; the last box ties it and wins half the time
     boxes = tuple(ValueDist.discrete({float(i): 1.0}) for i in range(7))
     assert exact_single_sample_value(Instance(boxes)) == 3.0
     wide = ValueDist.discrete({0.0: 0.25, 1.0: 0.25, 2.0: 0.25, 3.0: 0.25})
-    with pytest.raises(ValueError, match="enumeration cap"):
-        exact_single_sample_value(Instance((wide,) * 10))  # 4^10 pools
+    inst = Instance((wide,) * 10)  # 4^10 sample pools
+    want, err = exact_ordinal_value(inst, 1, 1)
+    assert err == 0.0
+    assert exact_single_sample_value(inst) == pytest.approx(want, rel=1e-15, abs=0.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"n = {SIZE_CAP + 1} exceeds the cap"):
+            _exact_selected_distribution(inst, MaxSample(), SIZE_CAP + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_exact_single_sample_is_the_rank_one_ordinal_value():
+    # two walks over the same count folds: the selected law's mean, and the
+    # tie-law value of the rank-1 threshold
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        inst = random_discrete_instance(rng)
+        want, _ = exact_ordinal_value(inst, 1, 1)
+        assert exact_single_sample_value(inst) == pytest.approx(want, rel=1e-15, abs=0.0), inst
 
 
 def per_pool_selected_distribution(inst, rule, k):
@@ -756,14 +779,25 @@ def per_pool_selected_distribution(inst, rule, k):
 
 
 def test_grouped_laws_match_per_pool_walk(rng):
+    checked = 0
     for _ in range(20):
         inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
-        for rule, k in ((OrdinalRank(2), 2), (MaxSample(), 1)):
-            got = _exact_selected_distribution(inst, rule, k)
-            want = per_pool_selected_distribution(inst, rule, k)
-            assert got.keys() == want.keys()
-            for v, p in want.items():
-                assert abs(got[v] - p) <= 1e-12 * abs(p)
+        pools = math.prod(len(box.atoms()) for box in inst.boxes)
+        for k in (1, 2, 3):
+            if pools**k > 750:  # the oracle walks every pool once per rank
+                continue
+            for rule in (MaxSample(), *(OrdinalRank(r) for r in range(2, inst.n * k + 1))):
+                got = _exact_selected_distribution(inst, rule, k)
+                want = per_pool_selected_distribution(inst, rule, k)
+                assert got.keys() == want.keys()
+                # at k = 3 two count laws that spread along both axes fold
+                # through the FFT, whose rounding is absolute: measured 6.3e-19
+                # on a mass of 3.4e-8, 1.9e-11 relative
+                slack = 1e-17 if k == 3 else 0.0
+                for v, p in want.items():
+                    assert abs(got[v] - p) <= 1e-12 * abs(p) + slack, (k, rule, v)
+                checked += k == 3
+    assert checked >= 20
 
 
 def quad_selected_distribution_oracle(inst, k):
@@ -857,6 +891,45 @@ def test_dominance_exact_random_corpus(rng):
         inst = random_discrete_instance(rng)
         report = dominance_check(inst, MaxSample(), 1, 0.5, mode="exact")
         assert report.worst_ratio >= 0.5 - 1e-9, inst
+
+
+def _eight_atom_instance():
+    """Three boxes of eight atoms each, on values shared across boxes."""
+    rng = np.random.default_rng(20261019)
+    pool = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
+    boxes = []
+    for _ in range(3):
+        w = rng.random(8) + 0.05
+        boxes.append(ValueDist(tuple((p, v, v) for p, v in zip(w / w.sum(), rng.choice(pool, 8, replace=False)))))
+    return Instance(tuple(boxes))
+
+
+@pytest.mark.parametrize("k", [2, 10, 100, 1000])
+def test_max_sample_accepts_with_chance_one_over_k_plus_one(instance_a, k):
+    # each box's value and its k samples are iid, so the largest of all the
+    # draws (ties broken by latent rank) is a value with chance 1/(k + 1), and
+    # the rule accepts exactly then. Measured error at k = 1000: 2.0e-13
+    # relative on instance A, 7e-14 on the eight-atom instance; it grows with
+    # k from the log-gamma binomial pmf (3e-12 at k = 1e4), so 1e-12 leaves
+    # room at k <= 1000
+    rng = np.random.default_rng(k)
+    insts = [instance_a, _eight_atom_instance()]
+    insts += [random_discrete_instance(rng, max_boxes=3) for _ in range(3 if k < 1000 else 1)]
+    for inst in insts:
+        selected = _exact_selected_distribution(inst, MaxSample(), k)
+        assert math.fsum(selected.values()) == pytest.approx(1.0 / (k + 1), rel=1e-12, abs=0.0), inst
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 10, 100, 1000])
+def test_dominance_instance_a_max_sample_worst_ratio(instance_a, k):
+    # above x = 1 only a value of 2 counts, and the rule accepts any value 2
+    # its samples do not beat, so the worst tail is at x = 1 from k = 2 on:
+    # Pr[ALG >= 1] = 1/(k + 1) against Pr[max >= 1] = 1. Tolerance as in the
+    # test above
+    report = dominance_check(instance_a, MaxSample(), k, 0.5, mode="exact")
+    assert report.worst_x == (2.0 if k == 1 else 1.0)
+    assert report.worst_ratio == pytest.approx(1.0 / (k + 1), rel=1e-12, abs=0.0)
+    assert report.passed == (k == 1)
 
 
 def test_dominance_single_deterministic_box():

@@ -34,6 +34,7 @@ STABLE_ARTIFACTS = (
     "eval_instance_a.csv",
     "eval_semi_exact.csv",
     "dominance_corpus.csv",
+    "dominance_max_sample_k100.csv",
     "ordinal_sweep_10k.csv",
     "hardness_k400.json",
     "stats_check.json",
@@ -46,6 +47,6 @@ def test_run_benchmarks_regenerates_stable_artifacts_byte_for_byte(tmp_path):
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    assert len([line for line in proc.stderr.splitlines() if line.startswith("time ")]) == 8
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("time ")]) == 9
     for name in STABLE_ARTIFACTS:
         assert (tmp_path / name).read_bytes() == (ROOT / "results" / name).read_bytes(), name
