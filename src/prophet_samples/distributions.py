@@ -25,9 +25,10 @@ _GRID_BUDGET = 1 << 15
 # of its (interval, node) grid. 600 boxes, 2.2e8 entries, take 1.5 s on 2 x86-64 cores.
 PROPHET_CDF_CAP = 1 << 28
 # Most CDF boundaries (segments - 1) whose segment pick sample_many counts in
-# uint8. Per (5140, 100) block, one per thread on 2 x86-64 cores, counting took
-# 18.7 ms at 1 boundary, 36.6 at 63 and 57.8 at 127, searchsorted 25.9, 52.9 and
-# 59.9 ms; at 159 boundaries searchsorted won, 65.9 ms against 69.0.
+# uint8. Per (5140, 100) block on PCG64DXSM, one per thread on 2 x86-64 cores,
+# best of 15, counting took 15.8 ms at 1 boundary, 23.3 at 63 and 39.2 at 127,
+# searchsorted 27.2, 34.2 and 39.6 ms; at 143 and 159 boundaries searchsorted
+# won, 38.0 ms against 41.0 and 41.6 against 43.6.
 _COUNTED_BOUNDARIES = 127
 
 

@@ -2,9 +2,9 @@
 
 Monte Carlo runs are deterministic for a fixed (seed, reps) pair at any worker
 count: replications are grouped into fixed-size chunks, each chunk draws from
-its own counter-based Philox substream keyed by (seed, purpose, chunk index),
-and aggregation uses exact compensated summation, so scheduling cannot change
-a single output bit.
+its own PCG64DXSM substream keyed by (seed, purpose, chunk index), and
+aggregation uses exact compensated summation, so scheduling cannot change a
+single output bit.
 """
 
 from __future__ import annotations
@@ -69,8 +69,14 @@ def derive_seed(seed: int, *tags: int) -> int:
 
 
 def _substream(seed: int, tag: int, chunk: int) -> np.random.Generator:
-    bitgen = np.random.Philox(counter=[0, 0, chunk, 0], key=[seed & _MASK64, tag])
-    return np.random.Generator(bitgen)
+    """The PCG64DXSM stream of chunk `chunk` for purpose `tag` under `seed`.
+
+    SeedSequence hashes the 64-bit seed with spawn key (tag, chunk), numpy's
+    way to key independent parallel streams, so each (seed, tag, chunk)
+    names one fixed stream whatever the worker count.
+    """
+    seq = np.random.SeedSequence(seed & _MASK64, spawn_key=(tag, chunk))
+    return np.random.Generator(np.random.PCG64DXSM(seq))
 
 
 def _mc_chunk_size(n: int, k: int) -> int:

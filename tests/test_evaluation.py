@@ -36,9 +36,11 @@ from prophet_samples.evaluation import (
     CASE2_MAX_K,
     MAX_THREADS,
     MC_POOL_CAP,
+    _TAG_MC,
     _exact_selected_distribution,
     _map_chunks,
     _mc_chunk_size,
+    _substream,
     _tie_law,
     derive_seed,
     diagnostics_sandwich_sweep,
@@ -134,6 +136,22 @@ def test_map_chunks_rejects_threads_above_cap_before_any_pool():
     with pytest.raises(ValueError, match="threads"):
         _map_chunks(lambda rows, rng: rows, 10, 1, seed=1, tag=1, threads=MAX_THREADS + 1)
     assert threading.active_count() == active
+
+
+def _draws(seed, tag, chunk):
+    return _substream(seed, tag, chunk).random(1000).view(np.uint64)
+
+
+def test_substream_is_a_fixed_stream_per_seed_tag_and_chunk():
+    base = (20261019, _TAG_MC, 3)
+    assert (_draws(*base) == _draws(*base)).all()
+    seed, tag, chunk = base
+    others = [(seed + 1, tag, chunk), (seed + (1 << 32), tag, chunk), (seed, tag + 1, chunk),
+              (seed, tag, chunk + 1), (seed, chunk, tag)]
+    for other in others:
+        assert (_draws(*other) != _draws(*base)).any(), other
+    # the seed is taken mod 2^64, all 64 bits of it, so -1 names the stream of 2^64 - 1
+    assert (_draws(-1, tag, chunk) == _draws((1 << 64) - 1, tag, chunk)).all()
 
 
 def test_mc_ratio_seed_sensitivity(instance_a):
@@ -322,13 +340,15 @@ def _heavy_atom_mixtures():
 @pytest.mark.parametrize(
     "which, rank, reps, threads, alg_hex, ci_hex",
     [
-        # recorded from the top-down conditional binomial count draw.
+        # recorded from the top-down conditional binomial count draw on the
+        # PCG64DXSM substreams.
         # The rank lands on the heavy atom at 1.0 in nearly every replication
-        (0, 220, 1000, 1, "0x1.475ca321bec64p+0", "0x1.72d8e9d1103e8p-11"),
-        (1, 380, 1000, 1, "0x1.4f2fd2ed43dacp+0", "0x1.462e01cbcd8e6p-10"),
+        (0, 220, 1000, 1, "0x1.4756770c33d2dp+0", "0x1.6add2c73c8769p-11"),
+        (1, 380, 1000, 1, "0x1.4ede710bc7714p+0", "0x1.4605c67cdf078p-10"),
         # the rank straddles the atom at 2.0 and the interval below; three chunks
-        (1, 120, 10_000, 2, "0x1.2478bd5772a66p+0", "0x1.02e37ff8e5f86p-10"),
+        (1, 120, 10_000, 2, "0x1.24850055ba8bbp+0", "0x1.01dab35069c9bp-10"),
     ],
+    ids=["two-rank220", "three-rank380", "three-rank120-threads2"],
 )
 def test_semi_exact_atom_path_golden(which, rank, reps, threads, alg_hex, ci_hex):
     # alg bits recorded from the per-key evaluator, which batching by atom level
@@ -368,24 +388,25 @@ def _mc_golden_instances():
         # heavy-atom mixture, n = 3, k = 100: ranks 1, ceil(rho k - k^(2/3)) = 36
         # and n k; 8000 replications are two chunks
         ("heavy", OrdinalRank(1), 100, 8000,
-         "0x1.149f0f220db7ap-5", "0x1.c4244269b628bp-8", "0x1.289f6d59dfb2fp-6"),
+         "0x1.da5b2da1ad8ecp-6", "0x1.a313d0afa29f9p-8", "0x1.fca7b1e4c8f9dp-7"),
         ("heavy", OrdinalRank(36), 100, 8000,
-         "0x1.ab2749306e202p-1", "0x1.a824d80cdae56p-6", "0x1.ca0a0fea6c983p-2"),
+         "0x1.b4af1f53cc011p-1", "0x1.a8dcd63afb470p-6", "0x1.d442505fa6b17p-2"),
         ("heavy", OrdinalRank(300), 100, 8000,
-         "0x1.00b395036cf3dp+0", "0x1.00f29a7c73067p-7", "0x1.134339eee4f5cp-1"),
+         "0x1.ff5370d221760p-1", "0x1.0366b9e3631f0p-7", "0x1.122624205e316p-1"),
         ("free", OrdinalRank(36), 100, 8000,
-         "0x1.d71d2f990980ep-1", "0x1.d5fdf318c3486p-6", "0x1.a7e73baf1cc43p-2"),
+         "0x1.cbd0ec20a148ep-1", "0x1.d3b967b90f188p-6", "0x1.9dbcce4e6dbb0p-2"),
         # max sample at k = 1; 150000 replications are three chunks
         ("a", MaxSample(), 1, 150_000,
-         "0x1.816fe01b16952p-1", "0x1.137b828e536bep-8", "0x1.00f540120f0e1p-1"),
+         "0x1.7e6e0bbdeaf95p-1", "0x1.12dd53afb119ep-8", "0x1.fde80fa7e3f71p-2"),
         ("ties", MaxSample(), 1, 150_000,
-         "0x1.e33c60029f16bp-1", "0x1.41b9d209d8640p-8", "0x1.0df6d2f497cdbp-1"),
+         "0x1.e50e1e1789d11p-1", "0x1.41c947bacae8dp-8", "0x1.0efb03f08beb7p-1"),
     ],
+    ids=["heavy-rank1", "heavy-rank36", "heavy-rank300", "free-rank36", "a-max", "ties-max"],
 )
 def test_mc_pool_path_golden(which, rule, k, reps, alg_hex, ci_hex, ratio_hex, threads):
-    # alg and ratio bits recorded from the partition selection and one Beta draw
-    # per row for the threshold's latent rank; ci bits from the per-chunk
-    # (sum, M2) merge
+    # alg and ratio bits recorded on the PCG64DXSM substreams from the partition
+    # selection and one Beta draw per row for the threshold's latent rank; ci
+    # bits from the per-chunk (sum, M2) merge
     inst = _mc_golden_instances()[which]
     report = mc_ratio(inst, rule, k, reps, seed=23, threads=threads)
     assert report.alg_value.hex() == alg_hex
@@ -407,8 +428,8 @@ def test_mc_pool_path_golden_dominance(threads):
     inst = _mc_golden_instances()["a"]
     report = dominance_check(inst, MaxSample(), 1, 0.5, mode="mc", reps=150_000, seed=29, threads=threads)
     # the exact ratio is 1/2 at both x = 1 and x = 2, so sampling noise picks worst_x
-    assert report.worst_x == 1.0
-    assert report.worst_ratio.hex() == "0x1.ffe409b89ed0dp-2"
+    assert report.worst_x == 2.0
+    assert report.worst_ratio.hex() == "0x1.fff20d3d6eaffp-2"
 
 
 def test_exact_selected_law_golden_many_boxes():
