@@ -4,11 +4,15 @@
 Usage: python scripts/run_benchmarks.py [--threads N] [--out-dir DIR]
 
 --out-dir writes the artifacts elsewhere (default results/), so a
-regeneration can be compared with the committed files. Each manifest's wall
-time is printed to stderr as `time <command> <manifest> <seconds> s`.
+regeneration can be compared with the committed files; a relative --out-dir
+is taken from the current directory. The manifests run from the repository
+root, since they name their instance files relative to it, so the script
+works from any directory. Each manifest's wall time is printed to stderr as
+`time <command> <manifest> <seconds> s`.
 """
 
 import argparse
+import os
 import sys
 import time
 from pathlib import Path
@@ -37,8 +41,9 @@ def main() -> int:
     parser.add_argument("--out-dir", type=Path, default=ROOT / "results")
     args = parser.parse_args()
 
-    results = args.out_dir
+    results = args.out_dir.resolve()
     results.mkdir(parents=True, exist_ok=True)
+    os.chdir(ROOT)
     for command, manifest, artifact in MANIFESTS:
         argv = [
             command,

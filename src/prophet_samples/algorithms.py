@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -129,61 +129,50 @@ def beta_moments(alpha, beta, upto: int) -> np.ndarray:
     return out
 
 
-def poly_times_linear(poly: np.ndarray, a, b) -> np.ndarray:
-    """Coefficients of poly(u) * (a + b * u), one degree up, lowest first.
+def walk_reach(stays: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Pr[the walk reaches each box], box by box in arrival order.
 
-    Each coefficient is a sum of at most two products, formed as np.convolve
-    forms it, so batching thresholds along the trailing axes moves no bits.
+    stays[i] is the linear polynomial Pr[the walk stays past box i] in the
+    threshold's position variable, lowest coefficient first. Box i's reach is
+    the product of the earlier stays, formed by np.convolve, so it has
+    degree i.
     """
-    out = np.empty((len(poly) + 1,) + poly.shape[1:])
-    out[0] = poly[0] * a
-    out[1:-1] = poly[1:] * a + poly[:-1] * b
-    out[-1] = poly[-1] * b
-    return out
+    reach = np.ones(1)
+    for stay in stays:
+        yield reach
+        reach = np.convolve(reach, stay)
 
 
-def walk_terms(inst: Instance, ts) -> Iterator[tuple[np.ndarray, np.ndarray | float]]:
-    """The static-threshold walk at every threshold in ts, box by box.
+def walk_value(stays: Sequence[np.ndarray], pays: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The walk value sum_i reach_i * pays[i] as `size` coefficients, lowest first.
 
-    Yields (reach, mass) for each box in arrival order: reach holds
-    Pr[the walk reaches the box] as a polynomial in the threshold's latent
-    rank quantile u, lowest coefficient first, shape (d + 1,) + ts.shape, and
-    mass is the box's atom mass at ts. The walk stays past a box with
-    probability Pr[v < t] + Pr[v = t] * u. The degree d is n when some
-    threshold sits on an atom of the instance. Otherwise d is 0, mass is 0
-    and reach is the product of the earlier boxes' CDFs; an instance without
-    atoms is never asked for its atom masses.
+    pays[i] is box i's expected payment, given that the walk reaches it, as a
+    polynomial in the same variable as the stays; the boxes are summed in
+    arrival order.
     """
-    ts = np.asarray(ts, dtype=float)
-    masses = [box.mass_at(ts) for box in inst.boxes] if inst.has_atoms else None
-    if masses is None or not any(np.any(m > 0.0) for m in masses):
-        reach = np.ones((1,) + ts.shape)
-        for box in inst.boxes:
-            yield reach, 0.0
-            reach = reach * box.cdf(ts)
-        return
-    reach = np.zeros((inst.n + 1,) + ts.shape)
-    reach[0] = 1.0
-    for box, mass in zip(inst.boxes, masses):
-        yield reach, mass
-        reach = poly_times_linear(reach, box.cdf(ts) - mass, mass)[:-1]
+    value = np.zeros(size)
+    for pay, reach in zip(pays, walk_reach(stays)):
+        value[: len(reach) + len(pay) - 1] += np.convolve(reach, pay)
+    return value
 
 
-def _walk_value(inst: Instance, ts) -> np.ndarray:
-    """Walk value as a polynomial in u, shaped like walk_terms' reach.
+def walk_terms(inst: Instance, t: float) -> Iterator[np.ndarray]:
+    """Per box, Pr[the walk stays past it] at threshold t as a polynomial in
+    the threshold's latent rank quantile u: Pr[v < t] + Pr[v = t] * u."""
+    for box in inst.boxes:
+        mass = box.mass_at(t)
+        yield np.array([box.cdf(t) - mass, mass])
+
+
+def _walk_value(inst: Instance, t: float) -> np.ndarray:
+    """Walk value at threshold t as a polynomial in u, of degree at most n.
 
     A box pays its strict tail, plus t * mass * (1 - u) when its value ties
     the threshold and its own fresh rank beats u.
     """
-    ts = np.asarray(ts, dtype=float)
-    acc = 0.0
-    for box, (reach, mass) in zip(inst.boxes, walk_terms(inst, ts)):
-        tail = box.tail_expectation(ts)
-        if len(reach) == 1:
-            acc = acc + reach * tail
-        else:
-            acc = acc + poly_times_linear(reach, tail + ts * mass, -ts * mass)[:-1]
-    return acc
+    stays = list(walk_terms(inst, t))
+    pays = [np.array([box.tail_expectation(t) + t * m, -t * m]) for box, (_, m) in zip(inst.boxes, stays)]
+    return walk_value(stays, pays, inst.n + 1)
 
 
 def threshold_value_with_rank_law(inst: Instance, t: float, alpha=1, beta=1):
@@ -196,26 +185,16 @@ def threshold_value_with_rank_law(inst: Instance, t: float, alpha=1, beta=1):
     Integer arrays give one value per rank law from a single polynomial;
     scalars give a float.
     """
-    moments = beta_moments(alpha, beta, inst.n)
-    poly = _walk_value(inst, t)
     # vecdot runs np.dot's kernel on each row; matmul would move the last bits
-    vals = np.vecdot(moments[..., : len(poly)], poly)
+    vals = np.vecdot(beta_moments(alpha, beta, inst.n), _walk_value(inst, t))
     return float(vals) if vals.ndim == 0 else vals
 
 
 def static_threshold_values(inst: Instance, ts: np.ndarray) -> np.ndarray:
-    """threshold_value_with_rank_law(inst, t) at every t in ts, with its bits.
-
-    A threshold on an atom gets a fresh latent rank, so a tied value wins
-    half the time. When no threshold sits on an atom this is the tie-free sum
-    alone, without any Beta moments.
-    """
-    poly = _walk_value(inst, ts)
-    if len(poly) == 1:
-        return poly[0]
-    # strided rows would move the last bits against the scalar call
-    rows = np.ascontiguousarray(np.moveaxis(poly, 0, -1))
-    return np.vecdot(beta_moments(1, 1, inst.n), rows)
+    """threshold_value_with_rank_law(inst, t) at every t in the 1-D ts: a
+    threshold on an atom gets a fresh latent rank, so a tied value wins half
+    the time."""
+    return np.array([threshold_value_with_rank_law(inst, t) for t in ts])
 
 
 # -- diagnostics ----------------------------------------------------------------

@@ -161,14 +161,23 @@ def _instance(entry: _Fields) -> Instance:
     raise _fail(entry.path, "needs one of 'boxes', 'file', or 'generator'")
 
 
-def _instances(fields: _Fields) -> list[tuple[Any, Instance]]:
+def _instance_id(entry: _Fields, pos: int) -> str | int:
+    """An instance's id in the CSV: an integer, or a string that needs no quoting."""
+    value = entry.get("id", f"instance{pos}")
+    plain = isinstance(value, str) and not any(c in value for c in ',"\r\n')
+    if not (plain or (isinstance(value, int) and not isinstance(value, bool))):
+        raise _fail(entry.name("id"), f"must be an integer or a string without , \" CR or LF, got {value!r}")
+    return value
+
+
+def _instances(fields: _Fields) -> list[tuple[str | int, Instance]]:
     entries = fields.get("instances")
     if not isinstance(entries, list) or not entries:
         raise _fail("instances", "must be a nonempty list")
     resolved = []
     for pos, obj in enumerate(entries):
         entry = _section(obj, f"instances[{pos}]")
-        inst_id, inst = entry.get("id", f"instance{pos}"), _instance(entry)
+        inst_id, inst = _instance_id(entry, pos), _instance(entry)
         if all(hi == 0.0 for box in inst.boxes for w, _, hi in box.segments if w > 0.0):
             raise _fail("instances", f"instance {inst_id!r} is 0 in every box, so its prophet value is 0")
         resolved.append((inst_id, inst))

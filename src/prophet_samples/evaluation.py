@@ -23,9 +23,10 @@ from .algorithms import (
     ThresholdRule,
     beta_moments,
     effective_rank,
-    poly_times_linear,
     threshold_value_with_rank_law,
+    walk_reach,
     walk_terms,
+    walk_value,
 )
 from .distributions import Instance, ValueDist
 from .stats import SIZE_CAP, binom_pmf_rows
@@ -499,9 +500,9 @@ def _stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
     factored as (hi - t)(hi + t) as in ValueDist.tail_expectation. The
     degree is at most n + 1.
     """
-    out = np.zeros((2, inst.n + 2))
-    for value, base, step in ((out[0], a, b - a), (out[1], b, a - b)):
-        reach = np.ones(1)
+    rows = []
+    for base, step in ((a, b - a), (b, a - b)):
+        stays, pays = [], []
         for box in inst.boxes:
             cdf, tail = np.zeros(2), np.zeros(3)
             for w, lo, hi in box.segments:
@@ -512,9 +513,10 @@ def _stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
                 else:
                     cdf += w / (hi - lo) * np.array([base - lo, step])
                     tail += (w / (2.0 * (hi - lo))) * np.convolve([hi - base, -step], [hi + base, step])
-            value[: len(reach) + 2] += np.convolve(reach, tail)
-            reach = np.convolve(reach, cdf)
-    return out
+            stays.append(cdf)
+            pays.append(tail)
+        rows.append(walk_value(stays, pays, inst.n + 2))
+    return np.array(rows)
 
 
 def _stratum_values(inst: Instance, is_atom: bool, lo: float, hi: float, c, r) -> np.ndarray:
@@ -575,7 +577,8 @@ def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple
 
 
 def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float]:
-    """Expected value of the rank-th highest sample threshold rule, and an error bound.
+    """Expected value of the rank-th highest sample threshold rule, and err,
+    a bound on the error from the mass the count windows leave out.
 
     Per stratum of _level_structure, the pooled counts A above it and C
     inside it have the joint law of a fold of one trinomial per box; the
@@ -583,10 +586,13 @@ def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float
     (rank - A)-th highest of its C samples. On an interval stratum the walk
     value is a polynomial in the threshold's position, whose Beta moments
     integrate it; on an atom the tie law does (threshold_value_with_rank_law).
-    Count windows leave out at most 1e-18 of mass per tail per box; the
-    error bound is the mass left out times sum_i E[v_i], which bounds the
-    walk value at any threshold. Raises ValueError before allocating a count
-    window of more than stats.SIZE_CAP entries.
+    Count windows leave out at most 1e-18 of mass per tail per box; err is
+    the mass left out times sum_i E[v_i], which bounds the walk value at any
+    threshold. err does not cover floating-point rounding, which can be
+    larger: on a two-box atom instance at k = 1000, err was 5.8e-17 while
+    the value was 1.4e-14 relative off an independent exact walk. Raises
+    ValueError before allocating a count window of more than stats.SIZE_CAP
+    entries.
     """
     values, err = _exact_ordinal_values(inst, k, [rank])
     return float(values[0]), err
@@ -608,9 +614,12 @@ def _exact_selected_distribution(
     moments, and each stratum is walked once. An explicit threshold is a
     uniform latent rank at rule.t. Returns atom -> probability; the missing
     mass is the no-selection event. The count windows leave out at most
-    1e-18 of mass per tail for each box and stratum, which bounds the
-    absolute error of the law. Raises ValueError before allocating a count
-    window of more than stats.SIZE_CAP entries.
+    1e-18 of mass per tail for each box and stratum. That bounds the error
+    from the windows only: a count law that spreads along both axes folds
+    through the FFT (_fold), whose rounding is absolute, about 1e-17 of the
+    unit mass, so a small selected mass can be off by much more than 1e-12
+    relative (1.9e-11 on a mass of 3.4e-8 at k = 3). Raises ValueError
+    before allocating a count window of more than stats.SIZE_CAP entries.
     """
     if not inst.is_discrete:
         raise ValueError("exact evaluation requires an all-atoms instance")
@@ -618,14 +627,13 @@ def _exact_selected_distribution(
     dist: dict[float, float] = {}
 
     def accumulate(t: float, moments: np.ndarray) -> None:
-        for i, (box, (reach, _)) in enumerate(zip(inst.boxes, walk_terms(inst, t))):
-            reach = reach[: i + 1]  # np.dot's summation order depends on the length
+        for box, reach in zip(inst.boxes, walk_reach(walk_terms(inst, t))):
             for v, p in box.atoms().items():
                 if v > t:
                     sel = reach * p
                 elif v == t:
                     # a tied value is taken when its fresh rank beats the threshold's
-                    sel = poly_times_linear(reach, p, -p)
+                    sel = np.convolve(reach, [p, -p])
                 else:
                     continue
                 dist[v] = dist.get(v, 0.0) + float(np.dot(sel, moments[: len(sel)]))

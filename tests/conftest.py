@@ -72,6 +72,84 @@ def random_discrete_instance(
             return inst
 
 
+def poly_times_linear(poly: np.ndarray, a, b) -> np.ndarray:
+    """Coefficients of poly(u) * (a + b * u), one degree up, lowest first,
+    each a sum of at most two products; batched along trailing axes."""
+    out = np.empty((len(poly) + 1,) + poly.shape[1:])
+    out[0] = poly[0] * a
+    out[1:-1] = poly[1:] * a + poly[:-1] * b
+    out[-1] = poly[-1] * b
+    return out
+
+
+def fixed_size_walk_terms(inst: Instance, ts):
+    """Reference walk at every threshold in ts: (reach, mass) per box, reach
+    padded to n + 1 coefficients along axis 0, or a tie-free degree-0 reach
+    when no threshold sits on an atom."""
+    ts = np.asarray(ts, dtype=float)
+    masses = [box.mass_at(ts) for box in inst.boxes] if inst.has_atoms else None
+    if masses is None or not any(np.any(m > 0.0) for m in masses):
+        reach = np.ones((1,) + ts.shape)
+        for box in inst.boxes:
+            yield reach, 0.0
+            reach = reach * box.cdf(ts)
+        return
+    reach = np.zeros((inst.n + 1,) + ts.shape)
+    reach[0] = 1.0
+    for box, mass in zip(inst.boxes, masses):
+        yield reach, mass
+        reach = poly_times_linear(reach, box.cdf(ts) - mass, mass)[:-1]
+
+
+def fixed_size_walk_value(inst: Instance, ts) -> np.ndarray:
+    """Reference walk value polynomial, shaped like fixed_size_walk_terms' reach."""
+    ts = np.asarray(ts, dtype=float)
+    acc = 0.0
+    for box, (reach, mass) in zip(inst.boxes, fixed_size_walk_terms(inst, ts)):
+        tail = box.tail_expectation(ts)
+        if len(reach) == 1:
+            acc = acc + reach * tail
+        else:
+            acc = acc + poly_times_linear(reach, tail + ts * mass, -ts * mass)[:-1]
+    return acc
+
+
+def loop_stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
+    """Reference interval-stratum walk polynomials, with the walk loop written out."""
+    out = np.zeros((2, inst.n + 2))
+    for value, base, step in ((out[0], a, b - a), (out[1], b, a - b)):
+        reach = np.ones(1)
+        for box in inst.boxes:
+            cdf, tail = np.zeros(2), np.zeros(3)
+            for w, lo, hi in box.segments:
+                if hi <= a:
+                    cdf[0] += w
+                elif lo >= b:
+                    tail[0] += w * (lo + hi) / 2.0
+                else:
+                    cdf += w / (hi - lo) * np.array([base - lo, step])
+                    tail += (w / (2.0 * (hi - lo))) * np.convolve([hi - base, -step], [hi + base, step])
+            value[: len(reach) + 2] += np.convolve(reach, tail)
+            reach = np.convolve(reach, cdf)
+    return out
+
+
+def fixed_size_selected_law(inst: Instance, t: float, moments: np.ndarray) -> dict[float, float]:
+    """Reference selected-value law at threshold t whose latent rank has the given moments."""
+    dist: dict[float, float] = {}
+    for i, (box, (reach, _)) in enumerate(zip(inst.boxes, fixed_size_walk_terms(inst, t))):
+        reach = reach[: i + 1]
+        for v, p in box.atoms().items():
+            if v > t:
+                sel = reach * p
+            elif v == t:
+                sel = poly_times_linear(reach, p, -p)
+            else:
+                continue
+            dist[v] = dist.get(v, 0.0) + float(np.dot(sel, moments[: len(sel)]))
+    return dist
+
+
 def scalar_prophet_expectation(inst: Instance) -> float:
     """Reference E[max_i v_i]: one product_cdf call and one Python add per interval."""
     pts = [0.0] + [p for p in inst.breakpoints() if p > 0.0]

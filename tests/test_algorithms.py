@@ -18,14 +18,31 @@ from prophet_samples import (
     threshold_value_with_rank_law,
 )
 from prophet_samples.algorithms import (
+    _walk_value,
     beta_moments,
     rule_from_config,
     rule_to_config,
     static_threshold_values,
+    walk_reach,
+    walk_terms,
 )
-from prophet_samples.evaluation import dominance_check, mc_ratio
+from prophet_samples.evaluation import (
+    _exact_selected_distribution,
+    _level_structure,
+    _stratum_polys,
+    dominance_check,
+    mc_ratio,
+    random_mixture_instance,
+)
 
-from conftest import instances, random_discrete_instance
+from conftest import (
+    fixed_size_selected_law,
+    fixed_size_walk_terms,
+    fixed_size_walk_value,
+    instances,
+    loop_stratum_polys,
+    random_discrete_instance,
+)
 
 
 def run_static_threshold(values, t: float, rng=None) -> float:
@@ -145,6 +162,63 @@ def test_vectorized_matches_scalar_on_atoms(instance_a):
         ts = np.array(inst.support_atoms() + [0.25, 1.75])
         vec = static_threshold_values(inst, ts)
         assert vec.tolist() == [threshold_value_with_rank_law(inst, t) for t in ts]
+
+
+def _shared_atom_mixture(rng) -> Instance:
+    """1 to 4 boxes of atoms and intervals whose ends come from one small pool,
+    so that several boxes tie at a threshold."""
+    pool = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+    boxes = []
+    for _ in range(int(rng.integers(1, 5))):
+        weights = rng.random(int(rng.integers(1, 4))) + 0.1
+        parts = []
+        for w in weights / weights.sum():
+            lo = float(rng.choice(pool))
+            hi = lo if rng.random() < 0.6 else lo + float(rng.choice((0.5, 1.0, 2.5)))
+            parts.append((float(w), lo, hi))
+        boxes.append(ValueDist(tuple(parts)))
+    return Instance(tuple(boxes))
+
+
+def _same_bits(got, want) -> bool:
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def test_walk_kernel_bits_match_fixed_size_oracles():
+    # the one walk kernel against the fixed-size, batched walk and the
+    # written-out stratum loop it replaced: reach and value polynomials,
+    # values under scalar and array rank laws, interval strata and the
+    # selected-value law must agree byte for byte
+    rng = np.random.default_rng(20261019)
+    alpha, beta = np.array([1, 3, 7, 40]), np.array([1, 2, 5, 3])
+    checked_ties = 0
+    for it in range(150):
+        inst = (random_mixture_instance, _shared_atom_mixture, random_discrete_instance)[it % 3](rng)
+        is_atom, los, his, _ = _level_structure(inst)
+        ts = sorted({*inst.breakpoints(), *(0.5 * (lo + hi) for lo, hi in zip(los, his)), -0.5, 7.0})
+        fresh = []  # the oracle's values under a fresh latent rank
+        for t in ts:
+            old = list(fixed_size_walk_terms(inst, t))
+            checked_ties += len(old[0][0]) > 1
+            for i, (reach, (want, _)) in enumerate(zip(walk_reach(walk_terms(inst, t)), old)):
+                assert len(reach) == i + 1
+                assert _same_bits(reach[: len(want)], want[: i + 1]), (inst, t, i)
+                assert not reach[len(want) :].any() and not want[i + 1 :].any()
+            poly, want = _walk_value(inst, t), fixed_size_walk_value(inst, t)
+            assert _same_bits(poly[: len(want)], want) and not poly[len(want) :].any(), (inst, t)
+            for a, b in ((1, 1), (alpha, beta)):
+                value = np.vecdot(beta_moments(a, b, inst.n)[..., : len(want)], want)
+                assert _same_bits(threshold_value_with_rank_law(inst, t, a, b), value), (inst, t)
+            fresh.append(np.vecdot(beta_moments(1, 1, inst.n)[: len(want)], want))
+            if inst.is_discrete:
+                got = _exact_selected_distribution(inst, ExplicitT(t), 1)
+                law = fixed_size_selected_law(inst, t, beta_moments(1, 1, inst.n + 1))
+                assert list(got) == list(law) and _same_bits(list(got.values()), list(law.values())), (inst, t)
+        assert _same_bits(static_threshold_values(inst, np.array(ts)), fresh)
+        for atom, lo, hi in zip(is_atom, los, his):
+            if not atom:
+                assert _same_bits(_stratum_polys(inst, lo, hi), loop_stratum_polys(inst, lo, hi)), (inst, lo, hi)
+    assert checked_ties > 150
 
 
 def test_rank_law_large_tie_counts():

@@ -272,6 +272,18 @@ _BAD_INPUTS = [
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "reps": 10, "seed": 1},
      {}, "reps"),
     ("stats-unread-reps", "stats-check", {"seed": 1, "reps": 20_000, "sandwich": {"probes": 1}}, {}, "reps"),
+    # an id is written into a CSV row unquoted
+    *(
+        (f"{command}-id-{name}", command,
+         {"instances": [INSTANCE_A, {**INSTANCE_A, "id": bad}], "rule": {"rule": "max_sample"}, "k": 1,
+          **({"gamma": 0.5} if command == "dominance" else {"reps": 10, "seed": 1})},
+         {}, "instances[1].id")
+        for command in ("dominance", "eval")
+        for name, bad in (
+            ("comma-newline", "a,b\nc"), ("quote", 'say "a"'), ("cr", "a\rb"), ("list", [1, 2]),
+            ("float", 1.5), ("boolean", True), ("null", None),
+        )
+    ),
 ]
 
 

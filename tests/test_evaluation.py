@@ -30,7 +30,7 @@ from prophet_samples import (
     semi_exact_ordinal,
     threshold_value_with_rank_law,
 )
-from prophet_samples.algorithms import beta_moments, effective_rank, poly_times_linear, walk_terms
+from prophet_samples.algorithms import beta_moments, effective_rank
 from prophet_samples.evaluation import (
     CASE1_MAX_K,
     CASE2_MAX_K,
@@ -774,16 +774,18 @@ def per_pool_selected_distribution(inst, rule, k):
 
     def accumulate(t, alpha, beta, weight):
         moments = beta_moments(alpha, beta, inst.n + 1)
-        for i, (box, (reach, _)) in enumerate(zip(inst.boxes, walk_terms(inst, t))):
-            reach = reach[: i + 1]
+        reach = np.ones(1)  # Pr[the walk reaches the box], a polynomial in the threshold's rank
+        for box in inst.boxes:
             for v, p in box.atoms().items():
                 if v > t:
                     sel = reach * p
                 elif v == t:
-                    sel = poly_times_linear(reach, p, -p)
+                    sel = np.convolve(reach, [p, -p])
                 else:
                     continue
                 dist[v] = dist.get(v, 0.0) + weight * float(np.dot(sel, moments[: len(sel)]))
+            mass = box.mass_at(t)
+            reach = np.convolve(reach, [box.cdf(t) - mass, mass])
 
     slots = [s for s in supports for _ in range(k)]
     for combo in itertools.product(*slots):
