@@ -268,22 +268,18 @@ def _run_dominance(fields: _Fields, threads: int) -> str:
     rule = _rule(fields)
     k = fields.integer("k", 1)
     gamma = fields.number("gamma", 0.0, 1.0)
-    mode = fields.choice("mode", ("exact", "mc"), "exact")
-    mc = mode == "mc"
-    reps = fields.integer("reps", 1) if mc else 0
-    seed = fields.integer("seed", 0, _SEED_MAX) if mc else 0
-    _check_pools(instances, rule, [k], mc)
+    fields.choice("mode", ("exact",), "exact")
+    _check_pools(instances, rule, [k], mc=False)
     fields.done()
+    # mode, reps and seed stay as columns, always exact,0,0, so the dominance
+    # CSVs keep the layout they had when a Monte Carlo mode existed
     lines = ["instance_id,rule,k,gamma,mode,worst_x,worst_ratio,passed,reps,seed"]
     for idx, (inst_id, inst) in enumerate(instances):
         with _on(f"instances[{idx}]"):
-            report = dominance_check(
-                inst, rule, k, gamma, mode=mode, reps=reps,
-                seed=derive_seed(seed, idx) if mc else 0, threads=threads,
-            )
+            report = dominance_check(inst, rule, k, gamma)
         lines.append(_csv_row(
-            inst_id, rule_to_config(rule)["rule"], k, gamma, mode,
-            report.worst_x, report.worst_ratio, report.passed, report.reps, report.seed,
+            inst_id, rule_to_config(rule)["rule"], k, gamma, "exact",
+            report.worst_x, report.worst_ratio, report.passed, 0, 0,
         ))
         print(f"dominance {inst_id}: worst={report.worst_ratio:.6f}", file=sys.stderr)
     return "\n".join(lines) + "\n"
@@ -403,7 +399,7 @@ _RUNNERS = {
 }
 # The commands that read a seed and a replication count, and so take --seed
 # and --reps.
-_SEEDED = ("eval", "dominance", "stats-check")
+_SEEDED = ("eval", "stats-check")
 
 
 def _run(args: argparse.Namespace) -> None:

@@ -89,10 +89,6 @@ class ValueDist:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_discrete(self) -> bool:
-        return all(lo == hi for _, lo, hi in self.segments)
-
     def atoms(self) -> dict[float, float]:
         """Atom value -> mass (zero-width segments only)."""
         out: dict[float, float] = {}
@@ -208,21 +204,11 @@ class Instance:
     def has_atoms(self) -> bool:
         return any(not all(lo < hi for _, lo, hi in b.segments) for b in self.boxes)
 
-    @property
-    def is_discrete(self) -> bool:
-        return all(b.is_discrete for b in self.boxes)
-
     def breakpoints(self) -> list[float]:
         pts: set[float] = set()
         for b in self.boxes:
             pts.update(b.breakpoints())
         return sorted(pts)
-
-    def support_atoms(self) -> list[float]:
-        vals: set[float] = set()
-        for b in self.boxes:
-            vals.update(b.atoms())
-        return sorted(vals)
 
     def product_cdf(self, x):
         """CDF of the maximum: product of the per-box CDFs."""

@@ -16,10 +16,9 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, betaincc, gammaln
 
 from .algorithms import (
-    MaxSample,
     ThresholdRule,
     beta_moments,
     effective_rank,
@@ -36,7 +35,6 @@ _MASK64 = (1 << 64) - 1
 # Purpose tags keep the substreams of different estimators disjoint.
 _TAG_MC = 0x4D43
 _TAG_SEMI = 0x5345
-_TAG_DOM = 0x444F
 
 _SEMI_CHUNK = 4096
 # Array entries per Monte Carlo chunk; a row draws n*k samples, n values, n ranks.
@@ -161,9 +159,6 @@ class DominanceReport:
     gamma: float
     worst_x: float
     worst_ratio: float
-    mode: str = "exact"
-    reps: int = 0
-    seed: int = 0
 
     @property
     def passed(self) -> bool:
@@ -215,8 +210,8 @@ def _tie_law(part: np.ndarray, thresh: np.ndarray, pos: int) -> tuple[np.ndarray
 
 def _simulate_chunk(
     inst: Instance, rule: ThresholdRule, k: int, rows: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate `rows` replications; returns (accepted value, realized max).
+) -> np.ndarray:
+    """Simulate `rows` replications; returns the accepted value of each (0 when none is).
 
     Draw order is fixed per configuration: pooled samples, values, value
     ranks, then the threshold's rank. Latent ranks are drawn only when the
@@ -259,7 +254,7 @@ def _simulate_chunk(
         take = alive & win
         out[take] = vi[take]
         alive &= ~take
-    return out, values.max(axis=1)
+    return out
 
 
 def mc_ratio(
@@ -275,7 +270,7 @@ def mc_ratio(
     chunk = _mc_chunk_size(inst.n, k)
 
     def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
-        accepted, _ = _simulate_chunk(inst, rule, k, rows, rng)
+        accepted = _simulate_chunk(inst, rule, k, rows, rng)
         return _chunk_moments(accepted)
 
     parts = _map_chunks(run, reps, chunk, seed, _TAG_MC, threads)
@@ -490,18 +485,19 @@ def _fold(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(np.fft.irfft2(np.fft.rfft2(x, shape) * np.fft.rfft2(y, shape), shape), 0.0)
 
 
-def _stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
-    """The walk value on the open stratum (a, b) as two polynomials, lowest first.
+def _stratum_polys(inst: Instance, a: float, b: float, tops: Sequence[bool] = (False, True)) -> np.ndarray:
+    """The walk value on the open stratum (a, b) as polynomials, lowest first,
+    one row per entry of tops.
 
-    Row 0 is in s with t = a + (b - a) s, row 1 in s with t = b - (b - a) s;
-    evaluating each near the end it expands around keeps thresholds close to
-    either end free of cancellation. No atom lies inside the stratum, so the
-    walk is tie-free: every CDF is linear in s, and each tail is quadratic,
-    factored as (hi - t)(hi + t) as in ValueDist.tail_expectation. The
-    degree is at most n + 1.
+    A row is in s with t = a + (b - a) s, or with t = b - (b - a) s where
+    tops says True; evaluating each near the end it expands around keeps
+    thresholds close to either end free of cancellation. No atom lies inside
+    the stratum, so the walk is tie-free: every CDF is linear in s, and each
+    tail is quadratic, factored as (hi - t)(hi + t) as in
+    ValueDist.tail_expectation. The degree is at most n + 1.
     """
     rows = []
-    for base, step in ((a, b - a), (b, a - b)):
+    for base, step in ((b, a - b) if top else (a, b - a) for top in tops):
         stays, pays = [], []
         for box in inst.boxes:
             cdf, tail = np.zeros(2), np.zeros(3)
@@ -526,13 +522,15 @@ def _stratum_values(inst: Instance, is_atom: bool, lo: float, hi: float, c, r) -
     On an atom the tie law integrates the walk (threshold_value_with_rank_law).
     On the interval (lo, hi) the position is Beta(c + 1 - r, r) from the
     bottom, Beta(r, c + 1 - r) from the top; its moments integrate the
-    _stratum_polys row that expands about the nearer end.
+    _stratum_polys row that expands about the nearer end, and only the rows
+    some pair uses are built.
     """
     if is_atom:
         return threshold_value_with_rank_law(inst, float(lo), alpha=c + 1 - r, beta=r)
     up = 2 * r <= c + 1
+    tops = np.unique(up)
     moments = beta_moments(np.where(up, r, c + 1 - r), np.where(up, c + 1 - r, r), inst.n + 1)
-    return np.vecdot(moments, _stratum_polys(inst, lo, hi)[up.astype(int)])
+    return np.vecdot(moments, _stratum_polys(inst, lo, hi, tops)[np.searchsorted(tops, up)])
 
 
 def _stratum_counts(probs: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
@@ -601,63 +599,70 @@ def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float
 # -- exact laws and stochastic dominance ------------------------------------------------
 
 
-def _exact_selected_distribution(
-    inst: Instance, rule: ThresholdRule, k: int
-) -> dict[float, float]:
-    """Exact law of the accepted value (all-atoms instances).
+def _exact_tails(inst: Instance, rule: ThresholdRule, k: int, grid: Sequence[float]) -> np.ndarray:
+    """Pr[ALG accepts a value >= x] at each x of `grid`, exactly, on any instance.
 
-    Every stratum of an all-atoms instance is an atom t. An ordinal rule's
-    threshold lies on t when the pooled counts A above it and C on it
-    (_stratum_counts) satisfy A < rank <= A + C, as the r-th highest of C
-    tied samples with r = rank - A: its latent rank is Beta(C + 1 - r, r).
-    The pairs of a stratum fold into one mass-weighted vector of Beta
-    moments, and each stratum is walked once. An explicit threshold is a
-    uniform latent rank at rule.t. Returns atom -> probability; the missing
-    mass is the no-selection event. The count windows leave out at most
-    1e-18 of mass per tail for each box and stratum. That bounds the error
-    from the windows only: a count law that spreads along both axes folds
-    through the FFT (_fold), whose rounding is absolute, about 1e-17 of the
-    unit mass, so a small selected mass can be off by much more than 1e-12
-    relative (1.9e-11 on a mass of 3.4e-8 at k = 3). Raises ValueError
-    before allocating a count window of more than stats.SIZE_CAP entries.
+    A box the walk reaches pays Pr[v >= x] while the threshold t lies below
+    x, and once t >= x it pays 1 - stay, the chance its value beats t. An
+    ordinal threshold lies in a stratum of _level_structure when the pooled
+    counts A above it and C inside it (_stratum_counts) satisfy A < rank <=
+    A + C, as the r-th highest of the C samples there, r = rank - A: on an
+    atom its latent rank, on an interval its position s from the bottom, is
+    Beta(C + 1 - r, r), and every stay and accept is linear in it, with the
+    box's masses above, inside and below the stratum from the stratum table.
+    On an atom t the split at x is the step 1{x > t}; on an interval (a, b)
+    t crosses x at s* = (x - a)/(b - a), which splits the Beta moments:
+    E[U^m; U <= s*] = E[U^m] betainc(alpha + m, beta, s*). An explicit
+    threshold is an atom whose one sample has a uniform latent rank. At
+    x = 0 the tail is the chance that anything is accepted.
+
+    The count windows leave out at most 1e-18 of mass per tail for each box
+    and stratum. That bounds the error from the windows only: a count law
+    that spreads along both axes folds through the FFT (_fold), whose
+    rounding is absolute, about 1e-17 of the unit mass, so a small tail can
+    be off by much more than 1e-12 relative (1.9e-11 on a mass of 3.4e-8 at
+    k = 3). Raises ValueError before allocating a count window of more than
+    stats.SIZE_CAP entries.
     """
-    if not inst.is_discrete:
-        raise ValueError("exact evaluation requires an all-atoms instance")
+    xs = np.asarray(grid, dtype=float)
+    beats = np.array([1.0 - box.cdf_left(xs) for box in inst.boxes])
+    # per stratum the threshold can reach: its ends, the stays and accepts,
+    # and the mass and Beta law of each count pair that puts it there
     rank = effective_rank(rule)
-    dist: dict[float, float] = {}
-
-    def accumulate(t: float, moments: np.ndarray) -> None:
-        for box, reach in zip(inst.boxes, walk_reach(walk_terms(inst, t))):
-            for v, p in box.atoms().items():
-                if v > t:
-                    sel = reach * p
-                elif v == t:
-                    # a tied value is taken when its fresh rank beats the threshold's
-                    sel = np.convolve(reach, [p, -p])
-                else:
-                    continue
-                dist[v] = dist.get(v, 0.0) + float(np.dot(sel, moments[: len(sel)]))
-
     if rank is None:
-        accumulate(rule.t, beta_moments(1, 1, inst.n + 1))
-        return dist
-
-    if not 1 <= rank <= inst.n * k:
+        stays = list(walk_terms(inst, rule.t))
+        one = np.ones(1, dtype=np.int64)
+        laws = [(rule.t, rule.t, stays, [np.array([1.0 - lo, -m]) for lo, m in stays], np.ones(1), one, one)]
+    elif not 1 <= rank <= inst.n * k:
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
-    _, los, _, probs = _level_structure(inst)
-    for t, (mass, a, c, _) in zip(los, _stratum_counts(probs, k)):
-        hit = (a < rank) & (rank <= a + c)
-        if hit.any():
-            r = rank - a[hit]
-            accumulate(float(t), mass[hit] @ beta_moments(c[hit] + 1 - r, r, inst.n + 1))
-    return dist
+    else:
+        _, los, his, probs = _level_structure(inst)
+        laws = []
+        for j, (mass, a, c, _) in enumerate(_stratum_counts(probs, k)):
+            hit = (a < rank) & (rank <= a + c)
+            if hit.any():
+                stays = [np.array([row[j + 1 :].sum(), row[j]]) for row in probs]
+                accepts = [np.array([row[: j + 1].sum(), -row[j]]) for row in probs]
+                laws.append((los[j], his[j], stays, accepts, mass[hit], c[hit] + a[hit] + 1 - rank, rank - a[hit]))
+    tails = np.zeros(len(xs))
+    for lo, hi, stays, accepts, mass, alpha, beta in laws:
+        # the moments of the threshold's position on t < x (below) and on t >= x (over)
+        moments = beta_moments(alpha, beta, inst.n)
+        cut = np.clip((xs - lo) / (hi - lo), 0.0, 1.0) if hi > lo else (xs > lo) * 1.0
+        below = np.where((cut == 1.0)[:, None], mass @ moments, 0.0)
+        over = np.where((cut == 0.0)[:, None], mass @ moments, 0.0)
+        shape = alpha[:, None] + np.arange(inst.n + 1), beta[:, None]
+        for g in np.flatnonzero((0.0 < cut) & (cut < 1.0)):
+            below[g] = mass @ (moments * betainc(*shape, cut[g]))
+            over[g] = mass @ (moments * betaincc(*shape, cut[g]))
+        reached = np.array([below[:, : len(r)] @ r for r in walk_reach(stays)])
+        tails += np.sum(reached * beats, axis=0) + over @ walk_value(stays, accepts, inst.n + 1)
+    return tails
 
 
 def exact_single_sample_value(inst: Instance) -> float:
-    """Exact value of the max-sample rule with one sample per box: the mean
-    of the exact selected law, for any all-atoms instance."""
-    selected = _exact_selected_distribution(inst, MaxSample(), 1)
-    return math.fsum(v * p for v, p in selected.items())
+    """Exact value of the max-sample rule with one sample per box, on any instance."""
+    return exact_ordinal_value(inst, 1, 1)[0]
 
 
 def dominance_check(
@@ -666,52 +671,28 @@ def dominance_check(
     k: int,
     gamma: float,
     mode: str = "exact",
-    reps: int = 0,
-    seed: int = 0,
-    threads: int = 1,
 ) -> DominanceReport:
     """Verify Pr[ALG >= x] >= gamma * Pr[max >= x] across a value grid.
 
-    Exact mode takes the tails of the exact selected law on all-atoms
-    instances (_exact_selected_distribution); mc mode compares empirical
-    tails on the breakpoint/midpoint grid. Grid points where the prophet tail
-    vanishes are excluded.
+    The tails are exact (_exact_tails) on any instance. The grid is the
+    positive breakpoints plus the midpoint of each interval stratum, where
+    the prophet tail is positive. mode must be "exact", the only mode.
     """
-    if mode == "exact":
-        selected = _exact_selected_distribution(inst, rule, k)
-        grid = [x for x in inst.support_atoms() if x > 0.0]
-        alg_tail = []
-        max_tail = []
-        for x in grid:
-            alg_tail.append(math.fsum(p for v, p in selected.items() if v >= x))
-            max_tail.append(inst.max_exceedance(x))
-        pairs = [
-            (x, a / m_) for x, a, m_ in zip(grid, alg_tail, max_tail) if m_ > 0.0
-        ]
-    elif mode == "mc":
-        breaks = [b for b in inst.breakpoints() if b > 0.0]
-        mids = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
-        grid = sorted(set(breaks) | set(mids))
-        gx = np.array(grid)
-        chunk = _mc_chunk_size(inst.n, k)
-
-        def run(rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-            accepted, maxima = _simulate_chunk(inst, rule, k, rows, rng)
-            alg_ge = (accepted[:, None] >= gx[None, :]).sum(axis=0)
-            max_ge = (maxima[:, None] >= gx[None, :]).sum(axis=0)
-            return alg_ge, max_ge
-
-        parts = _map_chunks(run, reps, chunk, seed, _TAG_DOM, threads)
-        alg_counts = np.sum([p[0] for p in parts], axis=0)
-        max_counts = np.sum([p[1] for p in parts], axis=0)
-        pairs = [
-            (x, float(a / m_))
-            for x, a, m_ in zip(grid, alg_counts, max_counts)
-            if m_ > 0
-        ]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    if mode != "exact":
+        raise ValueError(f"unknown mode {mode!r}; the only mode is 'exact'")
+    is_atom, los, his, _ = _level_structure(inst)
+    mids = 0.5 * (los[~is_atom] + his[~is_atom])
+    # the prophet tail is 0 above the top atom and from the top of the top
+    # interval up, where 1 - prod F can read the rounding of a weight sum
+    grid = sorted(
+        x for x in {*inst.breakpoints(), *mids.tolist()}
+        if 0.0 < x and (x <= his[0] if is_atom[0] else x < his[0])
+    )
+    pairs = [
+        (x, a / m_)
+        for x, a, m_ in zip(grid, _exact_tails(inst, rule, k, grid).tolist(), inst.max_exceedance(grid).tolist())
+        if m_ > 0.0
+    ]
     if not pairs:
         raise ValueError("no grid point has positive prophet tail")
     worst_x, worst_ratio = min(pairs, key=lambda it: (it[1], -it[0]))
@@ -719,9 +700,6 @@ def dominance_check(
         gamma=gamma,
         worst_x=worst_x,
         worst_ratio=worst_ratio,
-        mode=mode,
-        reps=reps,
-        seed=seed,
     )
 
 

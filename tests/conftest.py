@@ -68,7 +68,7 @@ def random_discrete_instance(
             weights = weights / weights.sum()
             boxes.append(ValueDist(tuple((w, v, v) for w, v in zip(weights, vals))))
         inst = Instance(tuple(boxes))
-        if max(inst.support_atoms()) > 0.0:
+        if max(inst.breakpoints()) > 0.0:
             return inst
 
 

@@ -27,7 +27,7 @@ from prophet_samples.algorithms import (
     walk_terms,
 )
 from prophet_samples.evaluation import (
-    _exact_selected_distribution,
+    _exact_tails,
     _level_structure,
     _stratum_polys,
     dominance_check,
@@ -159,7 +159,7 @@ def test_vectorized_matches_scalar_on_atoms(instance_a):
     for _ in range(20):
         # shared atoms give every box a tie mass, so the polynomials reach degree n
         inst = random_discrete_instance(rng, max_boxes=6)
-        ts = np.array(inst.support_atoms() + [0.25, 1.75])
+        ts = np.array(inst.breakpoints() + [0.25, 1.75])
         vec = static_threshold_values(inst, ts)
         assert vec.tolist() == [threshold_value_with_rank_law(inst, t) for t in ts]
 
@@ -187,8 +187,8 @@ def _same_bits(got, want) -> bool:
 def test_walk_kernel_bits_match_fixed_size_oracles():
     # the one walk kernel against the fixed-size, batched walk and the
     # written-out stratum loop it replaced: reach and value polynomials,
-    # values under scalar and array rank laws, interval strata and the
-    # selected-value law must agree byte for byte
+    # values under scalar and array rank laws and interval strata must agree
+    # byte for byte; the selected-value law's tails to rounding
     rng = np.random.default_rng(20261019)
     alpha, beta = np.array([1, 3, 7, 40]), np.array([1, 2, 5, 3])
     checked_ties = 0
@@ -210,10 +210,16 @@ def test_walk_kernel_bits_match_fixed_size_oracles():
                 value = np.vecdot(beta_moments(a, b, inst.n)[..., : len(want)], want)
                 assert _same_bits(threshold_value_with_rank_law(inst, t, a, b), value), (inst, t)
             fresh.append(np.vecdot(beta_moments(1, 1, inst.n)[: len(want)], want))
-            if inst.is_discrete:
-                got = _exact_selected_distribution(inst, ExplicitT(t), 1)
+            if all(lo == hi for box in inst.boxes for _, lo, hi in box.segments):
+                # the tails of the selected law at every atom; the two walks
+                # sum in different orders, so they agree to rounding only, and
+                # an explicit threshold accepts with 1 - stay, which keeps the
+                # rounding of the weight sum (2.2e-16 above every atom)
+                atoms = inst.breakpoints()
                 law = fixed_size_selected_law(inst, t, beta_moments(1, 1, inst.n + 1))
-                assert list(got) == list(law) and _same_bits(list(got.values()), list(law.values())), (inst, t)
+                want = [math.fsum(p for v, p in law.items() if v >= x) for x in atoms]
+                got = _exact_tails(inst, ExplicitT(t), 1, atoms)
+                assert got == pytest.approx(want, rel=1e-14, abs=1e-15), (inst, t)
         assert _same_bits(static_threshold_values(inst, np.array(ts)), fresh)
         for atom, lo, hi in zip(is_atom, los, his):
             if not atom:

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -66,6 +67,47 @@ def test_workload_library_names_resolve(module):
                 obj = getattr(obj, attr)
             checked += 1
     assert checked
+
+
+def _library_calls(tree: ast.Module, aliases: dict[str, object]):
+    """(dotted name, callable, call node) for every call of a library name
+    whose arguments can be counted: no *args and no **kwargs."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            chain.append(func.attr)
+            func = func.value
+        if not (isinstance(func, ast.Name) and func.id in aliases):
+            continue
+        obj = aliases[func.id]
+        for attr in reversed(chain):
+            obj = getattr(obj, attr, None)
+        starred = any(isinstance(a, ast.Starred) for a in node.args) or any(kw.arg is None for kw in node.keywords)
+        if callable(obj) and not starred:
+            yield ".".join([func.id, *reversed(chain)]), obj, node
+
+
+@pytest.mark.parametrize("module", _CLIENTS)
+def test_workload_library_calls_bind(module):
+    """Every library call in bench/ binds its arguments to the callee's
+    signature, so a dropped parameter fails here and not in a benchmark run."""
+    tree = ast.parse((BENCH / module).read_text(encoding="utf-8"))
+    for name, obj, call in _library_calls(tree, _library_aliases(tree)):
+        placeholders = [None] * len(call.args)
+        keywords = {kw.arg: None for kw in call.keywords}
+        try:
+            inspect.signature(obj).bind(*placeholders, **keywords)
+        except TypeError as exc:
+            pytest.fail(f"bench/{module}:{call.lineno} calls {name}: {exc}")
+
+
+def test_library_calls_include_the_pinned_keywords():
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    calls = {name: call for name, _, call in _library_calls(tree, _library_aliases(tree))}
+    assert [kw.arg for kw in calls["evaluation.dominance_check"].keywords] == ["mode"]
+    assert len(calls["evaluation.ordinal_upper_bound_sweep"].args) == 4
 
 
 def test_bench_clients_include_the_workloads():

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from prophet_samples import ValueDist, cli
+from prophet_samples import OrdinalRank, ValueDist, cli, dominance_check
+from prophet_samples.distributions import instance_from_json
 from prophet_samples.evaluation import MAX_THREADS, MC_POOL_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -166,21 +167,19 @@ def test_all_zero_instance_is_config_error(tmp_path, capsys, command):
     assert "'zero'" in err
 
 
-@pytest.mark.parametrize("command", ["eval", "dominance"])
-def test_mc_pool_above_cap_is_config_error(tmp_path, capsys, command):
+def test_mc_pool_above_cap_is_config_error(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "cap.json",
         {
-            "command": command,
+            "command": "eval",
             "instances": [INSTANCE_A],
             "rule": {"rule": "max_sample"},
             "k": MC_POOL_CAP // 2 + 1,
-            **({"gamma": 0.5, "mode": "mc"} if command == "dominance" else {}),
             "reps": 1,
             "seed": 1,
         },
     )
-    assert run_cli([command, "--config", cfg]) == 2
+    assert run_cli(["eval", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert "field 'k'" in err
     assert "internal error" not in err
@@ -212,10 +211,9 @@ _BAD_INPUTS = [
     ("dominance-count-window-cap", "dominance",
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1_000_000, "gamma": 0.5},
      {}, "instances[0]"),
-    ("dominance-exact-interval", "dominance",
-     {"instances": [{"boxes": [{"segments": [[1.0, 0.0, 1.0]]}]}], "rule": {"rule": "max_sample"},
-      "k": 1, "gamma": 0.5},
-     {}, "instances[0]"),
+    ("dominance-mode-mc", "dominance",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "mode": "mc"},
+     {}, "mode"),
     ("segment-two-numbers", "eval",
      {"instances": [{"boxes": [{"segments": [[1.0, 0.0]]}]}], "rule": {"rule": "max_sample"},
       "k": 1, "reps": 100, "seed": 1},
@@ -489,27 +487,38 @@ def test_dominance_boolean_gamma_is_config_error(tmp_path, capsys):
     assert "field 'gamma'" in capsys.readouterr().err
 
 
-def test_dominance_mc_writes_plain_numbers(tmp_path):
+def test_dominance_writes_a_mixture_row(tmp_path):
+    # one box U(0, 1), one with an atom at 1/2 and a segment U(1, 3): exact
+    # on intervals as on atoms, with mode, reps and seed written as exact,0,0
+    mixture = {"id": "mix", "boxes": [
+        {"segments": [[1.0, 0.0, 1.0]]},
+        {"segments": [[0.4, 0.5, 0.5], [0.6, 1.0, 3.0]]},
+    ]}
     cfg = write_json(
         tmp_path / "dom.json",
-        {
-            "command": "dominance",
-            "instances": [INSTANCE_A],
-            "rule": {"rule": "max_sample"},
-            "k": 1,
-            "gamma": 0.5,
-            "mode": "mc",
-            "reps": 20_000,
-            "seed": 3,
-        },
+        {"command": "dominance", "instances": [mixture], "rule": {"rule": "ordinal", "rank": 2},
+         "k": 3, "gamma": 0.5},
     )
     out = tmp_path / "dom.csv"
-    assert run_cli(["dominance", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert run_cli(["dominance", "--config", cfg, "--out", str(out)]) == 0
     header, row = out.read_text().strip().splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
-    for name in ("k", "gamma", "worst_x", "worst_ratio", "reps", "seed"):
-        float(fields[name])
-    assert fields["passed"] in ("true", "false")
+    assert (fields["instance_id"], fields["mode"], fields["reps"], fields["seed"]) == ("mix", "exact", "0", "0")
+    report = dominance_check(instance_from_json(mixture), OrdinalRank(2), 3, 0.5)
+    assert fields["worst_x"] == repr(report.worst_x) and fields["worst_ratio"] == repr(report.worst_ratio)
+    assert fields["passed"] == str(report.passed).lower()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--reps"])
+def test_dominance_has_no_seed_or_reps_flag(tmp_path, capsys, flag):
+    cfg = write_json(
+        tmp_path / "dom.json",
+        {"command": "dominance", "instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5},
+    )
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["dominance", "--config", cfg, flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_ordinal_sweep(tmp_path):

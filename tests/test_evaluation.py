@@ -37,9 +37,10 @@ from prophet_samples.evaluation import (
     MAX_THREADS,
     MC_POOL_CAP,
     _TAG_MC,
-    _exact_selected_distribution,
+    _exact_tails,
     _map_chunks,
     _mc_chunk_size,
+    _simulate_chunk,
     _substream,
     _tie_law,
     derive_seed,
@@ -423,29 +424,18 @@ def test_ci_at_spike_scale_matches_the_uniform_spread():
     assert report.ci_halfwidth == pytest.approx(want, rel=0.01)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_mc_pool_path_golden_dominance(threads):
-    inst = _mc_golden_instances()["a"]
-    report = dominance_check(inst, MaxSample(), 1, 0.5, mode="mc", reps=150_000, seed=29, threads=threads)
-    # the exact ratio is 1/2 at both x = 1 and x = 2, so sampling noise picks worst_x
-    assert report.worst_x == 2.0
-    assert report.worst_ratio.hex() == "0x1.fff20d3d6eaffp-2"
-
-
 def test_exact_selected_law_golden_many_boxes():
-    # bits recorded from the per-box convolve walk; at this many boxes np.dot's
-    # summation order changes if the reach polynomials are padded to degree n
+    # the selected law's tails at every atom, bits recorded from the walk of
+    # _exact_tails; they are the tails of the law recorded from the per-box
+    # convolve walk to within 1.4e-17
     inst = Instance(tuple(
         ValueDist.discrete({float(i % 3): (i + 1) / (2 * i + 3), float(i % 3 + 1): (i + 2) / (2 * i + 3)})
         for i in range(18)
     ))
-    got = {
-        t: {v: p.hex() for v, p in sorted(_exact_selected_distribution(inst, ExplicitT(t), 1).items())}
-        for t in (1.0, 2.0)
-    }
+    got = {t: [p.hex() for p in _exact_tails(inst, ExplicitT(t), 1, [1.0, 2.0, 3.0]).tolist()] for t in (1.0, 2.0)}
     assert got == {
-        1.0: {1.0: "0x1.c71c71c71c71cp-2", 2.0: "0x1.ddddddddddddep-2", 3.0: "0x1.6c16c16c16c16p-4"},
-        2.0: {2.0: "0x1.f17babda0ae0ep-2", 3.0: "0x1.06b879e24e35ap-1"},
+        1.0: ["0x1.0000000000000p+0", "0x1.1c71c71c71c72p-1", "0x1.6c16c16c16c17p-4"],
+        2.0: ["0x1.ff764fcf53a61p-1", "0x1.ff764fcf53a61p-1", "0x1.06b879e24e35ap-1"],
     }
 
 
@@ -546,8 +536,6 @@ def test_mc_pool_cap_rejects_before_drawing(instance_a):
         _mc_chunk_size(n, k)
     with pytest.raises(ValueError, match="cap"):
         mc_ratio(instance_a, MaxSample(), k, 1, seed=1)
-    with pytest.raises(ValueError, match="cap"):
-        dominance_check(instance_a, MaxSample(), k, 0.5, mode="mc", reps=1, seed=1)
 
 
 def test_all_zero_instance_has_no_ratio():
@@ -730,11 +718,6 @@ def test_exact_single_sample_matches_mc(rng):
         assert abs(mc.alg_value - exact) < 5 * sigma
 
 
-def test_exact_single_sample_rejects_continuous():
-    with pytest.raises(ValueError):
-        exact_single_sample_value(Instance((ValueDist.uniform(0, 1),)))
-
-
 def test_exact_single_sample_large_pool_and_count_cap():
     # the max sample is always 6; the last box ties it and wins half the time
     boxes = tuple(ValueDist.discrete({float(i): 1.0}) for i in range(7))
@@ -747,21 +730,34 @@ def test_exact_single_sample_large_pool_and_count_cap():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"n = {SIZE_CAP + 1} exceeds the cap"):
-            _exact_selected_distribution(inst, MaxSample(), SIZE_CAP + 1)
+            _exact_tails(inst, MaxSample(), SIZE_CAP + 1, [1.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1e6
 
 
+def law_tails(law, grid):
+    """The tails sum_{v >= x} law[v] of a selected-value law at each x of grid."""
+    return np.array([math.fsum(p for v, p in law.items() if v >= x) for x in grid])
+
+
+def survival_integral(inst, tails_at):
+    """E[ALG] on an all-atoms instance: the tails at the positive atoms times their gaps."""
+    xs = [x for x in inst.breakpoints() if x > 0.0]
+    return math.fsum(np.diff([0.0, *xs]) * tails_at(xs))
+
+
 def test_exact_single_sample_is_the_rank_one_ordinal_value():
-    # two walks over the same count folds: the selected law's mean, and the
-    # tie-law value of the rank-1 threshold
+    # two walks over the same count folds: the survival integral of the
+    # max-sample tails, and the tie-law value of the rank-1 threshold
     rng = np.random.default_rng(20261019)
     for _ in range(200):
         inst = random_discrete_instance(rng)
-        want, _ = exact_ordinal_value(inst, 1, 1)
-        assert exact_single_sample_value(inst) == pytest.approx(want, rel=1e-15, abs=0.0), inst
+        want = exact_single_sample_value(inst)
+        assert want == exact_ordinal_value(inst, 1, 1)[0]
+        got = survival_integral(inst, lambda xs: _exact_tails(inst, MaxSample(), 1, xs))
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), inst
 
 
 def per_pool_selected_distribution(inst, rule, k):
@@ -810,15 +806,16 @@ def test_grouped_laws_match_per_pool_walk(rng):
             if pools**k > 750:  # the oracle walks every pool once per rank
                 continue
             for rule in (MaxSample(), *(OrdinalRank(r) for r in range(2, inst.n * k + 1))):
-                got = _exact_selected_distribution(inst, rule, k)
-                want = per_pool_selected_distribution(inst, rule, k)
-                assert got.keys() == want.keys()
+                # a law's masses are the differences of its consecutive tails,
+                # so the tails at every atom pin the whole law
+                atoms = inst.breakpoints()
+                got = _exact_tails(inst, rule, k, atoms)
+                want = law_tails(per_pool_selected_distribution(inst, rule, k), atoms)
                 # at k = 3 two count laws that spread along both axes fold
                 # through the FFT, whose rounding is absolute: measured 6.3e-19
                 # on a mass of 3.4e-8, 1.9e-11 relative
                 slack = 1e-17 if k == 3 else 0.0
-                for v, p in want.items():
-                    assert abs(got[v] - p) <= 1e-12 * abs(p) + slack, (k, rule, v)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + slack), (k, rule, got - want)
                 checked += k == 3
     assert checked >= 20
 
@@ -870,11 +867,10 @@ def quad_selected_distribution_oracle(inst, k):
 def test_selected_distribution_matches_quadrature_oracle(rng):
     for _ in range(6):
         inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
-        got = _exact_selected_distribution(inst, MaxSample(), 1)
-        want = quad_selected_distribution_oracle(inst, 1)
-        keys = set(got) | set(want)
-        for key in keys:
-            assert got.get(key, 0.0) == pytest.approx(want.get(key, 0.0), abs=1e-10)
+        atoms = inst.breakpoints()
+        got = _exact_tails(inst, MaxSample(), 1, atoms)
+        want = law_tails(quad_selected_distribution_oracle(inst, 1), atoms)
+        assert got == pytest.approx(want, abs=1e-10)
 
 
 def test_exact_threshold_value_continuous_off_atoms(instance_a):
@@ -888,14 +884,7 @@ def test_exact_threshold_value_continuous_off_atoms(instance_a):
 
 def test_survival_identity_for_expectation(instance_a):
     # E[ALG] equals the integral of the tail: sum over levels of gap * Pr[ALG >= x]
-    selected = _exact_selected_distribution(instance_a, MaxSample(), 1)
-    xs = sorted(v for v in selected if v > 0)
-    total = 0.0
-    prev = 0.0
-    for x in xs:
-        tail = sum(p for v, p in selected.items() if v >= x)
-        total += (x - prev) * tail
-        prev = x
+    total = survival_integral(instance_a, lambda xs: _exact_tails(instance_a, MaxSample(), 1, xs))
     assert total == pytest.approx(exact_single_sample_value(instance_a), abs=1e-10)
 
 
@@ -939,8 +928,9 @@ def test_max_sample_accepts_with_chance_one_over_k_plus_one(instance_a, k):
     insts = [instance_a, _eight_atom_instance()]
     insts += [random_discrete_instance(rng, max_boxes=3) for _ in range(3 if k < 1000 else 1)]
     for inst in insts:
-        selected = _exact_selected_distribution(inst, MaxSample(), k)
-        assert math.fsum(selected.values()) == pytest.approx(1.0 / (k + 1), rel=1e-12, abs=0.0), inst
+        # at x = 0 the tail is the chance that anything is accepted
+        accepted = _exact_tails(inst, MaxSample(), k, [0.0])[0]
+        assert accepted == pytest.approx(1.0 / (k + 1), rel=1e-12, abs=0.0), inst
 
 
 @pytest.mark.parametrize("k", [2, 3, 10, 100, 1000])
@@ -963,27 +953,128 @@ def test_dominance_single_deterministic_box():
     assert report.worst_ratio == pytest.approx(0.5, abs=1e-12)
 
 
-def test_dominance_mc_mode(instance_a):
-    report = dominance_check(
-        instance_a, MaxSample(), 1, 0.5, mode="mc", reps=200_000, seed=23
-    )
-    assert report.mode == "mc"
-    assert abs(report.worst_ratio - 0.5) < 0.02
-
-
-def test_dominance_mc_thread_determinism(instance_a):
-    a = dominance_check(instance_a, MaxSample(), 1, 0.5, mode="mc", reps=40_000, seed=3, threads=1)
-    b = dominance_check(instance_a, MaxSample(), 1, 0.5, mode="mc", reps=40_000, seed=3, threads=8)
-    assert a == b
+def test_dominance_grid_stops_where_the_prophet_tail_does(monkeypatch):
+    # box 1's weights sum to 1 - 1.1e-16 in floats, so at x = 3, the top of
+    # its last interval, 1 - prod F reads 1.1e-16 where the tail is 0, and
+    # the tail ratio there is rounding noise; a random mixture read -0.11
+    inst = Instance((ValueDist(((0.7, 0.0, 1.0), (0.2, 1.0, 2.0), (0.1, 2.0, 3.0))), ValueDist.uniform(0.0, 1.0)))
+    assert inst.max_exceedance(3.0) > 0.0
+    grids = []
+    tails = evaluation._exact_tails
+    monkeypatch.setattr(evaluation, "_exact_tails", lambda *args: grids.append(args[3]) or tails(*args))
+    dominance_check(inst, MaxSample(), 1, 0.5)
+    assert grids == [[0.5, 1.0, 1.5, 2.0, 2.5]]
+    # a top atom keeps its point
+    dominance_check(Instance((ValueDist(((0.5, 0.0, 1.0), (0.5, 3.0, 3.0))),)), MaxSample(), 1, 0.5)
+    assert grids[1] == [0.5, 1.0, 3.0]
 
 
 def test_dominance_validation(instance_a):
-    with pytest.raises(ValueError):
-        dominance_check(instance_a, MaxSample(), 1, 0.5, mode="nope")
-    with pytest.raises(ValueError):
-        dominance_check(instance_a, MaxSample(), 1, 0.5, mode="mc", reps=0)
-    with pytest.raises(ValueError):
-        dominance_check(Instance((ValueDist.uniform(0, 1),)), MaxSample(), 1, 0.5)
+    for mode in ("nope", "mc"):
+        with pytest.raises(ValueError, match="only mode"):
+            dominance_check(instance_a, MaxSample(), 1, 0.5, mode=mode)
+    with pytest.raises(ValueError, match="rank"):
+        dominance_check(instance_a, OrdinalRank(3), 1, 0.5)
+
+
+def quad_max_sample_tails(inst, xs):
+    """Independent route to Pr[ALG >= x] for the max-sample rule at k = 1.
+
+    The threshold T is the largest of one sample per box. Between adjacent
+    breakpoints every box CDF F_i is linear and T has density d/dt prod_i
+    F_i(t); quad integrates the walk's tail against it, split at x. On an
+    atom t the top samples tie, and the threshold's latent rank U has
+    Pr[T = t, U <= u] = prod_i (F_i(t-) + m_i u) - prod_i F_i(t-); quad
+    integrates the walk against its density in u. No count law is used.
+    """
+    from scipy.integrate import quad
+
+    breaks = inst.breakpoints()
+    intervals = []
+    for a, b in zip(breaks, breaks[1:]):
+        base = [box.cdf(a) for box in inst.boxes]
+        slopes = [(box.cdf_left(b) - f) / (b - a) for box, f in zip(inst.boxes, base)]
+        if any(slopes):
+            intervals.append((a, b, base, slopes))
+    atoms = [(t, [box.cdf_left(t) for box in inst.boxes], [box.mass_at(t) for box in inst.boxes]) for t in breaks]
+
+    def density(slopes, stays):
+        return sum(s * math.prod(stays[:i] + stays[i + 1 :]) for i, s in enumerate(slopes))
+
+    out = []
+    for x in xs:
+        beats = [1.0 - box.cdf_left(x) for box in inst.boxes]
+
+        def tail(t, stays):
+            # a reached box pays Pr[v >= x] while t < x, and accepts once t >= x
+            total, reach = 0.0, 1.0
+            for beat, stay in zip(beats, stays):
+                total += reach * (beat if t < x else 1.0 - stay)
+                reach *= stay
+            return total
+
+        total = 0.0
+        for a, b, base, slopes in intervals:
+            def on_interval(t, a=a, base=base, slopes=slopes):
+                stays = [f + s * (t - a) for f, s in zip(base, slopes)]
+                return density(slopes, stays) * tail(t, stays)
+
+            total += quad(on_interval, a, b, points=[x] if a < x < b else None, epsabs=1e-14, epsrel=1e-13)[0]
+        for t, left, masses in atoms:
+            if any(masses):
+                def on_atom(u, t=t, left=left, masses=masses):
+                    stays = [f + m * u for f, m in zip(left, masses)]
+                    return density(masses, stays) * tail(t, stays)
+
+                total += quad(on_atom, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13)[0]
+        out.append(total)
+    return np.array(out)
+
+
+def _tail_grid(inst, rng, extra):
+    """Positive breakpoints, interval midpoints and `extra` random points over the support."""
+    breaks = inst.breakpoints()
+    mids = [0.5 * (a + b) for a, b in zip(breaks, breaks[1:])]
+    return sorted({*(x for x in breaks if x > 0.0), *mids, *rng.uniform(0.0, breaks[-1], extra).tolist()})
+
+
+def test_mixture_tails_match_quadrature_oracle():
+    rng = np.random.default_rng(20261020)
+    for _ in range(20):
+        inst = random_mixture_instance(rng)
+        xs = _tail_grid(inst, rng, 3)
+        got = _exact_tails(inst, MaxSample(), 1, xs)
+        want = quad_max_sample_tails(inst, xs)
+        assert np.max(np.abs(got - want)) <= 1e-10, inst
+        # the dominance check's grid holds every positive breakpoint below the
+        # top of the support, and its worst point is one of xs
+        report = dominance_check(inst, MaxSample(), 1, 0.5)
+        prophet = inst.max_exceedance(xs)
+        worst = xs.index(report.worst_x)
+        assert report.worst_ratio == pytest.approx(want[worst] / prophet[worst], abs=1e-10)
+        on_breaks = np.isin(xs, inst.breakpoints()) & (prophet > 1e-12)
+        assert report.worst_ratio <= np.min(want[on_breaks] / prophet[on_breaks]) + 1e-10
+        assert report.worst_ratio >= 0.5 - 1e-9
+
+
+def test_simulated_tails_within_5_sigma_of_exact():
+    # the simulator's accepted values against the exact tails, under ordinal
+    # and explicit rules; a sigma floor of one count keeps tiny tails testable
+    rng = np.random.default_rng(20261021)
+    rows = 100_000
+    for case in range(16):
+        inst = random_mixture_instance(rng)
+        k = int(rng.integers(1, 6))
+        if case % 4 == 3:
+            rule = ExplicitT(float(rng.uniform(0.0, inst.breakpoints()[-1])))
+        else:
+            rule = OrdinalRank(int(rng.integers(1, inst.n * k + 1)))
+        xs = _tail_grid(inst, rng, 2)
+        want = _exact_tails(inst, rule, k, xs)
+        accepted = _simulate_chunk(inst, rule, k, rows, np.random.default_rng(case))
+        got = (accepted[:, None] >= np.array(xs)).mean(axis=0)
+        sigma = np.sqrt(np.maximum(want * (1.0 - want), 1.0 / rows) / rows)
+        assert np.all(np.abs(got - want) <= 5.0 * sigma), (case, rule, k, (got - want) / sigma)
 
 
 # -- benchmark instances -------------------------------------------------------------------
