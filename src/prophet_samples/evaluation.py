@@ -4,7 +4,8 @@ Monte Carlo runs are deterministic for a fixed (seed, reps) pair at any worker
 count: replications are grouped into fixed-size chunks, each chunk draws from
 its own PCG64DXSM substream keyed by (seed, purpose, chunk index), and
 aggregation uses exact compensated summation, so scheduling cannot change a
-single output bit.
+single output bit. The CDF sandwich sweep draws its probe chunks from the
+same substreams under its own purpose tag.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from scipy.special import betainc, betaincc, gammaln
 
 from .algorithms import (
+    _SANDWICH_TOL,
     ThresholdRule,
     beta_moments,
     effective_rank,
@@ -35,8 +37,11 @@ _MASK64 = (1 << 64) - 1
 # Purpose tags keep the substreams of different estimators disjoint.
 _TAG_MC = 0x4D43
 _TAG_SEMI = 0x5345
+_TAG_SANDWICH = 0x5341
 
 _SEMI_CHUNK = 4096
+# Probes per sandwich-sweep chunk; its (probes, 5, 3) arrays peak near 5.5 MB.
+_SANDWICH_CHUNK = 4096
 # Array entries per Monte Carlo chunk; a row draws n*k samples, n values, n ranks.
 _MC_CHUNK_BUDGET = 1 << 21
 # Largest pooled sample n * k a replication may draw, so that even a one-row
@@ -784,35 +789,84 @@ def ordinal_upper_bound_sweep(
 # -- diagnostics sweeps ---------------------------------------------------------------------
 
 
+def _sandwich_probes(rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`rows` sandwich probes as (w, lo, hi, t): segments in (rows, 5, 3) arrays, thresholds in (rows,).
+
+    A probe follows random_mixture_instance's law: 2 to 5 boxes of 1 to 3
+    segments, weights U(0, 1) + 0.1 normalized per box, each segment an atom
+    on U(0, 3) with chance 1/4 and otherwise U(0, 2) plus a width of
+    U(0.5, 2.5). Its threshold is, with chance 1/5, one of its distinct
+    breakpoints, uniformly, and otherwise U(min - 1, max + 1) over them.
+    Segment s of box b is (w, lo, hi)[r, b, s]; an absent segment or box is
+    lo = hi = inf with weight 0. Each box's segments are in ValueDist's
+    (lo, hi) order, absent ones last.
+    """
+    shape = (rows, 5, 3)
+    boxes = rng.integers(2, 6, size=rows)
+    segments = rng.integers(1, 4, size=(rows, 5))
+    live = (np.arange(5) < boxes[:, None])[:, :, None] & (np.arange(3) < segments[:, :, None])
+    w = np.where(live, rng.random(shape) + 0.1, 0.0)
+    total = w.sum(axis=-1, keepdims=True)
+    np.divide(w, total, out=w, where=total > 0.0)
+    atom = rng.random(shape) < 0.25
+    lo = np.where(atom, rng.uniform(0.0, 3.0, shape), rng.uniform(0.0, 2.0, shape))
+    lo[~live] = np.inf
+    hi = lo + np.where(atom, 0.0, rng.uniform(0.5, 2.5, shape))
+    order = np.lexsort((hi, lo), axis=-1)
+    w, lo, hi = (np.take_along_axis(a, order, axis=-1) for a in (w, lo, hi))
+
+    points = np.sort(np.concatenate((lo, hi), axis=-1).reshape(rows, -1), axis=-1)
+    new = np.ones(points.shape, dtype=bool)
+    new[:, 1:] = points[:, 1:] != points[:, :-1]
+    new &= np.isfinite(points)
+    seen = np.cumsum(new, axis=-1)
+    pick = rng.integers(0, seen[:, -1])
+    on_break = points[np.arange(rows), np.argmax(seen > pick[:, None], axis=-1)]
+    top = np.max(np.where(np.isfinite(hi), hi, -np.inf), axis=(1, 2))
+    spread = rng.uniform(points[:, 0] - 1.0, top + 1.0)
+    t = np.where(rng.random(rows) < 0.2, on_break, spread)
+    return w, lo, hi, t
+
+
+def _sandwich_terms(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F(t) = prod_i cdf_i(t) and g(t) = sum_i (1 - cdf_i(t)) of each probe.
+
+    Each box's CDF adds its segments' terms left to right as ValueDist.cdf
+    does, and F multiplies the boxes in order as threshold_diagnostics does,
+    so F has its bits; g is a plain left-to-right sum, within one rounding
+    of threshold_diagnostics' fsum.
+    """
+    tt = t[:, None, None]
+    interval = hi > lo
+    width = np.subtract(hi, lo, out=np.ones_like(lo), where=interval)
+    frac = np.clip((tt - lo) / width, 0.0, 1.0)
+    terms = w * np.where(interval, frac, tt >= lo)
+    cdf = terms[..., 0] + terms[..., 1] + terms[..., 2]
+    cdf[np.isinf(lo[..., 0])] = 1.0
+    f, g = cdf[:, 0], 1.0 - cdf[:, 0]
+    for b in range(1, cdf.shape[1]):
+        f = f * cdf[:, b]
+        g = g + (1.0 - cdf[:, b])
+    return f, g
+
+
 def diagnostics_sandwich_sweep(probes: int, seed: int) -> tuple[int, float]:
-    """Probe random (instance, threshold) pairs against the CDF sandwich.
+    """Probe random (instance, threshold) pairs against the CDF sandwich 1 - g <= F <= e^-g.
 
     Returns (violations beyond 1e-12, worst excess). Thresholds cover below,
-    inside, and above the supports, including exact breakpoints, and each
-    probe also exercises the loud check in threshold_diagnostics.
+    inside, and above the supports, including exact breakpoints. Probes are
+    drawn and checked _SANDWICH_CHUNK at a time as arrays (_sandwich_probes),
+    chunk c from PCG64DXSM substream (seed, _TAG_SANDWICH, c), so memory is
+    bounded by one chunk for any probe count.
     """
-    from .algorithms import threshold_diagnostics
 
-    rng = np.random.Generator(np.random.Philox(key=[seed & _MASK64, 0x53414E]))
-    violations = 0
-    worst = -math.inf
-    for _ in range(probes):
-        inst = random_mixture_instance(rng)
-        breaks = inst.breakpoints()
-        lo, hi = breaks[0], breaks[-1]
-        roll = rng.random()
-        if roll < 0.2:
-            t = float(breaks[rng.integers(0, len(breaks))])
-        else:
-            t = float(rng.uniform(lo - 1.0, hi + 1.0))
-        diag = threshold_diagnostics(inst, t)
-        excess = max(
-            (1.0 - diag.g) - diag.f_of_t, diag.f_of_t - math.exp(-diag.g)
-        )
-        worst = max(worst, excess)
-        if excess > 1e-12:
-            violations += 1
-    return violations, worst
+    def run(rows: int, rng: np.random.Generator) -> tuple[int, float]:
+        f, g = _sandwich_terms(*_sandwich_probes(rows, rng))
+        excess = np.maximum((1.0 - g) - f, f - np.exp(-g))
+        return int(np.count_nonzero(excess > _SANDWICH_TOL)), float(excess.max())
+
+    parts = _map_chunks(run, probes, _SANDWICH_CHUNK, seed, _TAG_SANDWICH, 1)
+    return sum(v for v, _ in parts), max(x for _, x in parts)
 
 
 # -- randomized instance corpora -----------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import Instance, ValueDist
-from .stats import CountDist, _binom_window, binom, convolve, sum_of_binomials
+from .stats import CountDist, _binom_window, binom, binom_pmf_rows, convolve, sum_of_binomials
 
 ANCHOR = "xi"
 
@@ -246,22 +246,34 @@ def _member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.
     table: a member weighs T1's stop by xi, the stop at a prefix ending in 1
     by the chance of that prefix (the value taken is 1), and the survival of
     a path by the chance of that path times the spike tail p6 * k^4 that box
-    6 pays when reached. Each distinct ones-count law is built once and
-    folded into the table by one mat-vec; the law depends only on the sorted
-    p2..p4 and on p5, and the point-mass convolutions it shares are exact, so
+    6 pays when reached. The Bin(k, p) rows of every distinct p2..p5 in
+    (0, 1) come from one binom_pmf_rows call (21 rows for the adversary's
+    127 candidates). Each distinct ones-count law, keyed by the sorted p2..p4
+    and p5, is then the np.convolve fold of its rows in p2..p5 order, offset
+    by k per part with p = 1, as sum_of_binomials folds it, and goes into the
+    table by one mat-vec. A row's bits do not depend on the other rows of
+    its call, and the point-mass convolutions a key shares are exact, so
     members that share a key share a law bit for bit.
     """
     if policy.k != params.k:
         raise ValueError("policy and params disagree on k")
+    k = params.k
     table = _stop_table(policy)
-    rows = vals.tolist()
+    parts = vals[:, 1:5]
+    ps = np.unique(parts[(parts > 0.0) & (parts < 1.0)])
+    bins = dict(zip(ps.tolist(), binom_pmf_rows(k, ps)))
     laws: dict[tuple, list[int]] = {}
-    for i, row in enumerate(rows):
-        laws.setdefault((*sorted(row[1:4]), row[4]), []).append(i)
-    pooled = np.empty((len(rows), len(table)))
+    for i, row in enumerate(parts.tolist()):
+        laws.setdefault((*sorted(row[:3]), row[3]), []).append(i)
+    pooled = np.empty((len(vals), len(table)))
     for idx in laws.values():
-        dist = ones_count_dist(ProbVector(tuple(rows[idx[0]])), params.k)
-        pooled[idx] = table[:, dist.offset : dist.offset + len(dist.masses)] @ dist.masses
+        masses, offset = np.ones(1), 0
+        for p in parts[idx[0]].tolist():
+            if p == 1.0:
+                offset += k
+            elif p > 0.0:
+                masses = np.convolve(masses, bins[p])
+        pooled[idx] = table[:, offset : offset + len(masses)] @ masses
 
     factors = np.stack([1.0 - vals[:, 1:5], vals[:, 1:5], np.ones((len(vals), 4))], axis=-1)
     weights = np.prod(factors[:, np.arange(4), _ROW_BITS], axis=-1)
@@ -269,7 +281,7 @@ def _member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.
     weights[:, 0] *= params.xi
     weights[:, len(STOPS) :] *= tail[:, None]
     no_spike = np.vecdot(weights, pooled)
-    spike = np.array([_spike_prob(row[5], params.k) for row in rows])
+    spike = np.array([_spike_prob(p6, k) for p6 in vals[:, 5].tolist()])
     return spike * tail + (1.0 - spike) * no_spike
 
 
@@ -441,9 +453,9 @@ def adversary(policy: QPolicy, params: HardParams) -> tuple[ProbVector, float]:
     """Worst family member for a policy, with its exact ratio.
 
     Scores every candidate of `adversary_candidates` with one stop-probability
-    table for the policy and one ones-count law per distinct (sorted p2..p4,
-    p5): 22 laws for 127 members. Ties in the exact ratio break toward the
-    earliest candidate.
+    table for the policy and ones-count laws folded from 21 binomial rows
+    (the 20 nonzero p5 values and 1/3) built by one binom_pmf_rows call.
+    Ties in the exact ratio break toward the earliest candidate.
     """
     candidates = adversary_candidates(params)
     ratios = _member_values(candidates, params, policy) / _prophet_values(candidates, params)

@@ -285,3 +285,42 @@ def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
     rows[ps == 0.0, 0] = 1.0
     rows[ps == 1.0, n] = 1.0
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+def per_law_member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.ndarray:
+    """hardness._member_values with one ones_count_dist call per distinct
+    (sorted p2..p4, p5) key, each law built from its first member's p2..p5."""
+    from prophet_samples.hardness import _ROW_BITS, _spike_prob, _stop_table, ones_count_dist
+
+    table = _stop_table(policy)
+    rows = vals.tolist()
+    laws: dict[tuple, list[int]] = {}
+    for i, row in enumerate(rows):
+        laws.setdefault((*sorted(row[1:4]), row[4]), []).append(i)
+    pooled = np.empty((len(rows), len(table)))
+    for idx in laws.values():
+        dist = ones_count_dist(ProbVector(tuple(rows[idx[0]])), params.k)
+        pooled[idx] = table[:, dist.offset : dist.offset + len(dist.masses)] @ dist.masses
+
+    factors = np.stack([1.0 - vals[:, 1:5], vals[:, 1:5], np.ones((len(vals), 4))], axis=-1)
+    weights = np.prod(factors[:, np.arange(4), _ROW_BITS], axis=-1)
+    tail = vals[:, 5] * params.spike_value
+    weights[:, 0] *= params.xi
+    weights[:, len(STOPS) :] *= tail[:, None]
+    no_spike = np.vecdot(weights, pooled)
+    spike = np.array([_spike_prob(row[5], params.k) for row in rows])
+    return spike * tail + (1.0 - spike) * no_spike
+
+
+def probe_instances(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[Instance]:
+    """Each sandwich probe of evaluation._sandwich_probes as an Instance of
+    ValueDists, leaving out the absent segments and boxes (lo = inf)."""
+    out = []
+    for pw, plo, phi in zip(w.tolist(), lo.tolist(), hi.tolist()):
+        boxes = []
+        for segs in zip(pw, plo, phi):
+            live = [seg for seg in zip(*segs) if seg[1] != np.inf]
+            if live:
+                boxes.append(ValueDist(tuple(live)))
+        out.append(Instance(tuple(boxes)))
+    return out

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from prophet_samples import OrdinalRank, ValueDist, cli, dominance_check
+from prophet_samples import OrdinalRank, ValueDist, cli, dominance_check, evaluation
 from prophet_samples.distributions import instance_from_json
 from prophet_samples.evaluation import MAX_THREADS, MC_POOL_CAP
 
@@ -624,6 +624,24 @@ def test_stats_check(tmp_path):
     result = json.loads(out.read_text())
     assert result["chernoff"][0]["passed"] is True
     assert result["sandwich"]["violations"] == 0
+
+
+def test_stats_check_reports_sandwich_violations(tmp_path, monkeypatch):
+    # the sweep counts a violation where threshold_diagnostics would raise
+    terms = evaluation._sandwich_terms
+
+    def shifted(*arrays):
+        f, g = terms(*arrays)
+        return f + 1.0, g
+
+    monkeypatch.setattr(evaluation, "_sandwich_terms", shifted)
+    cfg = write_json(tmp_path / "sc.json", {"command": "stats-check", "sandwich": {"probes": 300}, "seed": 9})
+    out = tmp_path / "sc.json.out"
+    assert run_cli(["stats-check", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["sandwich"]
+    assert result["violations"] == 300
+    assert result["passed"] is False
+    assert result["worst_excess"] >= 1.0
 
 
 def test_stats_check_boolean_p_is_config_error(tmp_path, capsys):

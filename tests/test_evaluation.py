@@ -28,6 +28,7 @@ from prophet_samples import (
     ordinal_upper_bound_sweep,
     recommended_rank,
     semi_exact_ordinal,
+    threshold_diagnostics,
     threshold_value_with_rank_law,
 )
 from prophet_samples.algorithms import beta_moments, effective_rank
@@ -36,10 +37,14 @@ from prophet_samples.evaluation import (
     CASE2_MAX_K,
     MAX_THREADS,
     MC_POOL_CAP,
+    _SANDWICH_CHUNK,
     _TAG_MC,
+    _TAG_SANDWICH,
     _exact_tails,
     _map_chunks,
     _mc_chunk_size,
+    _sandwich_probes,
+    _sandwich_terms,
     _simulate_chunk,
     _substream,
     _tie_law,
@@ -49,7 +54,7 @@ from prophet_samples.evaluation import (
 )
 from prophet_samples.stats import SIZE_CAP
 
-from conftest import random_discrete_instance, scalar_level_structure, set_up_oracle_instances
+from conftest import probe_instances, random_discrete_instance, scalar_level_structure, set_up_oracle_instances
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -1157,3 +1162,59 @@ def test_sandwich_sweep_clean():
     violations, worst = diagnostics_sandwich_sweep(1500, seed=77)
     assert violations == 0
     assert worst <= 1e-12
+
+
+def test_sandwich_probes_match_threshold_diagnostics():
+    # the first chunk of the sweep at seed 77, rebuilt as objects probe by probe
+    probes = 2000
+    w, lo, hi, t = _sandwich_probes(probes, _substream(77, _TAG_SANDWICH, 0))
+    f, g = _sandwich_terms(w, lo, hi, t)
+    insts = probe_instances(w, lo, hi)
+    assert len(insts) == len(t) == probes
+    on_break = on_atom = outside = 0
+    worst = -math.inf
+    for inst, ti, fi, gi, pw, plo, phi in zip(insts, t.tolist(), f.tolist(), g.tolist(), w, lo, hi):
+        assert 2 <= inst.n <= 5
+        for box, bw, blo, bhi in zip(inst.boxes, pw, plo, phi):
+            assert 1 <= len(box.segments) <= 3
+            # the arrays keep ValueDist's segment order, absent segments last
+            assert box.segments == tuple(zip(bw, blo, bhi))[: len(box.segments)]
+        diag = threshold_diagnostics(inst, ti)
+        assert diag.f_of_t == fi
+        assert abs(diag.g - gi) <= 1e-15
+        breaks = inst.breakpoints()
+        on_break += ti in breaks
+        on_atom += any(ti in box.atoms() for box in inst.boxes)
+        outside += not breaks[0] <= ti <= breaks[-1]
+        worst = max(worst, (1.0 - diag.g) - diag.f_of_t, diag.f_of_t - math.exp(-diag.g))
+    assert 0.15 <= on_break / probes <= 0.25
+    assert on_atom > 0 and outside > 0
+    assert np.any(lo == hi) and np.any(np.isfinite(lo) & (lo < hi))
+    violations, swept = diagnostics_sandwich_sweep(probes, seed=77)
+    assert violations == 0
+    assert abs(swept - worst) <= 2e-15
+
+
+def test_sandwich_sweep_memory_is_bounded_by_the_chunk():
+    def peak(probes: int) -> int:
+        tracemalloc.start()
+        try:
+            assert diagnostics_sandwich_sweep(probes, seed=5)[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(_SANDWICH_CHUNK)
+    assert peak(10 * _SANDWICH_CHUNK) <= 1.2 * one
+
+
+def test_sandwich_sweep_chunks_are_fixed_substreams():
+    # a probe count past one chunk splits at _SANDWICH_CHUNK whatever the count
+    rows = _SANDWICH_CHUNK + 7
+    violations, worst = diagnostics_sandwich_sweep(rows, seed=12)
+    excess = []
+    for c, size in enumerate((_SANDWICH_CHUNK, 7)):
+        f, g = _sandwich_terms(*_sandwich_probes(size, _substream(12, _TAG_SANDWICH, c)))
+        excess.append(np.maximum((1.0 - g) - f, f - np.exp(-g)))
+    assert (violations, worst) == (0, float(np.concatenate(excess).max()))
+    assert isinstance(violations, int) and isinstance(worst, float)

@@ -20,7 +20,7 @@ from prophet_samples import (
     tv_distance,
 )
 from prophet_samples import hardness
-from prophet_samples.stats import CountDist, _binom_window, binom
+from prophet_samples.stats import CountDist, _binom_window, binom, binom_pmf_rows
 from prophet_samples.hardness import (
     ANCHOR,
     ONE_THIRD,
@@ -37,7 +37,7 @@ from prophet_samples.hardness import (
     policy_from_json,
 )
 
-from conftest import brute_force_eval, dense_binom_pmf_rows
+from conftest import brute_force_eval, dense_binom_pmf_rows, per_law_member_values
 
 
 T3 = (ANCHOR, 0, 1)
@@ -248,17 +248,37 @@ def test_stop_table_kernel_matches_walk_oracle(name, k, rng):
     assert abs(picked - want.min()) <= 1e-12 * want.min()
 
 
-def test_adversary_builds_each_law_once(monkeypatch, rng):
+def test_adversary_makes_one_binom_pmf_rows_call(monkeypatch, rng):
     calls = []
 
-    def counted(p, k):
-        calls.append(p.values)
-        return ones_count_dist(p, k)
+    def counted(n, ps):
+        calls.append((n, len(ps)))
+        return binom_pmf_rows(n, ps)
 
-    monkeypatch.setattr(hardness, "ones_count_dist", counted)
+    monkeypatch.setattr(hardness, "binom_pmf_rows", counted)
     adversary(QPolicy.random(20, rng), HardParams(k=20))
-    assert len(calls) == 22
-    assert len({(*sorted(v[1:4]), v[4]) for v in calls}) == 22
+    # the 20 nonzero p5 values of the grid and 1/3
+    assert calls == [(20, 21)]
+
+
+@pytest.mark.parametrize("k", [1, 3, 400, 10_000])
+def test_member_values_bits_match_per_law_oracle(k, rng):
+    params = HardParams(k=k)
+    rows = adversary_candidates(params)
+    for name in ("random", "zero", "greedy", "all-ones"):
+        policy = named_policy(name, k, rng)
+        got = hardness._member_values(rows, params, policy)
+        assert got.tobytes() == per_law_member_values(rows, params, policy).tobytes(), name
+    policy = named_policy("random", k, rng)
+    # every mix of p2..p4 up to k = 400; at k = 10^4, where a fold of four rows
+    # takes 6e8 multiply-adds, four random mixes
+    mixes = itertools.product((0.0, ONE_THIRD, 1.0), repeat=3) if k <= 400 else [None] * 4
+    for mix in mixes:
+        vec = random_member(rng, params)
+        if mix is not None:
+            vec = ProbVector((1.0, *mix, *vec.values[4:]))
+        want = per_law_member_values(np.array([vec.values]), params, policy)[0]
+        assert eval_q_policy(vec, params, policy).hex() == want.hex(), vec.values
 
 
 def test_eval_requires_membership():
