@@ -3,9 +3,10 @@
 
 Usage: python scripts/run_benchmarks.py [--threads N] [--out-dir DIR]
 
---out-dir writes the artifacts elsewhere (default results/), so a
-regeneration can be compared with the committed files; a relative --out-dir
-is taken from the current directory. The manifests run from the repository
+--threads sets the worker count of the eval manifests, the only ones that
+run a worker pool. --out-dir writes the artifacts elsewhere (default
+results/), so a regeneration can be compared with the committed files; a
+relative --out-dir is taken from the current directory. The manifests run from the repository
 root, since they name their instance files relative to it, so the script
 works from any directory. Each manifest's wall time is printed to stderr as
 `time <command> <manifest> <seconds> s`.
@@ -52,7 +53,7 @@ def main() -> int:
             "--out",
             str(results / artifact),
         ]
-        if args.threads:
+        if args.threads and command == "eval":
             argv += ["--threads", str(args.threads)]
         print(f"== {command} {manifest}", file=sys.stderr)
         start = time.perf_counter()

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
+from scipy.special import lambertw
 
-from .distributions import Instance
+from .distributions import Instance, _check_keys, _is_int, _is_number
 
 
 # -- rules --------------------------------------------------------------------
@@ -66,39 +67,32 @@ def rule_to_config(rule: ThresholdRule) -> dict:
 
 
 def rule_from_config(obj: dict) -> ThresholdRule:
+    """The rule that rule_to_config writes as obj; a key its kind does not read fails."""
     kind = obj.get("rule")
     if kind == "max_sample":
-        return MaxSample()
-    if kind == "ordinal":
+        rule = MaxSample()
+    elif kind == "ordinal":
         rank = obj.get("rank")
-        if not isinstance(rank, int) or isinstance(rank, bool):
+        if not _is_int(rank):
             raise ValueError(f"ordinal rule requires an integer 'rank', got {rank!r}")
-        return OrdinalRank(rank)
-    if kind == "explicit":
+        rule = OrdinalRank(rank)
+    elif kind == "explicit":
         t = obj.get("t")
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not math.isfinite(t):
+        if not _is_number(t) or not math.isfinite(t):
             raise ValueError(f"explicit rule requires a finite number 't', got {t!r}")
-        return ExplicitT(float(t))
-    raise ValueError(f"unknown rule kind {kind!r}")
+        rule = ExplicitT(float(t))
+    else:
+        raise ValueError(f"unknown rule kind {kind!r}")
+    _check_keys(obj, tuple(rule_to_config(rule)))
+    return rule
 
 
 # -- the omega constant and the recommended rank -------------------------------
 
 
 def omega_rho() -> float:
-    """Root of x * exp(x) = 1, by bisection on [0.5, 0.6].
-
-    The residual of the returned point is below 1e-12; the bracket endpoints
-    have opposite signs (0.5*e^0.5 < 1 < 0.6*e^0.6).
-    """
-    lo, hi = 0.5, 0.6
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid * math.exp(mid) > 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    """Root of x * exp(x) = 1: the omega constant W(1), from Lambert's W."""
+    return float(lambertw(1.0).real)
 
 
 def recommended_rank(k: int) -> int:

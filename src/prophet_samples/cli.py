@@ -1,12 +1,13 @@
 """Config-driven experiment runner.
 
-Every experiment is a JSON manifest plus a few flag overrides (--seed, --reps,
---out, --threads). A command's artifact (CSV or JSON) goes to --out, which is
-opened only after the command has succeeded, or to stdout; progress goes to
-stderr so stdout stays machine-clean. Exit codes: 0 success, 2 config
-validation failure (the message names the field by its dotted path, such as
-chernoff.deltas or instances[0].generator.k), 1 internal error. Worker count
-never changes output bytes.
+Every experiment is a JSON manifest, in which a key that nothing reads fails,
+plus --out and the overrides its command reads: --seed (eval, stats-check),
+--reps and --threads (eval), --policy (hardness-verify). The artifact goes to
+--out, opened only after the command has succeeded, or to stdout; progress
+goes to stderr. Exit codes: 0 success, 2 config validation failure (the
+message names the field by its dotted path, such as chernoff.deltas or
+instances[0].generator.k), 1 internal error. Worker count never changes
+output bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import evaluation, hardness, stats
 from .algorithms import effective_rank, rule_from_config, rule_to_config
-from .distributions import Instance, instance_from_json, instance_to_json, load_instance
+from .distributions import Instance, _is_int, _is_number, instance_from_json, instance_to_json, load_instance
 from .evaluation import (
     CASE1_MAX_K,
     CASE2_MAX_K,
@@ -60,7 +61,7 @@ def _on(field: str) -> Iterator[None]:
 
 
 def _int(value: Any, field: str, lo: int, hi: int | None = None) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise _fail(field, f"must be an integer, got {value!r}")
     if value < lo or (hi is not None and value > hi):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
@@ -70,8 +71,7 @@ def _int(value: Any, field: str, lo: int, hi: int | None = None) -> int:
 
 def _number(value: Any, field: str, lo: float, hi: float, open_: bool = False) -> float:
     """A JSON number in [lo, hi], or in (lo, hi) when open_; booleans and NaN fail."""
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and (lo < value < hi if open_ else lo <= value <= hi)):
+    if not (_is_number(value) and (lo < value < hi if open_ else lo <= value <= hi)):
         span = f"({lo}, {hi})" if open_ else f"[{lo}, {hi}]"
         raise _fail(field, f"must be a number in {span}, got {value!r}")
     return float(value)
@@ -132,19 +132,19 @@ class _Fields:
         return value
 
     def done(self) -> None:
-        """Reject a key that no reader has asked for ("command" names the
-        command and is always allowed), so that a misspelled or unused key
-        fails instead of being ignored."""
+        """Reject a key that no reader has asked for, so that a misspelled or
+        unused key fails instead of being ignored."""
         for key in self.obj:
-            if key != "command" and key not in self.asked:
+            if key not in self.asked:
                 asked = ", ".join(sorted(self.asked))
                 raise _fail(self.name(key), f"is never read; the fields read are {asked}")
 
 
 def _instance(entry: _Fields) -> Instance:
     if "boxes" in entry.obj:
+        boxes = entry.get("boxes")
         with _on(entry.name("boxes")):
-            return instance_from_json(entry.obj)
+            return instance_from_json({"boxes": boxes})
     if "file" in entry.obj:
         path = entry.file("file")
         with _on(entry.name("file")):
@@ -153,11 +153,14 @@ def _instance(entry: _Fields) -> Instance:
         gen = entry.section("generator")
         name = gen.get("name")
         if name == "case1":
-            return evaluation.case1_instance(gen.integer("k", 2, CASE1_MAX_K))
-        if name == "case2":
+            inst = evaluation.case1_instance(gen.integer("k", 2, CASE1_MAX_K))
+        elif name == "case2":
             k = gen.integer("k", 1, CASE2_MAX_K)
-            return evaluation.case2_instance(k, gen.integer("n", 2, default=evaluation.default_case2_boxes(k)))
-        raise _fail(gen.name("name"), f"unknown generator {name!r}")
+            inst = evaluation.case2_instance(k, gen.integer("n", 2, default=evaluation.default_case2_boxes(k)))
+        else:
+            raise _fail(gen.name("name"), f"unknown generator {name!r}")
+        gen.done()
+        return inst
     raise _fail(entry.path, "needs one of 'boxes', 'file', or 'generator'")
 
 
@@ -165,7 +168,7 @@ def _instance_id(entry: _Fields, pos: int) -> str | int:
     """An instance's id in the CSV: an integer, or a string that needs no quoting."""
     value = entry.get("id", f"instance{pos}")
     plain = isinstance(value, str) and not any(c in value for c in ',"\r\n')
-    if not (plain or (isinstance(value, int) and not isinstance(value, bool))):
+    if not (plain or _is_int(value)):
         raise _fail(entry.name("id"), f"must be an integer or a string without , \" CR or LF, got {value!r}")
     return value
 
@@ -178,6 +181,7 @@ def _instances(fields: _Fields) -> list[tuple[str | int, Instance]]:
     for pos, obj in enumerate(entries):
         entry = _section(obj, f"instances[{pos}]")
         inst_id, inst = _instance_id(entry, pos), _instance(entry)
+        entry.done()
         if all(hi == 0.0 for box in inst.boxes for w, _, hi in box.segments if w > 0.0):
             raise _fail("instances", f"instance {inst_id!r} is 0 in every box, so its prophet value is 0")
         resolved.append((inst_id, inst))
@@ -226,7 +230,8 @@ def _csv_row(*fields: Any) -> str:
 
 # -- subcommands -------------------------------------------------------------------
 # Each runner reads its fields, checks with fields.done() that the manifest
-# holds no other top-level key, runs, and returns the artifact text.
+# holds no other top-level key, runs, and returns the artifact text. Only
+# eval runs a worker pool, so only eval takes a thread count.
 
 
 def _run_eval(fields: _Fields, threads: int) -> str:
@@ -263,12 +268,11 @@ def _run_eval(fields: _Fields, threads: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_dominance(fields: _Fields, threads: int) -> str:
+def _run_dominance(fields: _Fields) -> str:
     instances = _instances(fields)
     rule = _rule(fields)
     k = fields.integer("k", 1)
     gamma = fields.number("gamma", 0.0, 1.0)
-    fields.choice("mode", ("exact",), "exact")
     _check_pools(instances, rule, [k], mc=False)
     fields.done()
     # mode, reps and seed stay as columns, always exact,0,0, so the dominance
@@ -285,7 +289,7 @@ def _run_dominance(fields: _Fields, threads: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_ordinal_sweep(fields: _Fields, threads: int) -> str:
+def _run_ordinal_sweep(fields: _Fields) -> str:
     k = fields.integer("k", 2, CASE1_MAX_K)
     # case1 has two boxes, so its pool of 2k samples bounds the rank
     ranks = fields.scalars("ranks", _int, 1, 2 * k)
@@ -297,25 +301,21 @@ def _run_ordinal_sweep(fields: _Fields, threads: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_hardness_verify(fields: _Fields, threads: int) -> str:
+def _run_hardness_verify(fields: _Fields) -> str:
     policy_path = fields.file("policy")
     with _on("policy"):
         policy = hardness.load_policy(policy_path)
-    k = fields.integer("k", 1, default=policy.k)
-    if k != policy.k:
-        raise _fail("k", f"must match the policy's k={policy.k}, got {k}")
     kwargs = {
         name: fields.number(name, 0.0, 1.0, open_=True)
         for name in ("xi", "delta1", "delta2", "eps")
         if name in fields.obj
     }
-    with _on("k"):
-        params = hardness.HardParams(k=k, **kwargs)
+    params = hardness.HardParams(k=policy.k, **kwargs)
     fields.done()
     vec, ratio = hardness.adversary(policy, params)
     inst = hardness.family_instance(vec, params)
     result = {
-        "k": k,
+        "k": params.k,
         "policy": policy_path,
         "ratio": ratio,
         "alg_value": hardness.eval_q_policy(vec, params, policy),
@@ -323,11 +323,11 @@ def _run_hardness_verify(fields: _Fields, threads: int) -> str:
         "p": list(vec.values),
         "instance": instance_to_json(inst),
     }
-    print(f"hardness-verify k={k}: ratio={ratio:.6f}", file=sys.stderr)
+    print(f"hardness-verify k={params.k}: ratio={ratio:.6f}", file=sys.stderr)
     return json.dumps(result, sort_keys=True, indent=2) + "\n"
 
 
-def _run_tv_convergence(fields: _Fields, threads: int) -> str:
+def _run_tv_convergence(fields: _Fields) -> str:
     family = fields.choice("family", ("binomial_normal", "count_mixture"))
     lines = ["family,param,secondary,tv"]
     if family == "binomial_normal":
@@ -353,7 +353,7 @@ def _run_tv_convergence(fields: _Fields, threads: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_stats_check(fields: _Fields, threads: int) -> str:
+def _run_stats_check(fields: _Fields) -> str:
     seed = fields.integer("seed", 0, _SEED_MAX)
     chernoff = "chernoff" in fields.obj
     if chernoff:
@@ -361,8 +361,13 @@ def _run_stats_check(fields: _Fields, threads: int) -> str:
         n = spec.integer("n", 1, stats.SIZE_CAP)
         p = spec.number("p", 0.0, 1.0)
         deltas = spec.scalars("deltas", _number, 0.0, 1.0, True)
-        reps = spec.integer("reps", 10_000, stats.SIZE_CAP, default=fields.get("reps", None))
-    probes = fields.section("sandwich").integer("probes", 1) if "sandwich" in fields.obj else None
+        reps = spec.integer("reps", 10_000, stats.SIZE_CAP)
+        spec.done()
+    probes = None
+    if "sandwich" in fields.obj:
+        sandwich = fields.section("sandwich")
+        probes = sandwich.integer("probes", 1)
+        sandwich.done()
     if not chernoff and probes is None:
         raise _fail("checks", "config must include 'chernoff' and/or 'sandwich'")
     fields.done()
@@ -397,9 +402,6 @@ _RUNNERS = {
     "tv-convergence": _run_tv_convergence,
     "stats-check": _run_stats_check,
 }
-# The commands that read a seed and a replication count, and so take --seed
-# and --reps.
-_SEEDED = ("eval", "stats-check")
 
 
 def _run(args: argparse.Namespace) -> None:
@@ -414,17 +416,19 @@ def _run(args: argparse.Namespace) -> None:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise _fail("config", "top level must be a JSON object")
-    declared = payload.get("command")
-    if declared is not None and declared != args.command:
-        raise _fail("command", f"config says {declared!r} but subcommand is {args.command!r}")
-    # flags override the manifest; --seed and --reps exist for _SEEDED only,
-    # --policy and --k for hardness-verify only
-    for key in ("seed", "reps", "policy", "k"):
+    # flags override the manifest; each exists only for the commands that read it
+    for key in ("seed", "reps", "policy"):
         if getattr(args, key, None) is not None:
             payload[key] = getattr(args, key)
-    threads = args.threads if args.threads else min(os.cpu_count() or 1, MAX_THREADS)
-    _int(threads, "threads", 1, MAX_THREADS)
-    text = _RUNNERS[args.command](_Fields(payload), threads)
+    fields = _Fields(payload)
+    declared = fields.get("command", None)
+    if declared is not None and declared != args.command:
+        raise _fail("command", f"config says {declared!r} but subcommand is {args.command!r}")
+    if args.command == "eval":
+        threads = args.threads if args.threads else min(os.cpu_count() or 1, MAX_THREADS)
+        text = _run_eval(fields, _int(threads, "threads", 1, MAX_THREADS))
+    else:
+        text = _RUNNERS[args.command](fields)
     if not args.out:
         sys.stdout.write(text)
         return
@@ -441,14 +445,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON experiment manifest")
-        if name in _SEEDED:
-            p.add_argument("--seed", type=int, help="override the manifest seed")
-            p.add_argument("--reps", type=int, help="override the manifest reps")
         p.add_argument("--out", help="artifact path (default stdout)")
-        p.add_argument("--threads", type=int, default=0, help="worker count (default: machine)")
+        if name in ("eval", "stats-check"):
+            p.add_argument("--seed", type=int, help="override the manifest seed")
+        if name == "eval":
+            p.add_argument("--reps", type=int, help="override the manifest reps")
+            p.add_argument("--threads", type=int, default=0, help="worker count (default: machine)")
         if name == "hardness-verify":
             p.add_argument("--policy", help="policy JSON file")
-            p.add_argument("--k", type=int, help="samples per box")
     args = parser.parse_args(argv)
     try:
         _run(args)

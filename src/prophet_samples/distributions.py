@@ -123,11 +123,17 @@ class ValueDist:
                 out += w * (arr == lo)
         return float(out) if out.ndim == 0 else out
 
-    def cdf_left(self, x):
-        """Left limit Pr[v < x]."""
+    def exceedance(self, x):
+        """Pr[v >= x], summed over the segments at or above x, so it is
+        exactly 0 above the support."""
         arr = np.asarray(x, dtype=float)
-        out = self.cdf(arr) - self.mass_at(arr)
-        return float(out) if np.ndim(out) == 0 else out
+        out = np.zeros_like(arr)
+        for w, lo, hi in self.segments:
+            if lo == hi:
+                out += w * (arr <= lo)
+            else:
+                out += w * np.clip((hi - arr) / (hi - lo), 0.0, 1.0)
+        return float(out) if out.ndim == 0 else out
 
     def tail_expectation(self, t):
         """E[v * 1{v > t}], exact closed form per segment."""
@@ -219,11 +225,11 @@ class Instance:
         return float(out) if out.ndim == 0 else out
 
     def max_exceedance(self, x):
-        """Pr[max_i v_i >= x] = 1 - prod_i Pr[v_i < x]."""
+        """Pr[max_i v_i >= x] = 1 - prod_i (1 - Pr[v_i >= x])."""
         arr = np.asarray(x, dtype=float)
         out = np.ones_like(arr)
         for b in self.boxes:
-            out = out * b.cdf_left(arr)
+            out = out * (1.0 - b.exceedance(arr))
         res = 1.0 - out
         return float(res) if np.ndim(res) == 0 else res
 
@@ -270,19 +276,32 @@ def instance_to_json(inst: Instance) -> dict:
     return {"boxes": [{"segments": [list(s) for s in b.segments]} for b in inst.boxes]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _check_keys(obj: Mapping, keys: tuple[str, ...], path: str = "") -> None:
+    """Reject a key of the JSON object obj outside keys, naming it by its path."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"'{path}{key}' is never read; the keys read are {', '.join(keys)}")
 
 
 def instance_from_json(obj: Mapping) -> Instance:
     boxes = obj.get("boxes") if isinstance(obj, Mapping) else None
     if not isinstance(boxes, list):
         raise ValueError("instance JSON must contain a 'boxes' array")
+    _check_keys(obj, ("boxes",))
     dists = []
     for i, box in enumerate(boxes):
         segs = box.get("segments") if isinstance(box, Mapping) else None
         if not isinstance(segs, list):
             raise ValueError(f"box {i} must contain a 'segments' array")
+        _check_keys(box, ("segments",), f"boxes[{i}].")
         for j, seg in enumerate(segs):
             if not (isinstance(seg, (list, tuple)) and len(seg) == 3 and all(map(_is_number, seg))):
                 raise ValueError(f"box {i} segment {j} must be 3 numbers [weight, lo, hi], got {seg!r}")

@@ -538,21 +538,33 @@ def _stratum_values(inst: Instance, is_atom: bool, lo: float, hi: float, c, r) -
     return np.vecdot(moments, _stratum_polys(inst, lo, hi, tops)[np.searchsorted(tops, up)])
 
 
-def _stratum_counts(probs: np.ndarray, k: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, float]]:
+def _stratum_counts(
+    probs: np.ndarray, k: int, ranks: Sequence[int]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]]:
     """Per stratum of the table `probs` (_level_structure), in order, the
-    joint law of the pooled counts A above it and C inside it when each box
-    draws k samples: (mass, a, c, dropped), one entry per pair (a, c) with
-    mass > 0, and the mass the count windows left out.
+    pairs (a, c) of the pooled counts A above it and C inside it, with mass
+    > 0, that put a rank's threshold there: a < rank <= a + c, as the r-th
+    highest of the c samples, r = rank - a. Yields (which, mass, c, r,
+    dropped), one entry per such rank and pair, which indexing `ranks`, and
+    the mass the count windows left out. Raises ValueError unless every rank
+    is in [1, n k].
 
-    The law is a fold of one windowed trinomial per box (_box_count_law).
+    The law of (A, C) when each box draws k samples is a fold of one
+    windowed trinomial per box (_box_count_law).
     """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    pool = probs.shape[0] * k
+    if np.any((ranks < 1) | (ranks > pool)):
+        raise ValueError(f"ranks {ranks.tolist()} not all in [1, {pool}]")
     for j in range(probs.shape[1]):
         law, a0, c0, dropped = np.ones((1, 1)), 0, 0, 0.0
         for row in probs:
             pmf, b0, d0, lost = _box_count_law(k, row[:j].sum(), row[j], row[j + 1 :].sum())
             law, a0, c0, dropped = _fold(law, pmf), a0 + b0, c0 + d0, dropped + lost
         ai, ci = np.nonzero(law)
-        yield law[ai, ci], ai + a0, ci + c0, dropped
+        a, c = ai + a0, ci + c0
+        which, entry = np.nonzero((a < ranks[:, None]) & (ranks[:, None] <= a + c))
+        yield which, law[ai, ci][entry], c[entry], ranks[which] - a[entry], dropped
 
 
 def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple[np.ndarray, float]:
@@ -561,21 +573,14 @@ def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple
     The laws and the stratum polynomials do not depend on the rank, so they
     are built once; the error bound is shared by every rank.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if np.any((ranks < 1) | (ranks > inst.n * k)):
-        raise ValueError(f"ranks {ranks.tolist()} not all in [1, {inst.n * k}]")
     is_atom, los, his, probs = _level_structure(inst)
     values = np.zeros(len(ranks))
     dropped = 0.0
-    for j, (mass, a, c, lost) in enumerate(_stratum_counts(probs, k)):
+    for j, (which, mass, c, r, lost) in enumerate(_stratum_counts(probs, k, ranks)):
         dropped += lost
-        # pairs (rank, count) that put the threshold in this stratum, as the
-        # r-th highest of its c samples
-        which, entry = np.nonzero((a < ranks[:, None]) & (ranks[:, None] <= a + c))
-        if not len(which):
-            continue
-        vals = _stratum_values(inst, is_atom[j], los[j], his[j], c[entry], ranks[which] - a[entry])
-        values += np.bincount(which, weights=mass[entry] * vals, minlength=len(ranks))
+        if len(which):
+            vals = _stratum_values(inst, is_atom[j], los[j], his[j], c, r)
+            values += np.bincount(which, weights=mass * vals, minlength=len(ranks))
     return values, dropped * math.fsum(box.mean() for box in inst.boxes)
 
 
@@ -630,25 +635,23 @@ def _exact_tails(inst: Instance, rule: ThresholdRule, k: int, grid: Sequence[flo
     stats.SIZE_CAP entries.
     """
     xs = np.asarray(grid, dtype=float)
-    beats = np.array([1.0 - box.cdf_left(xs) for box in inst.boxes])
+    beats = np.array([box.exceedance(xs) for box in inst.boxes])
     # per stratum the threshold can reach: its ends, the stays and accepts,
     # and the mass and Beta law of each count pair that puts it there
     rank = effective_rank(rule)
     if rank is None:
         stays = list(walk_terms(inst, rule.t))
         one = np.ones(1, dtype=np.int64)
-        laws = [(rule.t, rule.t, stays, [np.array([1.0 - lo, -m]) for lo, m in stays], np.ones(1), one, one)]
-    elif not 1 <= rank <= inst.n * k:
-        raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
+        accepts = [np.array([box.exceedance(rule.t), -m]) for box, (_, m) in zip(inst.boxes, stays)]
+        laws = [(rule.t, rule.t, stays, accepts, np.ones(1), one, one)]
     else:
         _, los, his, probs = _level_structure(inst)
         laws = []
-        for j, (mass, a, c, _) in enumerate(_stratum_counts(probs, k)):
-            hit = (a < rank) & (rank <= a + c)
-            if hit.any():
+        for j, (_, mass, c, r, _) in enumerate(_stratum_counts(probs, k, [rank])):
+            if len(mass):
                 stays = [np.array([row[j + 1 :].sum(), row[j]]) for row in probs]
                 accepts = [np.array([row[: j + 1].sum(), -row[j]]) for row in probs]
-                laws.append((los[j], his[j], stays, accepts, mass[hit], c[hit] + a[hit] + 1 - rank, rank - a[hit]))
+                laws.append((los[j], his[j], stays, accepts, mass, c + 1 - r, r))
     tails = np.zeros(len(xs))
     for lo, hi, stays, accepts, mass, alpha, beta in laws:
         # the moments of the threshold's position on t < x (below) and on t >= x (over)
@@ -680,19 +683,15 @@ def dominance_check(
     """Verify Pr[ALG >= x] >= gamma * Pr[max >= x] across a value grid.
 
     The tails are exact (_exact_tails) on any instance. The grid is the
-    positive breakpoints plus the midpoint of each interval stratum, where
-    the prophet tail is positive. mode must be "exact", the only mode.
+    positive breakpoints plus the midpoint of each interval stratum, less a
+    point where the prophet tail is 0: the top of a support that ends in an
+    interval. mode must be "exact", the only mode.
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; the only mode is 'exact'")
     is_atom, los, his, _ = _level_structure(inst)
     mids = 0.5 * (los[~is_atom] + his[~is_atom])
-    # the prophet tail is 0 above the top atom and from the top of the top
-    # interval up, where 1 - prod F can read the rounding of a weight sum
-    grid = sorted(
-        x for x in {*inst.breakpoints(), *mids.tolist()}
-        if 0.0 < x and (x <= his[0] if is_atom[0] else x < his[0])
-    )
+    grid = sorted(x for x in {*inst.breakpoints(), *mids.tolist()} if x > 0.0)
     pairs = [
         (x, a / m_)
         for x, a, m_ in zip(grid, _exact_tails(inst, rule, k, grid).tolist(), inst.max_exceedance(grid).tolist())

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import Instance, ValueDist
+from .distributions import Instance, ValueDist, _check_keys, _is_int, _is_number
 from .stats import CountDist, _binom_window, binom, binom_pmf_rows, convolve, sum_of_binomials
 
 ANCHOR = "xi"
@@ -147,15 +147,12 @@ class QPolicy:
         return cls(k=k, table=rows[[PREFIXES.index(p) for p in STOPS]])
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def policy_from_json(obj: Mapping) -> QPolicy:
     """Sparse policy file: entries name a prefix in STOPS; missing (prefix, i) entries are 0."""
     k = obj.get("k") if isinstance(obj, Mapping) else None
     if not _is_int(k) or not 1 <= k <= _MAX_K:
         raise ValueError(f"policy JSON must contain an integer 'k' in [1, {_MAX_K}], got {k!r}")
+    _check_keys(obj, ("k", "entries"))
     entries = obj.get("entries", [])
     if not isinstance(entries, list):
         raise ValueError(f"policy 'entries' must be a list, got {entries!r}")
@@ -168,9 +165,10 @@ def policy_from_json(obj: Mapping) -> QPolicy:
             q = entry["q"]
         except (KeyError, TypeError):
             raise ValueError(f"entry {pos} must have 'prefix', 'i', and 'q'") from None
+        _check_keys(entry, ("prefix", "i", "q"), f"entries[{pos}].")
         if not _is_int(i):
             raise ValueError(f"entry {pos} has ones-count {i!r}, which is not an integer")
-        if not isinstance(q, (int, float)) or isinstance(q, bool):
+        if not _is_number(q):
             raise ValueError(f"entry {pos} has q={q!r}, which is not a number")
         if not all(isinstance(b, str) or _is_int(b) for b in prefix) or prefix not in PREFIXES:
             raise ValueError(f"entry {pos} has unknown prefix {list(prefix)!r}")

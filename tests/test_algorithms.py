@@ -66,18 +66,14 @@ def run_static_threshold(values, t: float, rng=None) -> float:
 
 def test_omega_rho_residual_and_window():
     rho = omega_rho()
-    assert abs(rho * math.exp(rho) - 1.0) <= 1e-12
+    assert rho * math.exp(rho) == 1.0
     assert 0.567143 < rho < 0.567144
     assert 1.0 - rho == pytest.approx(0.432856709590216, abs=1e-12)
 
 
-def test_omega_rho_bracket_signs():
-    assert 0.5 * math.exp(0.5) < 1.0 < 0.6 * math.exp(0.6)
-
-
 def test_recommended_rank_values():
-    assert recommended_rank(10_000) == 5208
-    assert recommended_rank(1000) == 468
+    # the README's table
+    assert [recommended_rank(k) for k in (100, 1000, 10_000, 100_000)] == [36, 468, 5208, 54560]
     assert recommended_rank(1) == 1
     with pytest.raises(ValueError):
         recommended_rank(0)
@@ -96,6 +92,11 @@ def test_rule_config_round_trip():
         assert rule_from_config(rule_to_config(rule)) == rule
     with pytest.raises(ValueError):
         rule_from_config({"rule": "nope"})
+    # a rule reads only the keys rule_to_config writes for its kind
+    with pytest.raises(ValueError, match="'rank' is never read"):
+        rule_from_config({"rule": "max_sample", "rank": 7})
+    with pytest.raises(ValueError, match="'t' is never read"):
+        rule_from_config({"rule": "ordinal", "rank": 3, "t": 9.0})
 
 
 def test_run_static_threshold():

@@ -201,7 +201,7 @@ _BAD_INPUTS = [
      {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "reps": 10**15}, "seed": 1}, {}, "chernoff.reps"),
     ("mixture-k-above-hardparams", "tv-convergence",
      {"family": "count_mixture", "k": [20_000], "eps": 0.1}, {}, "k"),
-    ("policy-boolean", "hardness-verify", {"policy": True, "k": 25}, {}, "policy"),
+    ("policy-boolean", "hardness-verify", {"policy": True}, {}, "policy"),
     ("file-boolean", "eval",
      {"instances": [{"file": True}], "rule": {"rule": "max_sample"}, "k": 1, "reps": 100, "seed": 1},
      {}, "instances[0].file"),
@@ -270,6 +270,44 @@ _BAD_INPUTS = [
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "reps": 10, "seed": 1},
      {}, "reps"),
     ("stats-unread-reps", "stats-check", {"seed": 1, "reps": 20_000, "sandwich": {"probes": 1}}, {}, "reps"),
+    # settings that never changed the output: chernoff.reps alone sets the
+    # replications, the policy alone sets k, and dominance is always exact
+    ("stats-reps-beside-chernoff", "stats-check",
+     {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "reps": 10_000}, "reps": 20_000, "seed": 1}, {}, "reps"),
+    ("hardness-manifest-k", "hardness-verify", {"policy": "p.json", "k": 25}, {"p.json": _ZERO_POLICY}, "k"),
+    ("dominance-mode-exact", "dominance",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "mode": "exact"},
+     {}, "mode"),
+    # every section and JSON object rejects a key it does not read
+    ("sandwich-unread-key", "stats-check", {"sandwich": {"probes": 10, "probs": 99999}, "seed": 1}, {},
+     "sandwich.probs"),
+    ("chernoff-unread-key", "stats-check",
+     {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "reps": 10_000, "delta": 0.9}, "seed": 1}, {},
+     "chernoff.delta"),
+    ("generator-unread-key", "eval",
+     {"instances": [{"generator": {"name": "case2", "k": 20, "boxes": 7}}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].generator.boxes"),
+    ("instance-entry-unread-key", "eval",
+     {"instances": [{**INSTANCE_A, "weight": 2}], "rule": {"rule": "max_sample"}, "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].weight"),
+    ("box-unread-key", "eval",
+     {"instances": [{"boxes": [{"segments": [[1.0, 0.0, 1.0]], "weight": 2}]}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].boxes"),
+    ("instance-file-unread-key", "eval",
+     {"instances": [{"file": "i.json"}], "rule": {"rule": "max_sample"}, "k": 1, "reps": 10, "seed": 1},
+     {"i.json": {"boxes": INSTANCE_A["boxes"], "name": "a"}}, "instances[0].file"),
+    ("max-sample-rule-rank", "eval",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample", "rank": 7}, "k": 1, "reps": 10, "seed": 1},
+     {}, "rule"),
+    ("ordinal-rule-t", "eval",
+     {"instances": [INSTANCE_A], "rule": {"rule": "ordinal", "rank": 3, "t": 9.0}, "k": 2, "reps": 10, "seed": 1},
+     {}, "rule"),
+    ("policy-unread-key", "hardness-verify", {"policy": "p.json"}, {"p.json": {**_ZERO_POLICY, "name": "zero"}},
+     "policy"),
+    ("policy-entry-unread-key", "hardness-verify", {"policy": "p.json"},
+     {"p.json": {"k": 25, "entries": [{"prefix": ["xi"], "i": 0, "q": 0.5, "w": 1}]}}, "policy"),
     # an id is written into a CSV row unquoted
     *(
         (f"{command}-id-{name}", command,
@@ -307,7 +345,8 @@ def test_bad_input_exits_2_on_its_field(tmp_path, monkeypatch, capsys, command, 
     out.write_bytes(b"artifact of an earlier run\n")
     saved_stdout = os.dup(1)  # a reader that opens fd 1 must not take the suite's stdout with it
     try:
-        code = run_cli([command, "--config", cfg, "--out", str(out), "--threads", "1"])
+        threads = ["--threads", "1"] if command == "eval" else []
+        code = run_cli([command, "--config", cfg, "--out", str(out), *threads])
         stdout_open = _fd_open(1)
     finally:
         os.dup2(saved_stdout, 1)
@@ -366,7 +405,7 @@ def test_threads_above_cap_is_config_error(eval_config, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--reps"])
+@pytest.mark.parametrize("flag", ["--seed", "--reps", "--threads"])
 def test_ordinal_sweep_has_no_seed_or_reps_flag(tmp_path, capsys, flag):
     cfg = write_json(tmp_path / "sweep.json", {"command": "ordinal-sweep", "k": 60, "ranks": [1]})
     with pytest.raises(SystemExit) as exc:
@@ -461,7 +500,6 @@ def test_dominance_exact(tmp_path):
             "rule": {"rule": "max_sample"},
             "k": 1,
             "gamma": 0.5,
-            "mode": "exact",
         },
     )
     out = tmp_path / "dom.csv"
@@ -504,12 +542,12 @@ def test_dominance_writes_a_mixture_row(tmp_path):
     header, row = out.read_text().strip().splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
     assert (fields["instance_id"], fields["mode"], fields["reps"], fields["seed"]) == ("mix", "exact", "0", "0")
-    report = dominance_check(instance_from_json(mixture), OrdinalRank(2), 3, 0.5)
+    report = dominance_check(instance_from_json({"boxes": mixture["boxes"]}), OrdinalRank(2), 3, 0.5)
     assert fields["worst_x"] == repr(report.worst_x) and fields["worst_ratio"] == repr(report.worst_ratio)
     assert fields["passed"] == str(report.passed).lower()
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--reps"])
+@pytest.mark.parametrize("flag", ["--seed", "--reps", "--threads"])
 def test_dominance_has_no_seed_or_reps_flag(tmp_path, capsys, flag):
     cfg = write_json(
         tmp_path / "dom.json",
@@ -521,7 +559,20 @@ def test_dominance_has_no_seed_or_reps_flag(tmp_path, capsys, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
-def test_ordinal_sweep(tmp_path):
+@pytest.mark.parametrize(
+    "command, flag",
+    [("hardness-verify", "--threads"), ("hardness-verify", "--k"), ("tv-convergence", "--threads"),
+     ("stats-check", "--threads"), ("stats-check", "--reps")],
+)
+def test_command_rejects_a_flag_it_never_reads(capsys, command, flag):
+    # only eval runs a worker pool and reads a top-level reps; a policy sets its own k
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_ordinal_sweep(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "sweep.json",
         {
@@ -530,12 +581,14 @@ def test_ordinal_sweep(tmp_path):
             "ranks": [1, 30],
         },
     )
-    out1 = tmp_path / "s1.csv"
-    out2 = tmp_path / "s2.csv"
-    assert run_cli(["ordinal-sweep", "--config", cfg, "--out", str(out1)]) == 0
-    assert run_cli(["ordinal-sweep", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    lines = out1.read_text().strip().splitlines()
+    out = tmp_path / "s.csv"
+    assert run_cli(["ordinal-sweep", "--config", cfg, "--out", str(out)]) == 0
+    # the sweep runs no worker pool, so it takes no worker count
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ordinal-sweep", "--config", cfg, "--out", str(out), "--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[0].startswith("k,l,case1_ratio")
 
@@ -559,7 +612,7 @@ def test_ordinal_sweep_rank_bounded_by_case1_pool(tmp_path, capsys):
 def test_hardness_verify_zero_policy(tmp_path):
     policy = write_json(tmp_path / "zero.json", {"k": 25, "entries": []})
     out = tmp_path / "hv.json"
-    assert run_cli(["hardness-verify", "--policy", policy, "--k", "25", "--out", str(out)]) == 0
+    assert run_cli(["hardness-verify", "--policy", policy, "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert result["ratio"] == 0.0
     assert result["k"] == 25
@@ -568,21 +621,25 @@ def test_hardness_verify_zero_policy(tmp_path):
 
 
 def test_hardness_verify_k_mismatch(tmp_path, capsys):
+    # k comes from the policy alone: a manifest k fails as never read,
+    # whether it matches the policy's or not
     policy = write_json(tmp_path / "zero.json", {"k": 25, "entries": []})
-    assert run_cli(["hardness-verify", "--policy", policy, "--k", "26"]) == 2
-    assert "k" in capsys.readouterr().err
+    for k in (25, 26):
+        cfg = write_json(tmp_path / "hv.json", {"policy": policy, "k": k})
+        assert run_cli(["hardness-verify", "--config", cfg]) == 2
+        assert "field 'k': is never read" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, value", [("xi", 1.5), ("delta1", 0.0), ("delta2", True), ("eps", 1.0)])
 def test_hardness_verify_bad_param_names_its_field(tmp_path, capsys, name, value):
     policy = write_json(tmp_path / "zero.json", {"k": 25, "entries": []})
-    cfg = write_json(tmp_path / "hv.json", {"policy": policy, "k": 25, name: value})
+    cfg = write_json(tmp_path / "hv.json", {"policy": policy, name: value})
     assert run_cli(["hardness-verify", "--config", cfg]) == 2
     assert f"field '{name}'" in capsys.readouterr().err
 
 
 def test_hardness_verify_missing_policy(capsys):
-    assert run_cli(["hardness-verify", "--k", "25"]) == 2
+    assert run_cli(["hardness-verify"]) == 2
     assert "policy" in capsys.readouterr().err
 
 

@@ -131,6 +131,16 @@ def test_cdf_monotone(d, x1, x2):
 
 @settings(max_examples=80, deadline=None)
 @given(value_dists(), st.floats(-1.0, 7.0))
+def test_exceedance_is_the_left_limit_complement_and_0_above_the_support(d, x):
+    assert d.exceedance(x) == pytest.approx(1.0 - (d.cdf(x) - d.mass_at(x)), abs=1e-12)
+    top = max(hi for _, _, hi in d.segments)
+    assert d.exceedance(top + 1.0) == 0.0
+    if not d.mass_at(top):
+        assert d.exceedance(top) == 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(value_dists(), st.floats(-1.0, 7.0))
 def test_tail_plus_low_part_is_mean(d, t):
     assert d.tail_expectation(t) + low_part_oracle(d, t) == pytest.approx(
         d.mean(), abs=1e-10
@@ -320,6 +330,10 @@ def test_instance_json_errors():
         instance_from_json({})
     with pytest.raises(ValueError, match="segments"):
         instance_from_json({"boxes": [{}]})
+    with pytest.raises(ValueError, match=r"'boxes\[0\]\.weight' is never read"):
+        instance_from_json({"boxes": [{"segments": [[1.0, 0.0, 1.0]], "weight": 2}]})
+    with pytest.raises(ValueError, match="'name' is never read"):
+        instance_from_json({"boxes": [{"segments": [[1.0, 0.0, 1.0]]}], "name": "a"})
 
 
 @pytest.mark.parametrize(

@@ -854,7 +854,7 @@ def quad_selected_distribution_oracle(inst, k):
                 dens = norm * u ** (mult - 1)
                 alive = 1.0
                 for box in inst.boxes[:i]:
-                    alive *= box.cdf_left(t) + box.mass_at(t) * u
+                    alive *= box.cdf(t) - box.mass_at(t) + box.mass_at(t) * u
                 sel = 1.0 if w > t else (1.0 - u)
                 return dens * alive * sel
 
@@ -959,16 +959,18 @@ def test_dominance_single_deterministic_box():
 
 
 def test_dominance_grid_stops_where_the_prophet_tail_does(monkeypatch):
-    # box 1's weights sum to 1 - 1.1e-16 in floats, so at x = 3, the top of
-    # its last interval, 1 - prod F reads 1.1e-16 where the tail is 0, and
-    # the tail ratio there is rounding noise; a random mixture read -0.11
+    # box 1's weights sum to 1 - 1.1e-16 in floats; the prophet tail at x = 3,
+    # the top of its last interval, sums the segments at or above 3 and is
+    # exactly 0, so the point drops out of the report by its zero tail
     inst = Instance((ValueDist(((0.7, 0.0, 1.0), (0.2, 1.0, 2.0), (0.1, 2.0, 3.0))), ValueDist.uniform(0.0, 1.0)))
-    assert inst.max_exceedance(3.0) > 0.0
+    assert inst.max_exceedance(3.0) == 0.0
     grids = []
     tails = evaluation._exact_tails
     monkeypatch.setattr(evaluation, "_exact_tails", lambda *args: grids.append(args[3]) or tails(*args))
-    dominance_check(inst, MaxSample(), 1, 0.5)
-    assert grids == [[0.5, 1.0, 1.5, 2.0, 2.5]]
+    report = dominance_check(inst, MaxSample(), 1, 0.5)
+    assert grids == [[0.5, 1.0, 1.5, 2.0, 2.5, 3.0]]
+    # the bits of the report when the grid itself stopped below 3
+    assert (report.worst_x, report.worst_ratio) == (0.5, 0.5751262626262625)
     # a top atom keeps its point
     dominance_check(Instance((ValueDist(((0.5, 0.0, 1.0), (0.5, 3.0, 3.0))),)), MaxSample(), 1, 0.5)
     assert grids[1] == [0.5, 1.0, 3.0]
@@ -998,17 +1000,18 @@ def quad_max_sample_tails(inst, xs):
     intervals = []
     for a, b in zip(breaks, breaks[1:]):
         base = [box.cdf(a) for box in inst.boxes]
-        slopes = [(box.cdf_left(b) - f) / (b - a) for box, f in zip(inst.boxes, base)]
+        slopes = [(box.cdf(b) - box.mass_at(b) - f) / (b - a) for box, f in zip(inst.boxes, base)]
         if any(slopes):
             intervals.append((a, b, base, slopes))
-    atoms = [(t, [box.cdf_left(t) for box in inst.boxes], [box.mass_at(t) for box in inst.boxes]) for t in breaks]
+    atoms = [(t, [box.cdf(t) - box.mass_at(t) for box in inst.boxes], [box.mass_at(t) for box in inst.boxes])
+             for t in breaks]
 
     def density(slopes, stays):
         return sum(s * math.prod(stays[:i] + stays[i + 1 :]) for i, s in enumerate(slopes))
 
     out = []
     for x in xs:
-        beats = [1.0 - box.cdf_left(x) for box in inst.boxes]
+        beats = [1.0 - (box.cdf(x) - box.mass_at(x)) for box in inst.boxes]
 
         def tail(t, stays):
             # a reached box pays Pr[v >= x] while t < x, and accepts once t >= x

@@ -646,6 +646,10 @@ def test_policy_json_validation():
         policy_from_json({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 9, "q": 0.5}]})
     with pytest.raises(ValueError, match="outside"):
         policy_from_json({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": 1.5}]})
+    with pytest.raises(ValueError, match="'name' is never read"):
+        policy_from_json({"k": 2, "entries": [], "name": "zero"})
+    with pytest.raises(ValueError, match=r"'entries\[0\]\.w' is never read"):
+        policy_from_json({"k": 2, "entries": [{"prefix": [ANCHOR], "i": 0, "q": 0.5, "w": 1}]})
 
 
 @pytest.mark.parametrize(
