@@ -52,7 +52,6 @@ from .hardness import (
     build_dd_mixture,
     certificate,
     certificate_terms,
-    enumerate_prefixes,
     eval_q_policy,
     g_clamp,
     ones_count_dist,
@@ -60,7 +59,6 @@ from .hardness import (
 from .stats import (
     ChernoffReport,
     CountDist,
-    NormalSpec,
     binom,
     chernoff_check,
     convolve,

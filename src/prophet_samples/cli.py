@@ -1,13 +1,12 @@
 """Config-driven experiment runner.
 
-Every experiment is a JSON manifest, in which a key that nothing reads fails,
-plus --out and the overrides its command reads: --seed (eval, stats-check),
---reps and --threads (eval), --policy (hardness-verify). The artifact goes to
---out, opened only after the command has succeeded, or to stdout; progress
-goes to stderr. Exit codes: 0 success, 2 config validation failure (the
-message names the field by its dotted path, such as chernoff.deltas or
-instances[0].generator.k), 1 internal error. Worker count never changes
-output bytes.
+Every experiment is a JSON manifest, read as written: a key that nothing
+reads fails, and no flag overrides a field. Besides --config, a command takes
+--out, and eval takes --threads, a worker count that never changes output
+bytes. The artifact goes to --out, opened only after the command has
+succeeded, or to stdout; progress goes to stderr. Exit codes: 0 success, 2
+config validation failure (the message names the field by its dotted path,
+such as chernoff.deltas or instances[0].generator.k), 1 internal error.
 """
 
 from __future__ import annotations
@@ -261,7 +260,7 @@ def _run_eval(fields: _Fields, threads: int) -> str:
             else:
                 report = mc_ratio(inst, rule, k, reps, run_seed, threads=threads)
             lines.append(_csv_row(
-                inst_id, rule_to_config(rule)["rule"], k, rank, report.reps, report.seed,
+                inst_id, rule_to_config(rule)["rule"], k, rank, reps, run_seed,
                 report.alg_value, report.prophet_value, report.ratio, report.ci_halfwidth,
             ))
             print(f"eval {inst_id} k={k}: ratio={report.ratio:.6f}", file=sys.stderr)
@@ -377,7 +376,7 @@ def _run_stats_check(fields: _Fields) -> str:
         for i, delta in enumerate(deltas):
             rng = np.random.default_rng(derive_seed(seed, 1, i))
             report = stats.chernoff_check([p] * n, delta, reps, rng)
-            rows.append({key: v for key, v in asdict(report).items() if key != "reps"})
+            rows.append({**asdict(report), "passed": report.passed})
             print(f"chernoff delta={delta}: emp={report.empirical:.2e}", file=sys.stderr)
         result["chernoff"] = rows
     if probes is not None:
@@ -405,21 +404,15 @@ _RUNNERS = {
 
 
 def _run(args: argparse.Namespace) -> None:
-    """Read the manifest, apply the flag overrides and run the command.
+    """Read the manifest and run the command.
 
     The artifact goes to --out or stdout. --out is opened only after the
     command has succeeded, so a failed run leaves an existing file as it was.
     """
-    payload: dict = {}
-    if args.config:
-        with _on("config"), open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise _fail("config", "top level must be a JSON object")
-    # flags override the manifest; each exists only for the commands that read it
-    for key in ("seed", "reps", "policy"):
-        if getattr(args, key, None) is not None:
-            payload[key] = getattr(args, key)
+    with _on("config"), open(args.config, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise _fail("config", "top level must be a JSON object")
     fields = _Fields(payload)
     declared = fields.get("command", None)
     if declared is not None and declared != args.command:
@@ -444,15 +437,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _RUNNERS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON experiment manifest")
+        p.add_argument("--config", required=True, help="JSON experiment manifest")
         p.add_argument("--out", help="artifact path (default stdout)")
-        if name in ("eval", "stats-check"):
-            p.add_argument("--seed", type=int, help="override the manifest seed")
         if name == "eval":
-            p.add_argument("--reps", type=int, help="override the manifest reps")
             p.add_argument("--threads", type=int, default=0, help="worker count (default: machine)")
-        if name == "hardness-verify":
-            p.add_argument("--policy", help="policy JSON file")
     args = parser.parse_args(argv)
     try:
         _run(args)

@@ -42,11 +42,10 @@ _TAG_SANDWICH = 0x5341
 _SEMI_CHUNK = 4096
 # Probes per sandwich-sweep chunk; its (probes, 5, 3) arrays peak near 5.5 MB.
 _SANDWICH_CHUNK = 4096
-# Array entries per Monte Carlo chunk; a row draws n*k samples, n values, n ranks.
-_MC_CHUNK_BUDGET = 1 << 21
-# Largest pooled sample n * k a replication may draw, so that even a one-row
-# chunk stays near the chunk budget.
-MC_POOL_CAP = _MC_CHUNK_BUDGET
+# Array entries per Monte Carlo chunk, where a row draws n*k samples, n values
+# and n ranks; also the largest pooled sample n * k a replication may draw, so
+# that even a one-row chunk stays near this budget.
+MC_POOL_CAP = 1 << 21
 # Largest worker count a chunk map accepts. Worker pools outlive the call, so
 # the count is bounded before any pool exists.
 MAX_THREADS = 64
@@ -91,7 +90,7 @@ def _mc_chunk_size(n: int, k: int) -> int:
     """
     if n * k > MC_POOL_CAP:
         raise ValueError(f"pooled sample n*k = {n * k} exceeds the cap of {MC_POOL_CAP}")
-    return max(1, min(65536, _MC_CHUNK_BUDGET // max(1, n * (k + 2))))
+    return max(1, min(65536, MC_POOL_CAP // max(1, n * (k + 2))))
 
 
 @lru_cache(maxsize=4)
@@ -138,13 +137,12 @@ class RatioReport:
 
     ci_halfwidth is a 95% normal halfwidth on alg_value (0 for exact
     evaluations); divide by prophet_value for the halfwidth on the ratio.
+    The replication count and seed are the caller's, so it keeps no copy.
     """
 
     alg_value: float
     prophet_value: float
     ci_halfwidth: float
-    reps: int
-    seed: int
 
     def __post_init__(self) -> None:
         if not self.prophet_value > 0.0:
@@ -177,12 +175,7 @@ def _chunk_moments(values: np.ndarray) -> tuple[float, float, int]:
     return total, float(np.sum(dev * dev)), len(values)
 
 
-def _finalize_ratio(
-    parts: list[tuple[float, float, int]],
-    prophet: float,
-    reps: int,
-    seed: int,
-) -> RatioReport:
+def _finalize_ratio(parts: list[tuple[float, float, int]], prophet: float, reps: int) -> RatioReport:
     """Pool per-chunk (sum, M2, count) moments with Chan's merge.
 
     Deviations are taken about each chunk's own mean, so values far from 0
@@ -194,7 +187,7 @@ def _finalize_ratio(
         ci = 1.96 * math.sqrt(m2 / (reps - 1) / reps)
     else:
         ci = 0.0
-    return RatioReport(alg_value=alg, prophet_value=prophet, ci_halfwidth=ci, reps=reps, seed=seed)
+    return RatioReport(alg_value=alg, prophet_value=prophet, ci_halfwidth=ci)
 
 
 # -- full Monte Carlo -------------------------------------------------------------
@@ -225,14 +218,13 @@ def _simulate_chunk(
     An ordinal rule's threshold is the pooled entry at column n*k - rank in
     (value, latent rank) order: a partition in place gives its value, and one
     draw from `_tie_law` per row its latent rank, with no rank per sample.
+    mc_ratio has checked that the rank lies in [1, n*k].
     """
     n = inst.n
     ranked = inst.has_atoms
     rank = effective_rank(rule)
 
     if rank is not None:
-        if not 1 <= rank <= n * k:
-            raise ValueError(f"rank {rank} outside [1, {n * k}]")
         pos = n * k - rank
         samples = np.empty((rows, n * k))
         for i, box in enumerate(inst.boxes):
@@ -270,7 +262,13 @@ def mc_ratio(
     seed: int,
     threads: int = 1,
 ) -> RatioReport:
-    """Plain Monte Carlo competitive-ratio estimate with an exact denominator."""
+    """Plain Monte Carlo competitive-ratio estimate with an exact denominator.
+
+    An ordinal rank outside [1, n*k] raises ValueError before anything runs.
+    """
+    rank = effective_rank(rule)
+    if rank is not None and not 1 <= rank <= inst.n * k:
+        raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
     prophet = inst.prophet_expectation()
     chunk = _mc_chunk_size(inst.n, k)
 
@@ -279,7 +277,7 @@ def mc_ratio(
         return _chunk_moments(accepted)
 
     parts = _map_chunks(run, reps, chunk, seed, _TAG_MC, threads)
-    return _finalize_ratio(parts, prophet, reps, seed)
+    return _finalize_ratio(parts, prophet, reps)
 
 
 # -- semi-exact ordinal evaluation --------------------------------------------------
@@ -414,7 +412,7 @@ def semi_exact_ordinal(
         return _chunk_moments(out)
 
     parts = _map_chunks(run, reps, _SEMI_CHUNK, seed, _TAG_SEMI, threads)
-    return _finalize_ratio(parts, prophet, reps, seed)
+    return _finalize_ratio(parts, prophet, reps)
 
 
 # -- exact ordinal evaluation ---------------------------------------------------------
@@ -596,11 +594,13 @@ def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float
     integrate it; on an atom the tie law does (threshold_value_with_rank_law).
     Count windows leave out at most 1e-18 of mass per tail per box; err is
     the mass left out times sum_i E[v_i], which bounds the walk value at any
-    threshold. err does not cover floating-point rounding, which can be
-    larger: on a two-box atom instance at k = 1000, err was 5.8e-17 while
-    the value was 1.4e-14 relative off an independent exact walk. Raises
-    ValueError before allocating a count window of more than stats.SIZE_CAP
-    entries.
+    threshold. err does not cover floating-point rounding, which is larger:
+    the log-gamma trinomial masses are up to 1.2e-12 relative off exact
+    rationals at k = 1000. With each box's trinomial replaced by correctly
+    rounded masses (50-digit mpmath), same windows and fold, two-box atom
+    instances moved by 1.1e-12 relative at k = 1000 and 9.4e-12 at
+    k = 10_000, while err read 5.8e-17 to 6.3e-16. Raises ValueError before
+    allocating a count window of more than stats.SIZE_CAP entries.
     """
     values, err = _exact_ordinal_values(inst, k, [rank])
     return float(values[0]), err
@@ -781,7 +781,7 @@ def ordinal_upper_bound_sweep(
         if np.any(err > _SWEEP_REL_ERR * values):
             raise ValueError(f"error bound {err!r} exceeds {_SWEEP_REL_ERR} of a value in {values!r}")
         prophet = inst.prophet_expectation()
-        reports.append([RatioReport(float(v), prophet, 0.0, reps=0, seed=0) for v in values])
+        reports.append([RatioReport(float(v), prophet, 0.0) for v in values])
     return [SweepRow(rank=rank, case1=r1, case2=r2) for rank, r1, r2 in zip(ranks, *reports)]
 
 

@@ -32,16 +32,10 @@ _PROB_TOL = 1e-12
 _MAX_K = 10_000
 
 
-def enumerate_prefixes() -> list[tuple]:
-    """The 31 observable prefixes: the anchor alone, then anchor x {0,1}^m."""
-    out: list[tuple] = []
-    for m in range(5):
-        for bits in itertools.product((0, 1), repeat=m):
-            out.append((ANCHOR, *bits))
-    return out
-
-
-PREFIXES: tuple[tuple, ...] = tuple(enumerate_prefixes())
+# The 31 observable prefixes: the anchor alone, then anchor x {0,1}^m for m = 1..4.
+PREFIXES: tuple[tuple, ...] = tuple(
+    (ANCHOR, *bits) for m in range(5) for bits in itertools.product((0, 1), repeat=m)
+)
 
 T1 = (ANCHOR,)
 T2 = (ANCHOR, 1)

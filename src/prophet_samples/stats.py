@@ -203,23 +203,9 @@ def sum_of_binomials(specs: Sequence[tuple[int, float]]) -> CountDist:
     return CountDist(offset, masses)
 
 
-@dataclass(frozen=True)
-class NormalSpec:
-    mu: float
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if not self.sigma2 > 0.0:
-            raise ValueError("sigma2 must be positive")
-
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.sigma2)
-
-
-def _normal_bin_masses(spec: NormalSpec, lo: int, hi: int) -> np.ndarray:
-    """Mass of [i - 0.5, i + 0.5] per integer bin i in [lo, hi]; the tails outside are left out."""
-    z = (np.arange(lo, hi + 2, dtype=float) - 0.5 - spec.mu) / spec.sigma
+def _normal_bin_masses(mu: float, sigma: float, lo: int, hi: int) -> np.ndarray:
+    """N(mu, sigma^2) mass of [i - 0.5, i + 0.5] per bin i in [lo, hi]; the tails are left out."""
+    z = (np.arange(lo, hi + 2, dtype=float) - 0.5 - mu) / sigma
     a = np.searchsorted(z, _NDTR_RANGE[0])
     b = np.searchsorted(z, _NDTR_RANGE[1], side="right")
     cdf = np.empty_like(z)
@@ -248,14 +234,14 @@ def tv_binom_vs_normal(n: int, p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    if n > SIZE_CAP:
-        raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
-    spec = NormalSpec(mu=n * p, sigma2=n * p * (1.0 - p))
+    if not 1 <= n <= SIZE_CAP:
+        raise ValueError(f"n = {n} must be in [1, {SIZE_CAP}]")
+    mu, sigma = n * p, math.sqrt(n * p * (1.0 - p))
     bin_masses = binom(n, p).masses
-    norm_masses = _normal_bin_masses(spec, 0, n)
+    norm_masses = _normal_bin_masses(mu, sigma, 0, n)
     core = float(np.abs(bin_masses - norm_masses).sum())
-    left_tail = float(ndtr((-0.5 - spec.mu) / spec.sigma))
-    right_tail = float(1.0 - ndtr((n + 0.5 - spec.mu) / spec.sigma))
+    left_tail = float(ndtr((-0.5 - mu) / sigma))
+    right_tail = float(1.0 - ndtr((n + 0.5 - mu) / sigma))
     return core + left_tail + right_tail
 
 
@@ -264,13 +250,21 @@ def tv_binom_vs_normal(n: int, p: float) -> float:
 
 @dataclass(frozen=True)
 class ChernoffReport:
+    """Empirical tail frequency against its Chernoff bound.
+
+    passed is derived: the frequency is at most the bound plus three standard
+    errors. The replication count is the caller's, so it keeps no copy.
+    """
+
     mu: float
     delta: float
     empirical: float
     bound: float
     stderr: float
-    reps: int
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.empirical <= self.bound + 3.0 * self.stderr
 
 
 def chernoff_check(
@@ -302,12 +296,4 @@ def chernoff_check(
     empirical = float(hits.mean())
     bound = 2.0 * math.exp(-delta * delta * mu / 3.0)
     stderr = math.sqrt(max(empirical * (1.0 - empirical), 1.0 / reps) / reps)
-    return ChernoffReport(
-        mu=mu,
-        delta=delta,
-        empirical=empirical,
-        bound=bound,
-        stderr=stderr,
-        reps=reps,
-        passed=empirical <= bound + 3.0 * stderr,
-    )
+    return ChernoffReport(mu=mu, delta=delta, empirical=empirical, bound=bound, stderr=stderr)

@@ -37,19 +37,24 @@ def write_json(path, payload):
     return str(path)
 
 
-@pytest.fixture
-def eval_config(tmp_path):
+def eval_manifest(path, reps=20_000, seed=7):
+    """An eval manifest of max-sample on instance A at k = 1."""
     return write_json(
-        tmp_path / "eval.json",
+        path,
         {
             "command": "eval",
             "instances": [INSTANCE_A],
             "rule": {"rule": "max_sample"},
             "k": 1,
-            "reps": 20_000,
-            "seed": 7,
+            "reps": reps,
+            "seed": seed,
         },
     )
+
+
+@pytest.fixture
+def eval_config(tmp_path):
+    return eval_manifest(tmp_path / "eval.json")
 
 
 def test_eval_writes_csv(eval_config, tmp_path, capsys):
@@ -64,8 +69,8 @@ def test_eval_writes_csv(eval_config, tmp_path, capsys):
     assert captured.out == ""  # artifact went to the file; stdout stays clean
 
 
-def test_eval_stdout_when_no_out(eval_config, capsys):
-    assert run_cli(["eval", "--config", eval_config, "--reps", "5000"]) == 0
+def test_eval_stdout_when_no_out(tmp_path, capsys):
+    assert run_cli(["eval", "--config", eval_manifest(tmp_path / "eval.json", reps=5000)]) == 0
     captured = capsys.readouterr()
     assert captured.out.startswith("instance_id,")
 
@@ -78,11 +83,11 @@ def test_eval_determinism_across_threads(eval_config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_eval_seed_override_changes_output(eval_config, tmp_path):
+def test_eval_manifest_seed_changes_output(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    run_cli(["eval", "--config", eval_config, "--out", str(out1)])
-    run_cli(["eval", "--config", eval_config, "--out", str(out2), "--seed", "8"])
+    assert run_cli(["eval", "--config", eval_manifest(tmp_path / "a.json", seed=7), "--out", str(out1)]) == 0
+    assert run_cli(["eval", "--config", eval_manifest(tmp_path / "b.json", seed=8), "--out", str(out2)]) == 0
     assert out1.read_bytes() != out2.read_bytes()
 
 
@@ -432,9 +437,9 @@ def test_unread_manifest_key_is_config_error(command, manifest, artifact, tmp_pa
     assert not out.exists()
 
 
-def test_unwritable_out_is_config_error(eval_config, tmp_path, capsys):
-    assert run_cli(["eval", "--config", eval_config, "--reps", "100",
-                    "--out", str(tmp_path / "no-such-dir" / "out.csv")]) == 2
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    cfg = eval_manifest(tmp_path / "eval.json", reps=100)
+    assert run_cli(["eval", "--config", cfg, "--out", str(tmp_path / "no-such-dir" / "out.csv")]) == 2
     assert "field 'out'" in capsys.readouterr().err
 
 
@@ -565,11 +570,28 @@ def test_dominance_has_no_seed_or_reps_flag(tmp_path, capsys, flag):
      ("stats-check", "--threads"), ("stats-check", "--reps")],
 )
 def test_command_rejects_a_flag_it_never_reads(capsys, command, flag):
-    # only eval runs a worker pool and reads a top-level reps; a policy sets its own k
+    # only eval runs a worker pool and reads a top-level reps; a policy sets its own k.
+    # --config comes first: argparse reports a missing required flag before an unknown one
     with pytest.raises(SystemExit) as exc:
-        run_cli([command, flag, "5"])
+        run_cli([command, "--config", "manifest.json", flag, "5"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", list(cli._RUNNERS))
+@pytest.mark.parametrize("argv", [["--seed", "5"], ["--reps", "5"], ["--policy", "p.json"], []],
+                         ids=["seed", "reps", "policy", "no-config"])
+def test_manifest_is_the_only_source_of_a_setting(capsys, command, argv):
+    # seed, reps and policy are manifest fields alone, and every run reads a manifest
+    config = [] if not argv else ["--config", "manifest.json"]
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, *config, *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    if argv:
+        assert f"unrecognized arguments: {argv[0]}" in err
+    else:
+        assert "the following arguments are required: --config" in err
 
 
 def test_ordinal_sweep(tmp_path, capsys):
@@ -611,8 +633,9 @@ def test_ordinal_sweep_rank_bounded_by_case1_pool(tmp_path, capsys):
 
 def test_hardness_verify_zero_policy(tmp_path):
     policy = write_json(tmp_path / "zero.json", {"k": 25, "entries": []})
+    cfg = write_json(tmp_path / "hv_manifest.json", {"command": "hardness-verify", "policy": policy})
     out = tmp_path / "hv.json"
-    assert run_cli(["hardness-verify", "--policy", policy, "--out", str(out)]) == 0
+    assert run_cli(["hardness-verify", "--config", cfg, "--out", str(out)]) == 0
     result = json.loads(out.read_text())
     assert result["ratio"] == 0.0
     assert result["k"] == 25
@@ -638,9 +661,10 @@ def test_hardness_verify_bad_param_names_its_field(tmp_path, capsys, name, value
     assert f"field '{name}'" in capsys.readouterr().err
 
 
-def test_hardness_verify_missing_policy(capsys):
-    assert run_cli(["hardness-verify"]) == 2
-    assert "policy" in capsys.readouterr().err
+def test_hardness_verify_missing_policy(tmp_path, capsys):
+    cfg = write_json(tmp_path / "hv.json", {"command": "hardness-verify"})
+    assert run_cli(["hardness-verify", "--config", cfg]) == 2
+    assert "field 'policy': is required" in capsys.readouterr().err
 
 
 def test_tv_convergence_binomial(tmp_path):
@@ -739,12 +763,15 @@ def test_eval_golden_bytes(tmp_path):
     assert out.read_text() == want
 
 
-def test_console_entry_point(eval_config):
+def test_console_entry_point(tmp_path):
+    # the child imports the package of this checkout, installed or not
+    cfg = eval_manifest(tmp_path / "eval.json", reps=2000)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "prophet_samples.cli", "eval", "--config", eval_config,
-         "--reps", "2000"],
+        [sys.executable, "-m", "prophet_samples.cli", "eval", "--config", cfg],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("instance_id,")

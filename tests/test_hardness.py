@@ -13,7 +13,6 @@ from prophet_samples import (
     build_dd_mixture,
     certificate,
     certificate_terms,
-    enumerate_prefixes,
     eval_q_policy,
     g_clamp,
     ones_count_dist,
@@ -117,7 +116,7 @@ def random_member(rng, params: HardParams) -> ProbVector:
 
 
 def test_prefix_count_and_order():
-    prefixes = enumerate_prefixes()
+    prefixes = PREFIXES
     assert len(prefixes) == 31
     assert prefixes[0] == (ANCHOR,)
     assert T3 in prefixes

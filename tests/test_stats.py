@@ -9,7 +9,6 @@ from scipy.special import ndtr
 
 from prophet_samples import (
     CountDist,
-    NormalSpec,
     binom,
     chernoff_check,
     convolve,
@@ -155,10 +154,10 @@ def test_sum_of_binomials_bounds_the_fold_before_building_rows(monkeypatch):
 # -- windowed kernels against their dense formulas -----------------------------------
 
 
-def dense_normal_bin_masses(spec: NormalSpec, lo: int, hi: int) -> np.ndarray:
+def dense_normal_bin_masses(mu: float, sigma: float, lo: int, hi: int) -> np.ndarray:
     """_normal_bin_masses with ndtr evaluated at every edge."""
     edges = np.arange(lo, hi + 2, dtype=float) - 0.5
-    return np.diff(ndtr((edges - spec.mu) / spec.sigma))
+    return np.diff(ndtr((edges - mu) / sigma))
 
 
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -221,8 +220,8 @@ def test_binom_pmf_rows_rejects_probabilities_outside_the_unit_interval(bad):
     ],
 )
 def test_normal_bin_masses_match_full_range_ndtr_bit_for_bit(mu, sigma2, lo, hi):
-    spec = NormalSpec(mu, sigma2)
-    assert_same_bits(_normal_bin_masses(spec, lo, hi), dense_normal_bin_masses(spec, lo, hi))
+    sigma = math.sqrt(sigma2)
+    assert_same_bits(_normal_bin_masses(mu, sigma, lo, hi), dense_normal_bin_masses(mu, sigma, lo, hi))
 
 
 @pytest.mark.parametrize(
@@ -329,6 +328,9 @@ def test_tv_binom_vs_normal_trend():
 def test_tv_binom_vs_normal_validates_p():
     with pytest.raises(ValueError):
         tv_binom_vs_normal(10, 0.0)
+    # nor n: Bin(0, p) has no spread, so there is no matching normal
+    with pytest.raises(ValueError, match=r"n = 0 must be in \[1, "):
+        tv_binom_vs_normal(0, 0.5)
 
 
 # -- Chernoff -----------------------------------------------------------------------------
