@@ -101,8 +101,8 @@ class _Fields:
             raise _fail(self.name(key), "is required")
         return default
 
-    def integer(self, key: str, lo: int, hi: int | None = None, default: Any = _REQUIRED) -> int:
-        return _int(self.get(key, default), self.name(key), lo, hi)
+    def integer(self, key: str, lo: int, hi: int | None = None) -> int:
+        return _int(self.get(key), self.name(key), lo, hi)
 
     def number(self, key: str, lo: float, hi: float, open_: bool = False) -> float:
         return _number(self.get(key), self.name(key), lo, hi, open_)
@@ -155,7 +155,7 @@ def _instance(entry: _Fields) -> Instance:
             inst = evaluation.case1_instance(gen.integer("k", 2, CASE1_MAX_K))
         elif name == "case2":
             k = gen.integer("k", 1, CASE2_MAX_K)
-            inst = evaluation.case2_instance(k, gen.integer("n", 2, default=evaluation.default_case2_boxes(k)))
+            inst = evaluation.case2_instance(k, evaluation.default_case2_boxes(k))
         else:
             raise _fail(gen.name("name"), f"unknown generator {name!r}")
         gen.done()
@@ -274,15 +274,13 @@ def _run_dominance(fields: _Fields) -> str:
     gamma = fields.number("gamma", 0.0, 1.0)
     _check_pools(instances, rule, [k], mc=False)
     fields.done()
-    # mode, reps and seed stay as columns, always exact,0,0, so the dominance
-    # CSVs keep the layout they had when a Monte Carlo mode existed
-    lines = ["instance_id,rule,k,gamma,mode,worst_x,worst_ratio,passed,reps,seed"]
+    lines = ["instance_id,rule,k,gamma,worst_x,worst_ratio,passed"]
     for idx, (inst_id, inst) in enumerate(instances):
         with _on(f"instances[{idx}]"):
             report = dominance_check(inst, rule, k, gamma)
         lines.append(_csv_row(
-            inst_id, rule_to_config(rule)["rule"], k, gamma, "exact",
-            report.worst_x, report.worst_ratio, report.passed, 0, 0,
+            inst_id, rule_to_config(rule)["rule"], k, gamma,
+            report.worst_x, report.worst_ratio, report.passed,
         ))
         print(f"dominance {inst_id}: worst={report.worst_ratio:.6f}", file=sys.stderr)
     return "\n".join(lines) + "\n"
@@ -304,13 +302,8 @@ def _run_hardness_verify(fields: _Fields) -> str:
     policy_path = fields.file("policy")
     with _on("policy"):
         policy = hardness.load_policy(policy_path)
-    kwargs = {
-        name: fields.number(name, 0.0, 1.0, open_=True)
-        for name in ("xi", "delta1", "delta2", "eps")
-        if name in fields.obj
-    }
-    params = hardness.HardParams(k=policy.k, **kwargs)
     fields.done()
+    params = hardness.HardParams(k=policy.k)
     vec, ratio = hardness.adversary(policy, params)
     inst = hardness.family_instance(vec, params)
     result = {

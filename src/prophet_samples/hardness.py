@@ -385,10 +385,7 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
             rows[zeros + a : zeros + b, lo:hi] = 0.0
     mix = CountDist(0, mix_masses / mix_masses.sum())
 
-    star = convolve(coeff, binom(k, params.eps))
-    star_masses = np.zeros(4 * k + 1)
-    star_masses[star.offset : star.offset + len(star.masses)] = star.masses
-    star_full = CountDist(0, star_masses)
+    star = convolve(coeff, binom(k, params.eps))  # eps in (0, 1): full rows, so {0..4k}
 
     spec = MixtureSpec(
         coefficients=coeff.masses,
@@ -396,7 +393,7 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
         component_trials=k,
         component_success=success,
     )
-    return spec, mix, star_full
+    return spec, mix, star
 
 
 # -- the certificate and the adversary -------------------------------------------------------

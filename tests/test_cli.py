@@ -257,6 +257,11 @@ _BAD_INPUTS = [
      {"instances": [{"generator": {"name": "case2", "k": 10**400}}], "rule": {"rule": "max_sample"},
       "k": 1, "reps": 10, "seed": 1},
      {}, "instances[0].generator.k"),
+    # case2 takes floor(k^(1/4)) boxes, at least 2, as the sweep does, so even a valid n is never read
+    ("generator-case2-n", "eval",
+     {"instances": [{"generator": {"name": "case2", "k": 50, "n": 3}}], "rule": {"rule": "max_sample"},
+      "k": 1, "reps": 10, "seed": 1},
+     {}, "instances[0].generator.n"),
     ("eval-misspelled-key", "eval",
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "reps": 10, "seed": 1,
       "metod": "semi_exact"},
@@ -476,7 +481,7 @@ def test_eval_generator_instances(tmp_path):
         tmp_path / "gen.json",
         {
             "command": "eval",
-            "instances": [{"id": "bench", "generator": {"name": "case2", "k": 50, "n": 3}}],
+            "instances": [{"id": "bench", "generator": {"name": "case2", "k": 50}}],
             "rule": {"rule": "ordinal", "rank": 20},
             "k": 50,
             "reps": 2000,
@@ -509,10 +514,12 @@ def test_dominance_exact(tmp_path):
     )
     out = tmp_path / "dom.csv"
     assert run_cli(["dominance", "--config", cfg, "--out", str(out)]) == 0
-    fields = out.read_text().strip().splitlines()[1].split(",")
+    header, row = out.read_text().strip().splitlines()
+    assert header == "instance_id,rule,k,gamma,worst_x,worst_ratio,passed"
+    fields = row.split(",")
     assert fields[0] == "instA"
-    assert float(fields[6]) == pytest.approx(0.5, abs=1e-12)
-    assert fields[7] == "true"
+    assert float(fields[5]) == pytest.approx(0.5, abs=1e-12)
+    assert fields[6] == "true"
 
 
 def test_dominance_boolean_gamma_is_config_error(tmp_path, capsys):
@@ -532,7 +539,7 @@ def test_dominance_boolean_gamma_is_config_error(tmp_path, capsys):
 
 def test_dominance_writes_a_mixture_row(tmp_path):
     # one box U(0, 1), one with an atom at 1/2 and a segment U(1, 3): exact
-    # on intervals as on atoms, with mode, reps and seed written as exact,0,0
+    # on intervals as on atoms
     mixture = {"id": "mix", "boxes": [
         {"segments": [[1.0, 0.0, 1.0]]},
         {"segments": [[0.4, 0.5, 0.5], [0.6, 1.0, 3.0]]},
@@ -546,7 +553,7 @@ def test_dominance_writes_a_mixture_row(tmp_path):
     assert run_cli(["dominance", "--config", cfg, "--out", str(out)]) == 0
     header, row = out.read_text().strip().splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
-    assert (fields["instance_id"], fields["mode"], fields["reps"], fields["seed"]) == ("mix", "exact", "0", "0")
+    assert (fields["instance_id"], fields["rule"], fields["k"], fields["gamma"]) == ("mix", "ordinal", "3", "0.5")
     report = dominance_check(instance_from_json({"boxes": mixture["boxes"]}), OrdinalRank(2), 3, 0.5)
     assert fields["worst_x"] == repr(report.worst_x) and fields["worst_ratio"] == repr(report.worst_ratio)
     assert fields["passed"] == str(report.passed).lower()
@@ -653,12 +660,13 @@ def test_hardness_verify_k_mismatch(tmp_path, capsys):
         assert "field 'k': is never read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, value", [("xi", 1.5), ("delta1", 0.0), ("delta2", True), ("eps", 1.0)])
-def test_hardness_verify_bad_param_names_its_field(tmp_path, capsys, name, value):
+@pytest.mark.parametrize("name, value", [("xi", 0.9), ("delta1", 0.01), ("delta2", 0.5005), ("eps", 0.0001)])
+def test_hardness_verify_reads_only_its_policy(tmp_path, capsys, name, value):
+    # the family runs at the HardParams defaults: even a valid parameter is never read
     policy = write_json(tmp_path / "zero.json", {"k": 25, "entries": []})
     cfg = write_json(tmp_path / "hv.json", {"policy": policy, name: value})
     assert run_cli(["hardness-verify", "--config", cfg]) == 2
-    assert f"field '{name}'" in capsys.readouterr().err
+    assert f"field '{name}': is never read" in capsys.readouterr().err
 
 
 def test_hardness_verify_missing_policy(tmp_path, capsys):

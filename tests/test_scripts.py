@@ -1,6 +1,8 @@
 """Runs of the standalone scripts under scripts/: smoke runs on small inputs,
 and the artifact regeneration byte for byte."""
 
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +28,19 @@ def test_script_runs_and_prints_its_csv_header(script, args, header):
     lines = proc.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+def test_every_command_manifest_in_configs_is_regenerated():
+    # a manifest without an artifact, or an artifact whose manifest is gone,
+    # would otherwise pass unnoticed
+    spec = importlib.util.spec_from_file_location("run_benchmarks", ROOT / "scripts" / "run_benchmarks.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    listed = {(command, manifest) for command, manifest, _ in module.MANIFESTS}
+    payloads = {path.name: json.loads(path.read_text()) for path in (ROOT / "configs").glob("*.json")}
+    commanded = {(obj["command"], name) for name, obj in payloads.items() if "command" in obj}
+    assert listed == commanded
+    assert len(module.MANIFESTS) == len(listed)
 
 
 STABLE_ARTIFACTS = (
