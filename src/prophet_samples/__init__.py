@@ -40,7 +40,6 @@ from .evaluation import (
     exact_single_sample_value,
     mc_ratio,
     ordinal_upper_bound_sweep,
-    random_mixture_instance,
     semi_exact_ordinal,
 )
 from .hardness import (

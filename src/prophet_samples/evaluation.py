@@ -30,7 +30,7 @@ from .algorithms import (
     walk_value,
 )
 from .distributions import Instance, ValueDist
-from .stats import SIZE_CAP, binom_pmf_rows
+from .stats import SIZE_CAP, _trim, binom_pmf_rows
 
 _MASK64 = (1 << 64) - 1
 
@@ -50,8 +50,6 @@ MC_POOL_CAP = 1 << 21
 # the count is bounded before any pool exists.
 MAX_THREADS = 64
 _DOM_TOL = 1e-9
-# Largest mass an exact count window leaves out of each tail of a marginal.
-_WINDOW_TAIL = 1e-18
 # Largest error bound the exact sweep accepts, relative to the value.
 _SWEEP_REL_ERR = 1e-12
 
@@ -416,14 +414,6 @@ def semi_exact_ordinal(
 
 
 # -- exact ordinal evaluation ---------------------------------------------------------
-
-
-def _trim(row: np.ndarray) -> tuple[int, np.ndarray, float]:
-    """(offset, masses, dropped): the shortest run of a pmf row whose two
-    tails each hold at most _WINDOW_TAIL, and the mass it leaves out."""
-    lo = int(np.searchsorted(np.cumsum(row), _WINDOW_TAIL, side="right"))
-    hi = len(row) - int(np.searchsorted(np.cumsum(row[::-1]), _WINDOW_TAIL, side="right"))
-    return lo, row[lo:hi], float(row[:lo].sum() + row[hi:].sum())
 
 
 def _check_window(rows: int, cols: int) -> None:
@@ -791,8 +781,8 @@ def ordinal_upper_bound_sweep(
 def _sandwich_probes(rows: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`rows` sandwich probes as (w, lo, hi, t): segments in (rows, 5, 3) arrays, thresholds in (rows,).
 
-    A probe follows random_mixture_instance's law: 2 to 5 boxes of 1 to 3
-    segments, weights U(0, 1) + 0.1 normalized per box, each segment an atom
+    A probe is a mixture of 2 to 5 boxes of 1 to 3 segments, weights
+    U(0, 1) + 0.1 normalized per box, each segment an atom
     on U(0, 3) with chance 1/4 and otherwise U(0, 2) plus a width of
     U(0.5, 2.5). Its threshold is, with chance 1/5, one of its distinct
     breakpoints, uniformly, and otherwise U(min - 1, max + 1) over them.
@@ -866,28 +856,3 @@ def diagnostics_sandwich_sweep(probes: int, seed: int) -> tuple[int, float]:
 
     parts = _map_chunks(run, probes, _SANDWICH_CHUNK, seed, _TAG_SANDWICH, 1)
     return sum(v for v, _ in parts), max(x for _, x in parts)
-
-
-# -- randomized instance corpora -----------------------------------------------------------
-
-
-def random_mixture_instance(rng: np.random.Generator) -> Instance:
-    """Mixture instance of 2 to 5 boxes of 1 to 3 segments, with heterogeneous
-    scales and wide uniform segments."""
-    n = int(rng.integers(2, 6))
-    boxes = []
-    for _ in range(n):
-        segs = int(rng.integers(1, 4))
-        weights = rng.random(segs) + 0.1
-        weights = weights / weights.sum()
-        parts = []
-        for w in weights:
-            if rng.random() < 0.25:
-                v = float(rng.uniform(0.0, 3.0))
-                parts.append((float(w), v, v))
-            else:
-                lo = float(rng.uniform(0.0, 2.0))
-                width = float(rng.uniform(0.5, 2.5))
-                parts.append((float(w), lo, lo + width))
-        boxes.append(ValueDist(tuple(parts)))
-    return Instance(tuple(boxes))

@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import Instance, ValueDist, _check_keys, _is_int, _is_number
-from .stats import CountDist, _binom_window, binom, binom_pmf_rows, convolve, sum_of_binomials
+from .stats import CountDist, _binom_windows, _trim, binom, binom_pmf_rows, sum_of_binomials
 
 ANCHOR = "xi"
 
@@ -341,51 +341,47 @@ class MixtureSpec:
     component_success: np.ndarray
 
 
-# build_dd_mixture adds the mixture's rows _BLOCK at a time, with one product
-# over the full-width block: a product over a column slice has other bits.
-_BLOCK = 512
-
-
 def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountDist]:
     """The ones-count mixture and its two-binomial stand-in, both on {0..4k}.
 
     The mixture draws j from Bin(3k, 1/3) and then k + Bin(k, g(j)); the
     stand-in is Bin(3k, 1/3) + Bin(k, eps), which shares its mean k(1 + eps).
-    The Bin(k, g(j)) rows go into one reused (_BLOCK, k + 1) block: a row with
-    g(j) = 0 or 1 is a single 1.0, the others are evaluated a chunk of rows at
-    a time on the chunk's own window (stats._binom_window), and a block whose
-    coefficients all underflow to 0 is skipped. Each mass has the bits of
-    building every block densely with binom_pmf_rows.
+    Both are built on trimmed windows. The coefficients j and Bin(k, eps) keep
+    their shortest runs with at most 1e-18 in each tail (stats._trim). Rows with
+    g(j) = 0 or 1 are single masses at k and 2k; the others are evaluated a
+    chunk at a time on Bernstein windows that leave out at most 1e-18 per tail
+    (stats._binom_windows), each row divided by its own window sum. The
+    stand-in is the convolution of the two trimmed windows. So the trims leave
+    out at most 4e-18 of either law before it is renormalized.
+
+    Against the dense build kept in tests/test_hardness.py (every coefficient,
+    full Bin(k, g(j)) rows) each mass and TV(mix, star) is within 4.4e-16
+    absolute, measured at most 2.2e-16 on k from 1 to 1e4 and eps from 1e-4
+    to 0.999. Against exact rationals at k = 10 and 30 each mass is within
+    1e-17 + 1e-13 times its value and the TV within 1e-13 relative, measured
+    at most 2.4e-14 and 1.6e-14.
     """
     k = params.k
     coeff = binom(3 * k, ONE_THIRD)
     success = g_clamp(np.arange(3 * k + 1), params)
+    j0, weights, _ = _trim(coeff.masses)
+    g = success[j0 : j0 + len(weights)]
     # g is nondecreasing in j: rows before first have g = 0, rows from last on g = 1
-    first = int(np.searchsorted(success, 0.0, side="right"))
-    last = int(np.searchsorted(success, 1.0))
+    first = int(np.searchsorted(g, 0.0, side="right"))
+    last = int(np.searchsorted(g, 1.0))
 
     mix_masses = np.zeros(4 * k + 1)
-    block = np.zeros((_BLOCK, k + 1))
-    for start in range(0, 3 * k + 1, _BLOCK):
-        stop = min(start + _BLOCK, 3 * k + 1)
-        if not coeff.masses[start:stop].any():
-            continue  # an all-zero block would add +0.0 everywhere
-        rows = block[: stop - start]
-        zeros = min(max(first - start, 0), stop - start)
-        ones = min(max(last - start, zeros), stop - start)
-        rows[:zeros, 0] = 1.0
-        rows[ones:, k] = 1.0
-        written = []
-        if zeros < ones:
-            written = _binom_window(k, success[start + zeros : start + ones], rows[zeros:ones])
-        mix_masses[k : 2 * k + 1] += coeff.masses[start:stop] @ rows
-        rows[:zeros, 0] = 0.0
-        rows[ones:, k] = 0.0
-        for a, b, lo, hi in written:
-            rows[zeros + a : zeros + b, lo:hi] = 0.0
+    mix_masses[k] = weights[:first].sum()
+    mix_masses[2 * k] = weights[last:].sum()
+    for a, c, rows in _binom_windows(k, g[first:last]):
+        mix_masses[k + c : k + c + rows.shape[1]] += weights[first + a : first + a + len(rows)] @ rows
     mix = CountDist(0, mix_masses / mix_masses.sum())
 
-    star = convolve(coeff, binom(k, params.eps))  # eps in (0, 1): full rows, so {0..4k}
+    b0, noise, _ = _trim(binom(k, params.eps).masses)
+    star_window = np.convolve(weights, noise)
+    star_masses = np.zeros(4 * k + 1)
+    star_masses[j0 + b0 : j0 + b0 + len(star_window)] = star_window / star_window.sum()
+    star = CountDist(0, star_masses)
 
     spec = MixtureSpec(
         coefficients=coeff.masses,

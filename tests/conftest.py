@@ -1,13 +1,15 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import gammaln, ndtr
 
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
 from prophet_samples.distributions import _gauss_nodes
 from prophet_samples.hardness import STOPS, T1
+from prophet_samples.stats import binom_pmf_rows
 
 
 @pytest.fixture
@@ -190,6 +192,28 @@ def scalar_level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.n
     return is_atom, los, his, probs
 
 
+def random_mixture_instance(rng: np.random.Generator) -> Instance:
+    """Mixture instance of 2 to 5 boxes of 1 to 3 segments, with heterogeneous
+    scales and wide uniform segments."""
+    n = int(rng.integers(2, 6))
+    boxes = []
+    for _ in range(n):
+        segs = int(rng.integers(1, 4))
+        weights = rng.random(segs) + 0.1
+        weights = weights / weights.sum()
+        parts = []
+        for w in weights:
+            if rng.random() < 0.25:
+                v = float(rng.uniform(0.0, 3.0))
+                parts.append((float(w), v, v))
+            else:
+                lo = float(rng.uniform(0.0, 2.0))
+                width = float(rng.uniform(0.5, 2.5))
+                parts.append((float(w), lo, lo + width))
+        boxes.append(ValueDist(tuple(parts)))
+    return Instance(tuple(boxes))
+
+
 def set_up_oracle_instances() -> list[Instance]:
     """Instances on which the array set-up passes must match the scalar oracles
     bit for bit: 2000 random mixtures, then named edges."""
@@ -198,7 +222,6 @@ def set_up_oracle_instances() -> list[Instance]:
         CASE1_MAX_K,
         case1_instance,
         case2_instance,
-        random_mixture_instance,
     )
 
     rng = np.random.default_rng(20261018)
@@ -285,6 +308,15 @@ def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
     rows[ps == 0.0, 0] = 1.0
     rows[ps == 1.0, n] = 1.0
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+def dense_tv_binom_vs_normal(n: int, p: float) -> float:
+    """tv_binom_vs_normal summed over every bin of [0, n]: the full
+    binom_pmf_rows row, ndtr at every edge, and the normal mass off [0, n]."""
+    mu, sigma = n * p, math.sqrt(n * p * (1.0 - p))
+    edges = (np.arange(n + 2, dtype=float) - 0.5 - mu) / sigma
+    core = float(np.abs(binom_pmf_rows(n, [p])[0] - np.diff(ndtr(edges))).sum())
+    return core + float(ndtr(edges[0])) + float(1.0 - ndtr(edges[-1]))
 
 
 def per_law_member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.ndarray:

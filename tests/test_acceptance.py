@@ -38,12 +38,11 @@ from prophet_samples.evaluation import (
     default_case2_boxes,
     derive_seed,
     diagnostics_sandwich_sweep,
-    random_mixture_instance,
 )
 from prophet_samples.hardness import ONE_THIRD
 from prophet_samples.stats import CountDist
 
-from conftest import brute_force_eval, random_discrete_instance
+from conftest import brute_force_eval, random_discrete_instance, random_mixture_instance
 
 DOMINANCE_CORPUS_SEED = 20260803
 MIXTURE_CORPUS_SEED = 20260801

@@ -32,7 +32,6 @@ from prophet_samples.evaluation import (
     _stratum_polys,
     dominance_check,
     mc_ratio,
-    random_mixture_instance,
 )
 
 from conftest import (
@@ -42,6 +41,7 @@ from conftest import (
     instances,
     loop_stratum_polys,
     random_discrete_instance,
+    random_mixture_instance,
 )
 
 

@@ -50,11 +50,16 @@ from prophet_samples.evaluation import (
     _tie_law,
     derive_seed,
     diagnostics_sandwich_sweep,
-    random_mixture_instance,
 )
 from prophet_samples.stats import SIZE_CAP
 
-from conftest import probe_instances, random_discrete_instance, scalar_level_structure, set_up_oracle_instances
+from conftest import (
+    probe_instances,
+    random_discrete_instance,
+    random_mixture_instance,
+    scalar_level_structure,
+    set_up_oracle_instances,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 

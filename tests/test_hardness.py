@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from prophet_samples import (
     tv_distance,
 )
 from prophet_samples import hardness
-from prophet_samples.stats import CountDist, _binom_window, binom, binom_pmf_rows
+from prophet_samples.stats import CountDist, _binom_windows, binom, binom_pmf_rows, convolve
 from prophet_samples.hardness import (
     ANCHOR,
     ONE_THIRD,
@@ -374,16 +376,16 @@ def test_build_dd_mixture_means():
     assert spec.coefficients.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-# masses of build_dd_mixture recorded by .hex() before all-zero blocks were skipped
+# masses of build_dd_mixture recorded by .hex() once it was built on trimmed windows
 DD_MIXTURE_DIGESTS = [
-    (200, 0.1, "7ea2e3ceb4c0c195b9c6bc3302734104e86112c35510a88d6a1a021eadecf479",
-     "d1c9a245555bb5f9e16cc9a9c03888db2436902ce1f96977cd3a60cd8272ed5a"),
-    (800, 0.1, "8382e214460e0d942663724105e8ac1eebd2b897c772d960e12309fa51e16be2",
-     "4f53f02b5a80cd7507626ef19e7e19bc1393c2494ea4b59c96d6141d0f3803e2"),
-    (3200, 0.1, "6ccfdbc4200219e96b2254365ad5a9ca1b63b543f53138a6278561094ab6913d",
-     "0cab1e1ab823d4009c0198694f559b861c87f558e01ed575548df8107fe209e0"),
-    (800, None, "96afd29f87db5b5e3ecd36dfe84ddcbfa5a75df7616e1b4f444d12b3271970a5",
-     "da9ed188fdf848233636ae38a7af4179d02b60dd5dd48bce15344cb87fb4a126"),
+    (200, 0.1, "8f891a36aa1f359b6033ebab11c4e8edaaec9abbad1c3abc943444abc5c9131b",
+     "c18c77663a14334ba6dd7b97d4cea603508df14f016cefcaf7e3f2961472ceea"),
+    (800, 0.1, "52701b798c6d6128699b69f3febee1ca723525d391c6ee233763eff53fead135",
+     "a64298fbcd17c624e1083c532722d55200f9340a54a9a20b8ef3dc2ced1338a1"),
+    (3200, 0.1, "5f462e3ccb3e40e51fec0215702062cbcb500a579aa594c083e59de4aed59176",
+     "81ba00cbd2afe85391ecbe27a49dfb72a29699ea6a96891a09e90cbbeee5ab9c"),
+    (800, None, "55e781aae0903fd0612780a6f3e1090d4a7c5cad082adc28624b9eba42693519",
+     "abd145c617ba38b5aac4c83270f9436d0ab039be85b452485432b839b8458cc6"),
 ]
 
 
@@ -400,8 +402,9 @@ def test_build_dd_mixture_golden(k, eps, mix_digest, star_digest):
     assert (masses_digest(mix), masses_digest(star)) == (mix_digest, star_digest)
 
 
-def dense_dd_mixture_oracle(params: HardParams) -> CountDist:
-    """build_dd_mixture's mixture from dense Bin(k, g(j)) rows, 512 coefficients at a time."""
+def dense_dd_mixture_oracle(params: HardParams) -> tuple[CountDist, CountDist]:
+    """build_dd_mixture from dense Bin(k, g(j)) rows, 512 coefficients at a time,
+    and the stand-in from the full Bin(3k, 1/3) and Bin(k, eps) rows."""
     k = params.k
     coeff = binom(3 * k, ONE_THIRD)
     success = g_clamp(np.arange(3 * k + 1), params)
@@ -410,35 +413,91 @@ def dense_dd_mixture_oracle(params: HardParams) -> CountDist:
         stop = min(start + 512, 3 * k + 1)
         if coeff.masses[start:stop].any():
             mix_masses[k : 2 * k + 1] += coeff.masses[start:stop] @ dense_binom_pmf_rows(k, success[start:stop])
-    return CountDist(0, mix_masses / mix_masses.sum())
+    return CountDist(0, mix_masses / mix_masses.sum()), convolve(coeff, binom(k, params.eps))
 
 
-# g = 1 rows (eps near 1) and chunks that mix g = 0 and interior rows, which the goldens never reach
-@pytest.mark.parametrize("eps", [0.5, 0.9, 0.99, 0.95, 0.999, 0.3, 0.05])
-@pytest.mark.parametrize("k", [1, 2, 3, 7, 170, 512, 1365])
+# Two units in the last place of 1.0: the trimmed build moved no mass and no
+# TV by more than 2.2e-16 on this grid.
+DENSE_MIXTURE_TOL = 2 * np.finfo(float).eps
+
+
+# The name is kept from when the mixture had the dense build's bits, so the case
+# ids stay stable. g = 1 rows (eps near 1), chunks that mix g = 0 and interior
+# rows, and k = 1e4 at both ends of the ramp's reach.
+@pytest.mark.parametrize(
+    "k, eps",
+    [
+        *itertools.product([1, 2, 3, 7, 170, 512, 1365], [0.5, 0.9, 0.99, 0.95, 0.999, 0.3, 0.05]),
+        (10_000, 1e-4),
+        (10_000, 0.1),
+    ],
+)
 def test_build_dd_mixture_bits_match_the_dense_oracle(k, eps):
     params = HardParams(k=k, eps=eps)
-    _, mix, _ = build_dd_mixture(params)
-    assert mix.masses.tobytes() == dense_dd_mixture_oracle(params).masses.tobytes()
+    _, mix, star = build_dd_mixture(params)
+    dense_mix, dense_star = dense_dd_mixture_oracle(params)
+    assert np.abs(mix.masses - dense_mix.masses).max() <= DENSE_MIXTURE_TOL
+    assert np.abs(star.pmf_on(0, 4 * k) - dense_star.pmf_on(0, 4 * k)).max() <= DENSE_MIXTURE_TOL
+    assert abs(tv_distance(mix, star) - tv_distance(dense_mix, dense_star)) <= DENSE_MIXTURE_TOL
 
 
-def test_build_dd_mixture_skips_zero_blocks(monkeypatch):
+def test_build_dd_mixture_evaluates_only_the_trimmed_ramp_rows(monkeypatch):
     evaluated = []
 
-    def counted(n, ps, rows):
+    def counted(n, ps):
         evaluated.extend(ps)
-        return _binom_window(n, ps, rows)
+        return _binom_windows(n, ps)
 
-    monkeypatch.setattr(hardness, "_binom_window", counted)
+    monkeypatch.setattr(hardness, "_binom_windows", counted)
     params = HardParams(k=3200, eps=0.1)
     build_dd_mixture(params)
-    # Bin(9600, 1/3) underflows to 0 in 11 of the 19 blocks of 512 coefficients; of
-    # the other 8 blocks, only the rows with 0 < g(j) < 1 get a pmf evaluation
+    # the coefficients kept are those with more than 1e-18 of Bin(9600, 1/3) on
+    # each side, and of these only the rows with 0 < g(j) < 1 get a pmf
+    # evaluation: 728 rows, of the 2155 ramp rows whose coefficient is above 0.0
     coeff = binom(3 * 3200, ONE_THIRD).masses
-    live = [b for b in range(19) if coeff[512 * b : 512 * (b + 1)].any()]
-    assert len(live) == 8
-    success = np.concatenate([g_clamp(np.arange(512 * b, 512 * (b + 1)), params) for b in live])
-    assert np.array_equal(evaluated, success[(success > 0.0) & (success < 1.0)])
+    kept = (np.cumsum(coeff) > 1e-18) & (np.cumsum(coeff[::-1])[::-1] > 1e-18)
+    success = g_clamp(np.arange(3 * 3200 + 1), params)
+    assert np.array_equal(evaluated, success[kept & (success > 0.0) & (success < 1.0)])
+    assert len(evaluated) == 728
+
+
+def exact_dd_mixture(params: HardParams) -> tuple[list[Fraction], list[Fraction], Fraction]:
+    """The mixture, the stand-in and their TV in exact rationals with math.comb.
+
+    The laws are those of the binary64 values the build is given: 1/3 is
+    ONE_THIRD, and g(j) and eps are taken as the floats g_clamp and HardParams hold.
+    """
+    k = params.k
+    third = Fraction(ONE_THIRD)
+    coeff = [math.comb(3 * k, j) * third**j * (1 - third) ** (3 * k - j) for j in range(3 * k + 1)]
+    eps = Fraction(params.eps)
+    noise = [math.comb(k, i) * eps**i * (1 - eps) ** (k - i) for i in range(k + 1)]
+    mix = [Fraction(0)] * (4 * k + 1)
+    star = [Fraction(0)] * (4 * k + 1)
+    for j, g in enumerate(g_clamp(np.arange(3 * k + 1), params).tolist()):
+        g = Fraction(g)
+        for i in range(k + 1):
+            mix[k + i] += coeff[j] * math.comb(k, i) * g**i * (1 - g) ** (k - i)
+            star[j + i] += coeff[j] * noise[i]
+    return mix, star, sum(abs(a - b) for a, b in zip(mix, star)) / 2
+
+
+# Relative gate for each mass and for the TV. Measured at most 2.4e-14 for the
+# masses (with 1e-17 absolute for what the trim leaves out; the trim drops at
+# most 4e-18) and 1.6e-14 for the TV.
+EXACT_MIXTURE_REL = 1e-13
+
+
+@pytest.mark.parametrize("eps", [0.1, 0.5])
+@pytest.mark.parametrize("k", [10, 30])
+def test_build_dd_mixture_matches_exact_rationals(k, eps):
+    params = HardParams(k=k, eps=eps)
+    _, mix, star = build_dd_mixture(params)
+    exact_mix, exact_star, exact_tv = exact_dd_mixture(params)
+    for got, want in ((mix.masses, exact_mix), (star.masses, exact_star)):
+        for g, w in zip(got.tolist(), want):
+            assert abs(Fraction(g) - w) <= Fraction(1e-17) + EXACT_MIXTURE_REL * w
+    assert abs(Fraction(tv_distance(mix, star)) - exact_tv) <= EXACT_MIXTURE_REL * exact_tv
 
 
 def test_build_dd_mixture_mean_gap_bound():

@@ -18,9 +18,9 @@ from prophet_samples import (
 )
 from prophet_samples import stats
 from prophet_samples.hardness import ProbVector, ones_count_dist
-from prophet_samples.stats import SIZE_CAP, _normal_bin_masses, binom_pmf_rows, point_mass
+from prophet_samples.stats import SIZE_CAP, _binom_windows, _normal_bin_masses, binom_pmf_rows, point_mass
 
-from conftest import dense_binom_pmf_rows
+from conftest import dense_binom_pmf_rows, dense_tv_binom_vs_normal
 
 
 @st.composite
@@ -224,17 +224,40 @@ def test_normal_bin_masses_match_full_range_ndtr_bit_for_bit(mu, sigma2, lo, hi)
     assert_same_bits(_normal_bin_masses(mu, sigma, lo, hi), dense_normal_bin_masses(mu, sigma, lo, hi))
 
 
+@pytest.mark.parametrize("n", [1, 2, 400, 3200, 10**5])
+def test_binom_windows_leave_at_most_1e_18_per_tail(n):
+    # 47 rows, so two chunks, from p next to 0 to p next to 1; a chunk's window is
+    # the union of its rows' windows, so a row can reach subnormal masses there
+    ps = np.array([1e-12, 1e-4, 0.01, 1 / 3, 0.5, 0.99, 1 - 1e-12, *np.linspace(0.05, 0.95, 40)])
+    dense = dense_binom_pmf_rows(n, ps)
+    rows = 0
+    for a, c, block in _binom_windows(n, ps):
+        for want, got in zip(dense[a : a + len(block)], block):
+            d = c + len(got)
+            assert want[:c].sum() <= 1e-18 and want[d:].sum() <= 1e-18
+            np.testing.assert_allclose(got, want[c:d] / want[c:d].sum(), rtol=1e-15, atol=1e-300)
+            rows += 1
+    assert rows == len(ps)
+
+
 @pytest.mark.parametrize(
     "n, p, want",
     [
-        # recorded with the dense kernels
-        (10**6, 0.3, "0x1.ccb0e25e92c99p-13"),
-        (10**5, 0.3, "0x1.6c3508ac90cd8p-11"),
-        (1 << 22, 0.01, "0x1.3d48b03ff8bc6p-10"),
+        # recorded once the TV was summed on the binomial's trimmed window
+        (10**6, 0.3, "0x1.ccb0e25e92c9ap-13"),
+        (10**5, 0.3, "0x1.6c3508ac90cd1p-11"),
+        (1 << 22, 0.01, "0x1.3d48b03ff8bbep-10"),
     ],
 )
 def test_tv_binom_vs_normal_golden_at_large_n(n, p, want):
     assert tv_binom_vs_normal(n, p).hex() == want
+
+
+# The windowed TV moved by at most 6.9e-17 from the dense sum on this grid.
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 1000, 10**4, 10**5, 10**6, 1 << 22])
+def test_tv_binom_vs_normal_matches_the_dense_oracle(n):
+    for p in (1e-6, 1e-4, 0.01, 0.3, 0.5, 0.9, 1 - 1e-6):
+        assert abs(tv_binom_vs_normal(n, p) - dense_tv_binom_vs_normal(n, p)) <= 1e-16
 
 
 def test_count_dist_validation():
