@@ -26,8 +26,13 @@ def main() -> int:
     parser.add_argument("--policies", type=int, default=50)
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
+    try:
+        params = HardParams(k=args.k)
+    except ValueError as exc:
+        parser.error(f"argument --k: {exc}")
+    if args.policies < 0:
+        parser.error(f"argument --policies: must be >= 0, got {args.policies}")
 
-    params = HardParams(k=args.k)
     print(f"certificate (asymptotic): {certificate(params):.6f}", file=sys.stderr)
     rng = np.random.default_rng(args.seed)
     print("policy,ratio,p")

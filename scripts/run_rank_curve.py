@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from prophet_samples import omega_rho, ordinal_upper_bound_sweep, recommended_rank  # noqa: E402
+from prophet_samples.evaluation import CASE1_MAX_K  # noqa: E402
 
 
 def best_rank(k: int):
@@ -37,6 +38,10 @@ def main() -> int:
     parser.add_argument("--k", type=int, default=10_000)
     parser.add_argument("--points", type=int, default=21)
     args = parser.parse_args()
+    if not 2 <= args.k <= CASE1_MAX_K:
+        parser.error(f"argument --k: must be in [2, {CASE1_MAX_K}], got {args.k}")
+    if args.points < 2:
+        parser.error(f"argument --points: must be >= 2, got {args.points}")
 
     k = args.k
     ranks = sorted(

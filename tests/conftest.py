@@ -8,7 +8,7 @@ from scipy.special import gammaln, ndtr
 
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
 from prophet_samples.distributions import _gauss_nodes
-from prophet_samples.hardness import STOPS, T1
+from prophet_samples.hardness import ANCHOR, PREFIXES, STOPS, T1
 from prophet_samples.stats import binom_pmf_rows
 
 
@@ -319,12 +319,32 @@ def dense_tv_binom_vs_normal(n: int, p: float) -> float:
     return core + float(ndtr(edges[0])) + float(1.0 - ndtr(edges[-1]))
 
 
-def per_law_member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.ndarray:
-    """hardness._member_values with one ones_count_dist call per distinct
-    (sorted p2..p4, p5) key, each law built from its first member's p2..p5."""
-    from prophet_samples.hardness import _ROW_BITS, _spike_prob, _stop_table, ones_count_dist
+def dense_stop_table(policy: QPolicy) -> np.ndarray:
+    """hardness._stop_table on every ones-count, shape (32, 4k+1): the walk
+    over PREFIXES one prefix at a time, rows 0..15 the stops s(P, i) in STOPS
+    order and rows 16..31 the survival of each path."""
+    start = np.ones(4 * policy.k + 1)
+    alive: dict[tuple, np.ndarray] = {}
+    rows = []
+    for prefix in PREFIXES:
+        before = alive.get(prefix[:-1], start)
+        if prefix in STOPS:
+            q = policy.row(prefix)
+            rows.append(before * q)
+            alive[prefix] = before * (1.0 - q)
+        else:
+            alive[prefix] = before
+    rows += [alive[(ANCHOR, *bits)] for bits in itertools.product((0, 1), repeat=4)]
+    return np.array(rows)
 
-    table = _stop_table(policy)
+
+def per_law_member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.ndarray:
+    """hardness._member_values on dense laws: one ones_count_dist call per
+    distinct (sorted p2..p4, p5) key, each law built from its first member's
+    p2..p5 on full (k+1)-wide binomial rows, and the full-width stop table."""
+    from prophet_samples.hardness import _ROW_BITS, _spike_prob, ones_count_dist
+
+    table = dense_stop_table(policy)
     rows = vals.tolist()
     laws: dict[tuple, list[int]] = {}
     for i, row in enumerate(rows):

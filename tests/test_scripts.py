@@ -30,6 +30,27 @@ def test_script_runs_and_prints_its_csv_header(script, args, header):
     assert len(lines) > 1
 
 
+@pytest.mark.parametrize(
+    "script, args, flag",
+    [
+        ("run_hardness_probe.py", ["--k", "0"], "--k"),
+        ("run_hardness_probe.py", ["--k", "10001"], "--k"),
+        ("run_hardness_probe.py", ["--k", "2", "--policies", "-1"], "--policies"),
+        ("run_rank_curve.py", ["--k", "0"], "--k"),
+        ("run_rank_curve.py", ["--k", "20", "--points", "1"], "--points"),
+    ],
+)
+def test_script_bad_argument_exits_2_naming_it(script, args, flag):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"argument {flag}:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_every_command_manifest_in_configs_is_regenerated():
     # a manifest without an artifact, or an artifact whose manifest is gone,
     # would otherwise pass unnoticed
