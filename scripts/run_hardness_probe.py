@@ -32,6 +32,8 @@ def main() -> int:
         parser.error(f"argument --k: {exc}")
     if args.policies < 0:
         parser.error(f"argument --policies: must be >= 0, got {args.policies}")
+    if args.seed < 0:
+        parser.error(f"argument --seed: must be >= 0, got {args.seed}")
 
     print(f"certificate (asymptotic): {certificate(params):.6f}", file=sys.stderr)
     rng = np.random.default_rng(args.seed)

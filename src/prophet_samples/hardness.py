@@ -229,26 +229,9 @@ def _stop_table(table: np.ndarray) -> np.ndarray:
     return np.concatenate(rows + [alive])
 
 
-def _member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.ndarray:
-    """Exact expected accepted value of one policy on each member.
-
-    vals holds one member's (p1..p6) per row. The value is linear in the stop
-    table: a member weighs T1's stop by xi, the stop at a prefix ending in 1
-    by the chance of that prefix (the value taken is 1), and the survival of
-    a path by the chance of that path times the spike tail p6 * k^4 that box
-    6 pays when reached. Each distinct ones-count law is keyed by the number
-    of 1s and of 1/3s among p2..p4 (any other p2..p4 raises ValueError) and
-    p5. It is the np.convolve fold of trimmed windows, p2..p5 order, offset
-    by k per part with p = 1: Bin(k, 1/3) once per 1/3, then Bin(k, p5). The
-    windows come from two stats._binom_windows calls (every p5 in (0, 1),
-    then 1/3) and leave out at most 1e-18 of a law per tail. The stop table
-    is built only on the columns some law reaches, and each law goes into it
-    by one mat-vec. Each value is within 2e-15 relative of the dense per-law
-    fold kept in tests/conftest.py (measured 8.5e-16, at k = 1e4) and of exact
-    rationals at k = 3 and 10 (measured 5.4e-16, as for the dense fold).
-    """
-    if policy.k != params.k:
-        raise ValueError("policy and params disagree on k")
+def _member_laws(vals: np.ndarray, params: HardParams) -> tuple:
+    """What _member_values needs besides the policy, read-only: the folded (offset,
+    masses) laws, the span [lo, hi) they reach, each member's law index, path weights and spike terms."""
     k = params.k
     p234 = vals[:, 1:4]
     if not np.isin(p234, (0.0, ONE_THIRD, 1.0)).all():
@@ -261,24 +244,54 @@ def _member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.
     _, c3, (third,) = next(_binom_windows(k, np.array([ONE_THIRD])))
     laws: dict[tuple, int] = {}
     counts = (np.count_nonzero(p234 == v, axis=1).tolist() for v in (1.0, ONE_THIRD))
-    member_law = [laws.setdefault(key, len(laws)) for key in zip(*counts, p5.tolist())]
+    member_law = np.array([laws.setdefault(key, len(laws)) for key in zip(*counts, p5.tolist())])
     folded = []
     for ones, thirds, p in laws:
         c, window = windows[p]
         folded.append((ones * k + thirds * c3 + c, functools.reduce(np.convolve, [third] * thirds + [window])))
     lo = min(offset for offset, _ in folded)
     hi = max(offset + len(masses) for offset, masses in folded)
-    table = _stop_table(policy.table[:, lo:hi])
-    pooled = np.array([table[:, c - lo : c - lo + len(masses)] @ masses for c, masses in folded])[member_law]
-
     factors = np.stack([1.0 - vals[:, 1:5], vals[:, 1:5], np.ones((len(vals), 4))], axis=-1)
     weights = np.prod(factors[:, np.arange(4), _ROW_BITS], axis=-1)
     tail = vals[:, 5] * params.spike_value
     weights[:, 0] *= params.xi
     weights[:, len(STOPS) :] *= tail[:, None]
-    no_spike = np.vecdot(weights, pooled)
     spike = np.array([_spike_prob(p6, k) for p6 in vals[:, 5].tolist()])
+    for a in [member_law, weights, tail, spike, *(masses for _, masses in folded)]:
+        a.setflags(write=False)
+    return lo, hi, tuple(folded), member_law, weights, tail, spike
+
+
+def _score(laws: tuple, policy: QPolicy) -> np.ndarray:
+    """Each member's value under a policy: its stop table on [lo, hi), one mat-vec per law."""
+    lo, hi, folded, member_law, weights, tail, spike = laws
+    table = _stop_table(policy.table[:, lo:hi])
+    pooled = np.array([table[:, c - lo : c - lo + len(masses)] @ masses for c, masses in folded])[member_law]
+    no_spike = np.vecdot(weights, pooled)
     return spike * tail + (1.0 - spike) * no_spike
+
+
+def _member_values(vals: np.ndarray, params: HardParams, policy: QPolicy) -> np.ndarray:
+    """Exact expected accepted value of one policy on each member.
+
+    vals holds one member's (p1..p6) per row. The value is linear in the stop
+    table: a member weighs T1's stop by xi, the stop at a prefix ending in 1
+    by the chance of that prefix (the value taken is 1), and the survival of
+    a path by the chance of that path times the spike tail p6 * k^4 that box
+    6 pays when reached. Each distinct ones-count law is keyed by the number
+    of 1s and of 1/3s among p2..p4 (any other p2..p4 raises ValueError) and
+    p5. It is the np.convolve fold of trimmed windows, p2..p5 order, offset
+    by k per part with p = 1: Bin(k, 1/3) once per 1/3, then Bin(k, p5). The
+    windows come from two stats._binom_windows calls (every p5 in (0, 1),
+    then 1/3) and leave out at most 1e-18 of a law per tail (_member_laws).
+    _score builds the stop table only on the columns some law reaches, and
+    puts each law into it by one mat-vec. Each value is within 2e-15 relative
+    of the dense per-law fold kept in tests/conftest.py (measured 8.5e-16, at
+    k = 1e4) and of exact rationals at k = 3 and 10 (measured 5.4e-16).
+    """
+    if policy.k != params.k:
+        raise ValueError("policy and params disagree on k")
+    return _score(_member_laws(vals, params), policy)
 
 
 def eval_q_policy(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
@@ -292,9 +305,9 @@ def eval_q_policy(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
     This is the one-member call of the kernel `adversary` uses: the policy's
     stop-probability table (the chance s(P, i) of stopping at each prefix
     that can stop, and of surviving each path, per ones-count i) folded with
-    the member's ones-count law and weighted by its path probabilities. The
-    law is folded from trimmed binomial windows; the value is within 2e-15
-    relative of the dense fold and of exact rationals (_member_values).
+    the member's ones-count law, folded afresh from trimmed binomial windows
+    on each call, and weighted by its path probabilities; the value is within
+    2e-15 relative of the dense fold and of exact rationals (_member_values).
     """
     p.check_membership(params)
     return float(_member_values(np.array([p.values]), params, policy)[0])
@@ -440,17 +453,29 @@ def adversary_candidates(params: HardParams) -> np.ndarray:
     return np.vstack([rows.reshape(-1, 6), p_star(params).values])
 
 
+@functools.lru_cache(maxsize=8)
+def _adversary_laws(params: HardParams) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """The candidates, their prophet values and their _member_laws, read-only."""
+    candidates = adversary_candidates(params)
+    frozen = candidates, _prophet_values(candidates, params)
+    for a in frozen:
+        a.setflags(write=False)
+    return *frozen, _member_laws(candidates, params)
+
+
 def adversary(policy: QPolicy, params: HardParams) -> tuple[ProbVector, float]:
     """Worst family member for a policy, with its exact ratio.
 
-    Scores every candidate of `adversary_candidates` by one _member_values
-    call: one stop-probability table for the policy, on the columns the
-    candidates' ones-count laws reach, and those laws folded from trimmed
-    Bin(k, p5) windows of the 20 nonzero p5 values and the Bin(k, 1/3)
-    window. Each ratio is within 2e-15 relative of the dense per-law fold.
-    Ties in the exact ratio break toward the earliest candidate.
+    Scores every candidate of `adversary_candidates` by the _member_values
+    kernel, within 2e-15 relative of the dense per-law fold; ties break toward
+    the earliest candidate. Only the stop table is built per call: the first
+    call per HardParams in a process builds the candidates, prophet values and
+    _member_laws (folded laws, span, path weights, spike terms), and a private
+    cache keeps them, read-only, for the 8 latest params (52 kB at k = 400).
     """
-    candidates = adversary_candidates(params)
-    ratios = _member_values(candidates, params, policy) / _prophet_values(candidates, params)
+    if policy.k != params.k:
+        raise ValueError("policy and params disagree on k")
+    candidates, prophet, laws = _adversary_laws(params)
+    ratios = _score(laws, policy) / prophet
     best = int(np.argmin(ratios))
     return ProbVector(tuple(candidates[best])), float(ratios[best])

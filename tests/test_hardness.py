@@ -257,9 +257,54 @@ def test_adversary_makes_two_binom_windows_calls(monkeypatch, rng):
         return _binom_windows(n, ps)
 
     monkeypatch.setattr(hardness, "_binom_windows", counted)
+    hardness._adversary_laws.cache_clear()
     adversary(QPolicy.random(20, rng), HardParams(k=20))
     # the 20 nonzero p5 values of the grid, then 1/3 on a window of its own
     assert calls == [(20, 20), (20, 1)]
+    # a second policy at the same params scores against the cached laws
+    adversary(QPolicy.random(20, rng), HardParams(k=20))
+    assert calls == [(20, 20), (20, 1)]
+    adversary(QPolicy.random(20, rng), HardParams(k=20, eps=0.001))
+    assert calls == [(20, 20), (20, 1)] * 2
+
+
+@pytest.mark.parametrize("k", [1, 3, 400, 10_000])
+@pytest.mark.parametrize("name", ["random", "zero", "greedy", "all-ones"])
+def test_adversary_warm_and_cold_calls_match_the_kernel(name, k, rng):
+    params = HardParams(k=k)
+    policy = named_policy(name, k, rng)
+    adversary(policy, params)
+    warm = adversary(policy, params)
+    hardness._adversary_laws.cache_clear()
+    cold = adversary(policy, params)
+    rows = adversary_candidates(params)
+    ratios = hardness._member_values(rows, params, policy) / hardness._prophet_values(rows, params)
+    best = int(np.argmin(ratios))
+    want = (tuple(rows[best].tolist()), float(ratios[best]).hex())
+    for vec, ratio in (warm, cold):
+        assert (vec.values, ratio.hex()) == want
+
+
+def test_adversary_cache_arrays_are_read_only():
+    candidates, prophet, laws = hardness._adversary_laws(HardParams(k=5))
+    lo, hi, folded, member_law, weights, tail, spike = laws
+    for a in (candidates, prophet, member_law, weights, tail, spike, *(masses for _, masses in folded)):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
+def test_adversary_cache_keeps_the_8_latest_params():
+    hardness._adversary_laws.cache_clear()
+    for eps in np.linspace(0.001, 0.01, 10).tolist():
+        adversary(QPolicy.constant(4, 0.5), HardParams(k=4, eps=eps))
+    assert hardness._adversary_laws.cache_info().currsize == 8
+
+
+def test_adversary_refuses_a_policy_of_another_k_before_caching():
+    hardness._adversary_laws.cache_clear()
+    with pytest.raises(ValueError, match="disagree on k"):
+        adversary(QPolicy.constant(3, 0.0), HardParams(k=2))
+    assert hardness._adversary_laws.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("k", [1, 400])
