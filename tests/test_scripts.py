@@ -36,9 +36,9 @@ def test_script_runs_and_prints_its_csv_header(script, args, header):
         ("run_hardness_probe.py", ["--k", "0"], "--k"),
         ("run_hardness_probe.py", ["--k", "10001"], "--k"),
         ("run_hardness_probe.py", ["--k", "2", "--policies", "-1"], "--policies"),
-        ("run_hardness_probe.py", ["--k", "2", "--seed", "-1"], "--seed"),
         ("run_rank_curve.py", ["--k", "0"], "--k"),
         ("run_rank_curve.py", ["--k", "20", "--points", "1"], "--points"),
+        ("run_hardness_probe.py", ["--k", "2", "--seed", "-1"], "--seed"),
     ],
 )
 def test_script_bad_argument_exits_2_naming_it(script, args, flag):
