@@ -26,6 +26,10 @@ ANCHOR = "xi"
 
 ONE_THIRD = 1.0 / 3.0
 
+# The anchor value xi and the certificate's selection rates delta1 and delta2;
+# with HardParams' default eps they realize the 0.4997 certificate.
+XI, DELTA1, DELTA2 = 0.9, 0.01, 0.5005
+
 _PROB_TOL = 1e-12
 
 # HardParams' largest k; policy files are checked against it before their
@@ -44,21 +48,18 @@ T2 = (ANCHOR, 1)
 
 @dataclass(frozen=True)
 class HardParams:
-    """Family parameters; the defaults realize the 0.4997 certificate."""
+    """The family's two settings: k, the samples per box (the spike pays k^4
+    with chance 1/k^3), and eps, the p5 ramp's offset. The anchor value and
+    the certificate's rates are the module constants XI, DELTA1 and DELTA2."""
 
     k: int
-    xi: float = 0.9
-    delta1: float = 0.01
-    delta2: float = 0.5005
     eps: float = 0.0001
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= _MAX_K:
             raise ValueError("k must be in [1, 10^4] so k^4 stays exact in binary64")
-        for name in ("xi", "delta1", "delta2", "eps"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must be in (0, 1)")
+        if not 0.0 < self.eps < 1.0:
+            raise ValueError("eps must be in (0, 1)")
 
     @property
     def spike_prob(self) -> float:
@@ -254,7 +255,7 @@ def _member_laws(vals: np.ndarray, params: HardParams) -> tuple:
     factors = np.stack([1.0 - vals[:, 1:5], vals[:, 1:5], np.ones((len(vals), 4))], axis=-1)
     weights = np.prod(factors[:, np.arange(4), _ROW_BITS], axis=-1)
     tail = vals[:, 5] * params.spike_value
-    weights[:, 0] *= params.xi
+    weights[:, 0] *= XI
     weights[:, len(STOPS) :] *= tail[:, None]
     spike = np.array([_spike_prob(p6, k) for p6 in vals[:, 5].tolist()])
     for a in [member_law, weights, tail, spike, *(masses for _, masses in folded)]:
@@ -318,7 +319,7 @@ def eval_q_policy(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
 
 def family_instance(p: ProbVector, params: HardParams) -> Instance:
     """The family member as a plain all-atoms instance."""
-    u = (params.xi, 1.0, 1.0, 1.0, 1.0, params.spike_value)
+    u = (XI, 1.0, 1.0, 1.0, 1.0, params.spike_value)
     boxes = []
     for ui, pi in zip(u, p.values):
         if pi == 1.0:
@@ -338,7 +339,7 @@ def family_prophet_value(p: ProbVector, params: HardParams) -> float:
 def _prophet_values(vals: np.ndarray, params: HardParams) -> np.ndarray:
     """family_prophet_value of each row of (p1..p6)."""
     none_one = np.prod(1.0 - vals[:, 1:5], axis=1)
-    first_five = (1.0 - none_one) * 1.0 + none_one * params.xi
+    first_five = (1.0 - none_one) * 1.0 + none_one * XI
     return vals[:, 5] * params.spike_value + (1.0 - vals[:, 5]) * first_five
 
 
@@ -417,11 +418,11 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
 def certificate_terms(params: HardParams) -> tuple[float, float, float]:
     """The three proof branches the family forces: over-selection on the spike
     member, under-selection on the plain member, and the balanced endgame."""
-    t1 = params.xi * params.delta1 + params.delta2 - params.delta1 + 2.0 * params.eps
-    t2 = 1.0 - params.delta2
+    t1 = XI * DELTA1 + DELTA2 - DELTA1 + 2.0 * params.eps
+    t2 = 1.0 - DELTA2
     t3 = (
-        params.xi * params.delta1 * (8.0 / 27.0)
-        + params.delta2 * (12.0 / 27.0)
+        XI * DELTA1 * (8.0 / 27.0)
+        + DELTA2 * (12.0 / 27.0)
         + 7.0 / 27.0
         + params.eps
     )

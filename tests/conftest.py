@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy.special import gammaln, ndtr
 
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
 from prophet_samples.distributions import _gauss_nodes
-from prophet_samples.hardness import ANCHOR, PREFIXES, STOPS, T1
+from prophet_samples.hardness import ANCHOR, PREFIXES, STOPS, T1, XI
 from prophet_samples.stats import binom_pmf_rows
 
 
@@ -277,7 +278,7 @@ def brute_force_eval(p: ProbVector, params: HardParams, policy: QPolicy) -> floa
             if spiked:
                 value = params.spike_value if vbits[4] else 0.0
             else:
-                value = params.xi * q[T1][ones]
+                value = XI * q[T1][ones]
                 alive = 1.0 - q[T1][ones]
                 prefix = T1
                 for b in vbits[:4]:
@@ -319,6 +320,45 @@ def dense_tv_binom_vs_normal(n: int, p: float) -> float:
     return core + float(ndtr(edges[0])) + float(1.0 - ndtr(edges[-1]))
 
 
+def mc_chernoff_tail(ps, delta: float, reps: int, rng: np.random.Generator) -> tuple[float, float]:
+    """Monte Carlo oracle for chernoff_check's tail: the frequency of
+    |X - mu| >= delta * mu (|X| > 0 at mu = 0) over reps draws of the
+    Bernoulli sum X, one binomial draw per distinct p, and its standard error."""
+    ps = np.asarray(ps, dtype=float)
+    mu = float(ps.sum())
+    totals = np.zeros(reps)
+    values, counts = np.unique(ps, return_counts=True)
+    for p, cnt in zip(values, counts):
+        if p > 0.0:
+            totals += rng.binomial(int(cnt), p, size=reps)
+    gap = np.abs(totals - mu)
+    hits = gap >= delta * mu if mu > 0.0 else gap > 0.0
+    freq = float(hits.mean())
+    return freq, math.sqrt(max(freq * (1.0 - freq), 1.0 / reps) / reps)
+
+
+def rational_chernoff_tails(ps, deltas) -> list[Fraction]:
+    """Pr[|X - mu| >= delta * mu] in rationals per delta: each distinct p's
+    Bin(count, p) law from math.comb bins, convolved exactly; mu and the event
+    are evaluated in floating point, as chernoff_check does."""
+    ps = np.asarray(ps, dtype=float)
+    mu = float(ps.sum())
+    law = [Fraction(1)]
+    for p, cnt in zip(*np.unique(ps, return_counts=True)):
+        q, cnt = Fraction(float(p)), int(cnt)
+        part = [math.comb(cnt, x) * q**x * (1 - q) ** (cnt - x) for x in range(cnt + 1)]
+        out = [Fraction(0)] * (len(law) + cnt)
+        for i, a in enumerate(law):
+            for j, b in enumerate(part):
+                out[i + j] += a * b
+        law = out
+    tails = []
+    for delta in deltas:
+        hit = (lambda x: abs(x - mu) >= delta * mu) if mu > 0.0 else (lambda x: x > 0)
+        tails.append(sum((m for x, m in enumerate(law) if hit(float(x))), Fraction(0)))
+    return tails
+
+
 def dense_stop_table(policy: QPolicy) -> np.ndarray:
     """hardness._stop_table on every ones-count, shape (32, 4k+1): the walk
     over PREFIXES one prefix at a time, rows 0..15 the stops s(P, i) in STOPS
@@ -357,7 +397,7 @@ def per_law_member_values(vals: np.ndarray, params: HardParams, policy: QPolicy)
     factors = np.stack([1.0 - vals[:, 1:5], vals[:, 1:5], np.ones((len(vals), 4))], axis=-1)
     weights = np.prod(factors[:, np.arange(4), _ROW_BITS], axis=-1)
     tail = vals[:, 5] * params.spike_value
-    weights[:, 0] *= params.xi
+    weights[:, 0] *= XI
     weights[:, len(STOPS) :] *= tail[:, None]
     no_spike = np.vecdot(weights, pooled)
     spike = np.array([_spike_prob(row[5], params.k) for row in rows])

@@ -108,6 +108,8 @@ def test_library_calls_include_the_pinned_keywords():
     calls = {name: call for name, _, call in _library_calls(tree, _library_aliases(tree))}
     assert [kw.arg for kw in calls["evaluation.dominance_check"].keywords] == ["mode"]
     assert len(calls["evaluation.ordinal_upper_bound_sweep"].args) == 4
+    # ps, delta and the ignored reps and rng; the pair goes when the bench stops passing it
+    assert len(calls["stats.chernoff_check"].args) == 4
 
 
 def test_bench_clients_include_the_workloads():

@@ -197,11 +197,12 @@ _BAD_INPUTS = [
     ("chernoff-number", "stats-check", {"chernoff": 5, "seed": 1}, {}, "chernoff"),
     ("sandwich-list", "stats-check", {"sandwich": [1], "seed": 1}, {}, "sandwich"),
     ("deltas-empty", "stats-check",
-     {"chernoff": {"n": 10, "p": 0.5, "deltas": [], "reps": 10_000}, "seed": 1}, {}, "chernoff.deltas"),
+     {"chernoff": {"n": 10, "p": 0.5, "deltas": []}}, {}, "chernoff.deltas"),
     ("p-empty", "tv-convergence", {"family": "binomial_normal", "n": [100], "p": []}, {}, "p"),
     ("tv-n-above-cap", "tv-convergence", {"family": "binomial_normal", "n": [10**15], "p": [0.5]}, {}, "n"),
     ("chernoff-n-above-cap", "stats-check",
-     {"chernoff": {"n": 10**15, "p": 0.5, "deltas": [0.5], "reps": 10_000}, "seed": 1}, {}, "chernoff.n"),
+     {"chernoff": {"n": 10**15, "p": 0.5, "deltas": [0.5]}}, {}, "chernoff.n"),
+    # the Chernoff tail is exact: chernoff.reps, of any size, is never read
     ("chernoff-reps-above-cap", "stats-check",
      {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "reps": 10**15}, "seed": 1}, {}, "chernoff.reps"),
     ("mixture-k-above-hardparams", "tv-convergence",
@@ -280,10 +281,10 @@ _BAD_INPUTS = [
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "reps": 10, "seed": 1},
      {}, "reps"),
     ("stats-unread-reps", "stats-check", {"seed": 1, "reps": 20_000, "sandwich": {"probes": 1}}, {}, "reps"),
-    # settings that never changed the output: chernoff.reps alone sets the
-    # replications, the policy alone sets k, and dominance is always exact
+    # settings that never changed the output: the Chernoff tail is exact, the
+    # policy alone sets k, and dominance is always exact
     ("stats-reps-beside-chernoff", "stats-check",
-     {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "reps": 10_000}, "reps": 20_000, "seed": 1}, {}, "reps"),
+     {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5]}, "reps": 20_000, "seed": 1}, {}, "reps"),
     ("hardness-manifest-k", "hardness-verify", {"policy": "p.json", "k": 25}, {"p.json": _ZERO_POLICY}, "k"),
     ("dominance-mode-exact", "dominance",
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "mode": "exact"},
@@ -292,7 +293,7 @@ _BAD_INPUTS = [
     ("sandwich-unread-key", "stats-check", {"sandwich": {"probes": 10, "probs": 99999}, "seed": 1}, {},
      "sandwich.probs"),
     ("chernoff-unread-key", "stats-check",
-     {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "reps": 10_000, "delta": 0.9}, "seed": 1}, {},
+     {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5], "delta": 0.9}}, {},
      "chernoff.delta"),
     ("generator-unread-key", "eval",
      {"instances": [{"generator": {"name": "case2", "k": 20, "boxes": 7}}], "rule": {"rule": "max_sample"},
@@ -318,6 +319,9 @@ _BAD_INPUTS = [
      "policy"),
     ("policy-entry-unread-key", "hardness-verify", {"policy": "p.json"},
      {"p.json": {"k": 25, "entries": [{"prefix": ["xi"], "i": 0, "q": 0.5, "w": 1}]}}, "policy"),
+    # only the sandwich sweep draws, so a chernoff-only manifest never reads the seed
+    ("chernoff-only-seed", "stats-check", {"chernoff": {"n": 10, "p": 0.5, "deltas": [0.5]}, "seed": 1}, {},
+     "seed"),
     # an id is written into a CSV row unquoted
     *(
         (f"{command}-id-{name}", command,
@@ -703,7 +707,7 @@ def test_stats_check(tmp_path):
         tmp_path / "sc.json",
         {
             "command": "stats-check",
-            "chernoff": {"n": 200, "p": 0.5, "deltas": [0.2], "reps": 20_000},
+            "chernoff": {"n": 200, "p": 0.5, "deltas": [0.2]},
             "sandwich": {"probes": 300},
             "seed": 9,
         },
@@ -711,6 +715,7 @@ def test_stats_check(tmp_path):
     out = tmp_path / "sc.json.out"
     assert run_cli(["stats-check", "--config", cfg, "--out", str(out)]) == 0
     result = json.loads(out.read_text())
+    assert set(result["chernoff"][0]) == {"mu", "delta", "tail", "bound", "passed"}
     assert result["chernoff"][0]["passed"] is True
     assert result["sandwich"]["violations"] == 0
 
@@ -738,8 +743,7 @@ def test_stats_check_boolean_p_is_config_error(tmp_path, capsys):
         tmp_path / "sc.json",
         {
             "command": "stats-check",
-            "chernoff": {"n": 10, "p": True, "deltas": [0.5], "reps": 10_000},
-            "seed": 9,
+            "chernoff": {"n": 10, "p": True, "deltas": [0.5]},
         },
     )
     assert run_cli(["stats-check", "--config", cfg, "--out", str(tmp_path / "sc.out")]) == 2

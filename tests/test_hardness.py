@@ -24,11 +24,14 @@ from prophet_samples import hardness
 from prophet_samples.stats import CountDist, _binom_windows, binom, convolve
 from prophet_samples.hardness import (
     ANCHOR,
+    DELTA1,
+    DELTA2,
     ONE_THIRD,
     PREFIXES,
     STOPS,
     T1,
     T2,
+    XI,
     adversary_candidates,
     family_instance,
     family_prophet_value,
@@ -69,7 +72,7 @@ def walk_oracle(p: ProbVector, params: HardParams, policy: QPolicy) -> float:
             w_b *= vals[idx + 1] if b else 1.0 - vals[idx + 1]
         if w_b == 0.0:
             continue
-        val = params.xi * q1
+        val = XI * q1
         alive = 1.0 - q1
         prefix = T1
         for b in bits:
@@ -135,12 +138,7 @@ def test_prefix_count_and_order():
 
 def test_hard_params_defaults():
     params = HardParams(k=400)
-    assert (params.xi, params.delta1, params.delta2, params.eps) == (
-        0.9,
-        0.01,
-        0.5005,
-        0.0001,
-    )
+    assert (XI, DELTA1, DELTA2, params.eps) == (0.9, 0.01, 0.5005, 0.0001)
     assert params.spike_prob == 400.0 ** -3
     assert params.spike_value == 400.0 ** 4
 
@@ -148,8 +146,9 @@ def test_hard_params_defaults():
 def test_hard_params_validation():
     with pytest.raises(ValueError):
         HardParams(k=10_001)
-    with pytest.raises(ValueError):
-        HardParams(k=10, xi=1.5)
+    for eps in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="eps"):
+            HardParams(k=10, eps=eps)
 
 
 def test_prob_vector_membership():
@@ -208,14 +207,14 @@ def test_eval_first_value_policy():
     params = HardParams(k=2)
     q = policy_with(2, {T1: 1.0})
     vec = ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
-    assert eval_q_policy(vec, params, q) == pytest.approx(params.xi, abs=1e-12)
+    assert eval_q_policy(vec, params, q) == pytest.approx(XI, abs=1e-12)
 
 
 def test_brute_force_deterministic_pool():
     params = HardParams(k=1)
     q = policy_with(1, {T1: [0.0, 1.0, 0.0, 0.0, 0.0]})  # accept the anchor iff exactly one 1 was sampled
     vec = ProbVector((1.0, 1.0, 0.0, 0.0, 0.0, 0.0))
-    assert brute_force_eval(vec, params, q) == pytest.approx(params.xi, abs=1e-12)
+    assert brute_force_eval(vec, params, q) == pytest.approx(XI, abs=1e-12)
 
 
 def test_eval_matches_brute_force(rng):
@@ -360,7 +359,7 @@ def exact_member_value(vec: ProbVector, params: HardParams, stops: dict, alive: 
         return math.prod((p[j + 1] if b else 1 - p[j + 1] for j, b in enumerate(bits)), start=Fraction(1))
 
     tail = p[5] * k**4
-    weighted = [(Fraction(params.xi), stops[T1])]
+    weighted = [(Fraction(XI), stops[T1])]
     weighted += [(chance(prefix[1:]), row) for prefix, row in stops.items() if prefix != T1]
     weighted += [(chance(bits) * tail, alive[(ANCHOR, *bits)]) for bits in itertools.product((0, 1), repeat=4)]
     no_spike = sum(mass * sum(w * row[i] for w, row in weighted) for i, mass in enumerate(law))
@@ -669,13 +668,6 @@ def test_certificate_order_invariance():
         assert max(terms[i] for i in perm) == certificate(params)
 
 
-def test_certificate_collapse_when_delta2_high():
-    params = HardParams(k=50, delta2=0.999)
-    terms = certificate_terms(params)
-    assert terms[1] == pytest.approx(0.001, abs=1e-12)
-    assert certificate(params) == max(terms)
-
-
 # -- adversary ---------------------------------------------------------------------------------
 
 
@@ -703,7 +695,7 @@ def test_adversary_dichotomy(rng):
             for ell in overselection_grid(params)
         ]
         scores = [over_selection_score(q, vec, k) for vec in plain]
-        if max(scores) >= params.delta2:
+        if max(scores) >= DELTA2:
             ell = plain[int(np.argmax(scores))].values[4]
             spiked = ProbVector((1.0, 1.0, 0.0, 0.0, ell, params.spike_prob))
             ratio = eval_q_policy(spiked, params, q) / family_prophet_value(
@@ -712,9 +704,9 @@ def test_adversary_dichotomy(rng):
             assert ratio <= 1.0 - max(scores) + slack
         else:
             bound = (
-                params.xi * params.delta1
-                + params.delta2
-                - params.delta1
+                XI * DELTA1
+                + DELTA2
+                - DELTA1
                 + 2.0 * params.eps
             )
             for vec, score in zip(plain, scores):
@@ -722,10 +714,10 @@ def test_adversary_dichotomy(rng):
                 ratio = eval_q_policy(vec, params, q) / family_prophet_value(
                     vec, params
                 )
-                if anchor_rate >= params.delta1:
+                if anchor_rate >= DELTA1:
                     assert ratio <= bound + 1e-9
                 else:
-                    assert params.xi * anchor_rate <= params.xi * params.delta1
+                    assert XI * anchor_rate <= XI * DELTA1
 
 
 def test_adversary_envelope_random(rng):

@@ -1,5 +1,6 @@
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from prophet_samples import (
 )
 from prophet_samples import stats
 from prophet_samples.hardness import ProbVector, ones_count_dist
-from prophet_samples.stats import SIZE_CAP, _binom_windows, _normal_bin_masses, binom_pmf_rows, point_mass
+from prophet_samples.stats import CONVOLVE_CAP, SIZE_CAP, _binom_windows, _normal_bin_masses, binom_pmf_rows, point_mass
 
-from conftest import dense_binom_pmf_rows, dense_tv_binom_vs_normal
+from conftest import dense_binom_pmf_rows, dense_tv_binom_vs_normal, mc_chernoff_tail, rational_chernoff_tails
 
 
 @st.composite
@@ -359,26 +360,65 @@ def test_tv_binom_vs_normal_validates_p():
 # -- Chernoff -----------------------------------------------------------------------------
 
 
-def test_chernoff_all_zero(rng):
-    report = chernoff_check([0.0] * 50, 0.5, 10_000, rng)
-    assert report.empirical == 0.0
+def _assert_rational_tails(ps, deltas):
+    reports = [chernoff_check(ps, delta) for delta in deltas]
+    for report, exact in zip(reports, rational_chernoff_tails(ps, deltas)):
+        assert abs(Fraction(report.tail) - exact) <= 1e-12 * exact, (report.delta, report.tail, float(exact))
+    return reports
+
+
+@pytest.mark.parametrize("n, p", [(1, 0.5), (37, 0.1), (120, 0.93), (200, 0.013), (200, 0.5)])
+def test_chernoff_tail_matches_a_rational_sum(n, p):
+    for report in _assert_rational_tails([p] * n, (0.05, 0.2, 0.5, 0.9)):
+        assert report.mu == pytest.approx(n * p, rel=1e-14)
+        assert report.passed == (report.tail <= report.bound)
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [[0.3] * 100 + [0.7] * 50, [0.2] * 60 + [0.5] * 80 + [0.9] * 40, [0.0] * 10 + [1.0] * 5 + [0.4] * 30],
+)
+def test_chernoff_tail_matches_a_rational_convolution(ps):
+    _assert_rational_tails(ps, (0.1, 0.3, 0.6))
+
+
+def test_chernoff_tail_within_five_standard_errors_of_monte_carlo(rng):
+    ps = [0.3] * 400 + [0.6] * 300
+    for delta in (0.05, 0.1):
+        report = chernoff_check(ps, delta)
+        freq, stderr = mc_chernoff_tail(ps, delta, 100_000, rng)
+        assert abs(freq - report.tail) <= 5.0 * stderr, (freq, report.tail, stderr)
+
+
+def test_chernoff_all_zero():
+    report = chernoff_check([0.0] * 50, 0.5)
+    assert (report.mu, report.tail) == (0.0, 0.0)
     assert report.passed
 
 
-def test_chernoff_standard_case(rng):
-    report = chernoff_check([0.5] * 1000, 0.2, 100_000, rng)
+def test_chernoff_standard_case():
+    report = chernoff_check([0.5] * 1000, 0.2)
     assert report.bound == pytest.approx(2.0 * math.exp(-0.04 * 500 / 3.0), rel=1e-12)
-    assert report.empirical <= report.bound + 3.0 * report.stderr
+    assert report.tail == pytest.approx(2.728464156066e-10, rel=1e-12)
     assert report.passed
 
 
-def test_chernoff_extreme_tail(rng):
-    report = chernoff_check([0.5] * 2000, 0.9, 10_000, rng)
-    assert report.empirical == 0.0
+def test_chernoff_extreme_tail():
+    report = chernoff_check([0.5] * 2000, 0.9)
+    assert report.tail == 0.0
     assert report.bound < 1e-100
 
 
-def test_sizes_above_the_cap_fail_before_allocation(rng):
+def test_chernoff_ignores_the_bench_bound_arguments(rng):
+    # bench/ still passes reps and an rng: neither changes the report, and nothing is drawn
+    state = rng.bit_generator.state
+    report = chernoff_check([0.5] * 100, 0.2, 10, rng)
+    assert report == chernoff_check([0.5] * 100, 0.2)
+    assert report.empirical == report.tail
+    assert rng.bit_generator.state == state
+
+
+def test_sizes_above_the_cap_fail_before_allocation():
     with pytest.raises(ValueError, match=str(SIZE_CAP)):
         tv_binom_vs_normal(10**15, 0.5)
     big = 10**15
@@ -392,15 +432,24 @@ def test_sizes_above_the_cap_fail_before_allocation(rng):
             call()
     # the largest accepted n still works
     assert binom_pmf_rows(SIZE_CAP, [0.5]).shape == (1, SIZE_CAP + 1)
-    with pytest.raises(ValueError, match=str(SIZE_CAP)):
-        chernoff_check([0.5], 0.5, 10**15, rng)
     # a lazy sequence: its length is checked before it is read
     with pytest.raises(ValueError, match=str(SIZE_CAP)):
-        chernoff_check(range(10**15), 0.5, 10_000, rng)
+        chernoff_check(range(10**15), 0.5)
 
 
-def test_chernoff_validation(rng):
-    with pytest.raises(ValueError):
-        chernoff_check([0.5], 0.5, 100, rng)
-    with pytest.raises(ValueError):
-        chernoff_check([0.5], 1.5, 10_000, rng)
+def test_chernoff_distinct_ps_over_the_convolve_cap_fail_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a pmf row was built")
+
+    monkeypatch.setattr(stats, "binom_pmf_rows", no_rows)
+    with pytest.raises(ValueError, match=f"over the cap of {CONVOLVE_CAP}"):
+        chernoff_check(np.linspace(0.01, 0.99, 50_000), 0.5)
+
+
+def test_chernoff_validation():
+    for ps, delta in (
+        ([0.5], 1.5), ([0.5], 0.0), ([0.5], 1.0), ([0.5], math.nan),
+        ([0.5, math.nan], 0.5), ([1.5], 0.5), ([-0.1, 0.5], 0.5),
+    ):
+        with pytest.raises(ValueError):
+            chernoff_check(ps, delta)
