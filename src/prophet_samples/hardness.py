@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import Instance, ValueDist, _check_keys, _is_int, _is_number
-from .stats import CountDist, _binom_windows, _trim, binom, sum_of_binomials
+from .stats import CountDist, _binom_windows, _trimmed_window, sum_of_binomials
 
 ANCHOR = "xi"
 
@@ -366,13 +366,15 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
 
     The mixture draws j from Bin(3k, 1/3) and then k + Bin(k, g(j)); the
     stand-in is Bin(3k, 1/3) + Bin(k, eps), which shares its mean k(1 + eps).
-    Both are built on trimmed windows. The coefficients j and Bin(k, eps) keep
-    their shortest runs with at most 1e-18 in each tail (stats._trim). Rows with
-    g(j) = 0 or 1 are single masses at k and 2k; the others are evaluated a
-    chunk at a time on Bernstein windows that leave out at most 1e-18 per tail
-    (stats._binom_windows), each row divided by its own window sum. The
-    stand-in is the convolution of the two trimmed windows. So the trims leave
-    out at most 4e-18 of either law before it is renormalized.
+    Both are built on trimmed windows. The coefficients j and Bin(k, eps) are
+    Bernstein windows cut to their shortest runs with at most 1e-18 in each
+    tail (stats._trimmed_window), and spec.coefficients is the coefficient
+    window on {0..3k}. Rows with g(j) = 0 or 1 are single masses at k and 2k;
+    the others are evaluated a chunk at a time on Bernstein windows that leave
+    out at most 1e-18 per tail (stats._binom_windows), each row divided by its
+    own window sum. The stand-in is the convolution of the two trimmed
+    windows. Each window leaves out at most 4e-18 of its law, so either law
+    loses at most 8e-18 before it is renormalized.
 
     Against the dense build kept in tests/test_hardness.py (every coefficient,
     full Bin(k, g(j)) rows) each mass and TV(mix, star) is within 4.4e-16
@@ -382,9 +384,8 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
     at most 2.4e-14 and 1.6e-14.
     """
     k = params.k
-    coeff = binom(3 * k, ONE_THIRD)
+    j0, weights, _ = _trimmed_window(3 * k, ONE_THIRD)
     success = g_clamp(np.arange(3 * k + 1), params)
-    j0, weights, _ = _trim(coeff.masses)
     g = success[j0 : j0 + len(weights)]
     # g is nondecreasing in j: rows before first have g = 0, rows from last on g = 1
     first = int(np.searchsorted(g, 0.0, side="right"))
@@ -397,14 +398,16 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
         mix_masses[k + c : k + c + rows.shape[1]] += weights[first + a : first + a + len(rows)] @ rows
     mix = CountDist(0, mix_masses / mix_masses.sum())
 
-    b0, noise, _ = _trim(binom(k, params.eps).masses)
+    b0, noise, _ = _trimmed_window(k, params.eps)
     star_window = np.convolve(weights, noise)
     star_masses = np.zeros(4 * k + 1)
     star_masses[j0 + b0 : j0 + b0 + len(star_window)] = star_window / star_window.sum()
     star = CountDist(0, star_masses)
 
+    coefficients = np.zeros(3 * k + 1)
+    coefficients[j0 : j0 + len(weights)] = weights
     spec = MixtureSpec(
-        coefficients=coeff.masses,
+        coefficients=coefficients,
         component_shift=k,
         component_trials=k,
         component_success=success,

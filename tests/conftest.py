@@ -10,7 +10,7 @@ from scipy.special import gammaln, ndtr
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
 from prophet_samples.distributions import _gauss_nodes
 from prophet_samples.hardness import ANCHOR, PREFIXES, STOPS, T1, XI
-from prophet_samples.stats import binom_pmf_rows
+from prophet_samples.stats import _trim, binom_pmf_rows
 
 
 @pytest.fixture
@@ -309,6 +309,12 @@ def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
     rows[ps == 0.0, 0] = 1.0
     rows[ps == 1.0, n] = 1.0
     return rows / rows.sum(axis=1, keepdims=True)
+
+
+def dense_trimmed_window(n: int, p: float) -> tuple[int, np.ndarray, float]:
+    """stats._trimmed_window by the dense rule: the full (n + 1)-long
+    binom_pmf_rows row cut by _trim."""
+    return _trim(binom_pmf_rows(n, [p])[0])
 
 
 def dense_tv_binom_vs_normal(n: int, p: float) -> float:

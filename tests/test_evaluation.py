@@ -725,6 +725,55 @@ def test_exact_sweep_rows_are_the_single_rank_values():
         assert row.case2.prophet_value == inst2.prophet_expectation()
 
 
+@pytest.mark.parametrize("k", [1, 1000, SIZE_CAP])
+def test_box_count_law_of_a_single_category_is_an_offset(k):
+    # mass only above, only inside and only below the stratum
+    for above, inside, below, a0, c0 in ((1.0, 0.0, 0.0, k, 0), (0.0, 1.0, 0.0, 0, k), (0.0, 0.0, 1.0, 0, 0)):
+        pmf, b0, d0, dropped = evaluation._box_count_law(k, above, inside, below)
+        assert (pmf.tolist(), b0, d0, dropped) == ([[1.0]], a0, c0, 0.0)
+
+
+def test_box_count_law_of_a_box_that_rounds_into_one_category():
+    # the second box of test_threshold_strata_places_a_sure_box_once: 1e-17 of
+    # its mass lies below 1, so inside / total rounds to 1.0 in the top stratum
+    # (1, 1e17) and above / total in the bottom one (0, 1)
+    inst = Instance((ValueDist(((1.0, 0.0, 1.0),)), ValueDist(((1.0, 0.0, 1e17),))))
+    _, _, _, probs = evaluation._level_structure(inst)
+    row = probs[1]
+    for j, (a0, c0) in enumerate([(0, 7), (7, 0)]):
+        above, inside, below = row[:j].sum(), row[j], row[j + 1 :].sum()
+        assert inside > 0.0 and (above > 0.0 or below > 0.0)
+        pmf, b0, d0, dropped = evaluation._box_count_law(7, above, inside, below)
+        assert (pmf.tolist(), b0, d0, dropped) == ([[1.0]], a0, c0, 0.0)
+
+
+def test_windowed_laws_build_no_dense_row(monkeypatch):
+    from prophet_samples import stats
+    from prophet_samples.hardness import HardParams, build_dd_mixture
+
+    def no_dense_row(*args):
+        raise AssertionError("a dense pmf row was built")
+
+    monkeypatch.setattr(stats, "_fill_binom_rows", no_dense_row)
+    inst = Instance((ValueDist(((0.5, 0.0, 1.0), (0.5, 2.0, 2.0))), ValueDist.discrete({1.0: 0.3, 3.0: 0.7})))
+    assert exact_ordinal_value(inst, 50, 20)[0] > 0.0
+    assert dominance_check(inst, MaxSample(), 3, 0.5).worst_ratio > 0.0
+    assert len(ordinal_upper_bound_sweep(200, [1, 80])) == 2
+    build_dd_mixture(HardParams(k=300, eps=0.1))
+
+
+def test_box_count_law_near_the_cap_keeps_only_its_window():
+    # 7 masses of Bin(2^22, 1e-9); a dense row under them peaked at 67 MB
+    tracemalloc.start()
+    try:
+        pmf, a0, c0, _ = evaluation._box_count_law(SIZE_CAP, 1e-9, 0.0, 1 - 1e-9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pmf.shape == (7, 1) and (a0, c0) == (0, 0)
+    assert peak < 1e6
+
+
 def test_exact_ordinal_window_cap_raises_before_allocating():
     # three equal-weight parts put (1/3, 1/3, 1/3) on the middle stratum: an
     # (8e3 x 8e3) window at k = 1e6, over stats.SIZE_CAP

@@ -514,7 +514,7 @@ DD_MIXTURE_DIGESTS = [
     (200, 0.1, "8f891a36aa1f359b6033ebab11c4e8edaaec9abbad1c3abc943444abc5c9131b",
      "c18c77663a14334ba6dd7b97d4cea603508df14f016cefcaf7e3f2961472ceea"),
     (800, 0.1, "52701b798c6d6128699b69f3febee1ca723525d391c6ee233763eff53fead135",
-     "a64298fbcd17c624e1083c532722d55200f9340a54a9a20b8ef3dc2ced1338a1"),
+     "1e7f5cae115445d5f0f0766f630c537271975b4085d144c425efd0ee4065fc29"),
     (3200, 0.1, "5f462e3ccb3e40e51fec0215702062cbcb500a579aa594c083e59de4aed59176",
      "81ba00cbd2afe85391ecbe27a49dfb72a29699ea6a96891a09e90cbbeee5ab9c"),
     (800, None, "55e781aae0903fd0612780a6f3e1090d4a7c5cad082adc28624b9eba42693519",
