@@ -364,9 +364,10 @@ def _run_stats_check(fields: _Fields) -> str:
     result: dict[str, Any] = {}
     if chernoff:
         rows = []
-        for report in stats._chernoff_reports([p] * n, deltas):
+        for delta in deltas:
+            report = stats.chernoff_check([p] * n, delta)
             rows.append({**asdict(report), "passed": report.passed})
-            print(f"chernoff delta={report.delta}: tail={report.tail:.2e}", file=sys.stderr)
+            print(f"chernoff delta={delta}: tail={report.tail:.2e}", file=sys.stderr)
         result["chernoff"] = rows
     if probes is not None:
         violations, worst = evaluation.diagnostics_sandwich_sweep(

@@ -30,7 +30,7 @@ from .algorithms import (
     walk_value,
 )
 from .distributions import Instance, ValueDist
-from .stats import SIZE_CAP, _trimmed_window
+from .stats import SIZE_CAP, _trimmed_windows
 
 _MASK64 = (1 << 64) - 1
 
@@ -426,14 +426,14 @@ def _box_count_law(k: int, above: float, inside: float, below: float) -> tuple[n
 
     Returns (pmf, a0, c0, dropped): pmf[i, j] is the chance that a0 + i of
     the box's k samples land above the stratum and c0 + j inside it, and
-    dropped is the mass the trims cut from the windows (stats._trimmed_window).
+    dropped bounds the mass outside the window (stats._trimmed_windows).
     A category with no mass makes the law one-dimensional; a box whose mass
     rounds into a single category is an offset alone.
     """
     total = above + inside + below
     if inside == 0.0 or below == 0.0:
         # one binomial row: A alone, or A on the antidiagonal C = k - A
-        a0, masses, dropped = _trimmed_window(k, above / total)
+        ((a0, masses, dropped),) = _trimmed_windows(k, [above / total])
         if inside == 0.0:
             return masses[:, None], a0, 0, dropped
         m = len(masses)
@@ -442,11 +442,10 @@ def _box_count_law(k: int, above: float, inside: float, below: float) -> tuple[n
         pmf[np.arange(m), np.arange(m - 1, -1, -1)] = masses
         return pmf, a0, k - a0 - m + 1, dropped
     if above == 0.0:
-        c0, masses, dropped = _trimmed_window(k, inside / total)
+        ((c0, masses, dropped),) = _trimmed_windows(k, [inside / total])
         return masses[None, :], 0, c0, dropped
     pa, pc, pr = above / total, inside / total, below / total
-    a0, ma, da = _trimmed_window(k, pa)
-    c0, mc, dc = _trimmed_window(k, pc)
+    (a0, ma, da), (c0, mc, dc) = _trimmed_windows(k, [pa, pc])
     _check_window(len(ma), len(mc))
     a = np.arange(a0, a0 + len(ma), dtype=float)[:, None]
     c = np.arange(c0, c0 + len(mc), dtype=float)[None, :]
@@ -571,7 +570,7 @@ def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple
 
 def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float]:
     """Expected value of the rank-th highest sample threshold rule, and err,
-    a bound on the error from the mass the count windows' trims cut.
+    a bound on the error from the mass the count windows leave out.
 
     Per stratum of _level_structure, the pooled counts A above it and C
     inside it have the joint law of a fold of one trinomial per box; the
@@ -579,11 +578,10 @@ def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float
     (rank - A)-th highest of its C samples. On an interval stratum the walk
     value is a polynomial in the threshold's position, whose Beta moments
     integrate it; on an atom the tie law does (threshold_value_with_rank_law).
-    Count windows (stats._trimmed_window) leave out at most 2e-18 of mass
-    per tail per box; err is the mass their trims cut times sum_i E[v_i],
-    which bounds the walk value at any threshold. err does not cover the at
-    most 1e-18 per tail that a Bernstein window leaves off before its trim,
-    nor floating-point rounding, which is larger:
+    Count windows (stats._trimmed_windows) leave out at most 2e-18 of mass
+    per tail per box; err is a bound on the mass left out times sum_i E[v_i],
+    which bounds the walk value at any threshold. err does not cover
+    floating-point rounding, which is larger:
     the log-gamma trinomial masses are up to 1.2e-12 relative off exact
     rationals at k = 1000. With each box's trinomial replaced by correctly
     rounded masses (50-digit mpmath), same windows and fold, two-box atom

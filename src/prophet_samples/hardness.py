@@ -20,7 +20,7 @@ from typing import Mapping
 import numpy as np
 
 from .distributions import Instance, ValueDist, _check_keys, _is_int, _is_number
-from .stats import CountDist, _binom_windows, _trimmed_window, sum_of_binomials
+from .stats import CountDist, _binom_windows, _trimmed_windows, sum_of_binomials
 
 ANCHOR = "xi"
 
@@ -368,7 +368,7 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
     stand-in is Bin(3k, 1/3) + Bin(k, eps), which shares its mean k(1 + eps).
     Both are built on trimmed windows. The coefficients j and Bin(k, eps) are
     Bernstein windows cut to their shortest runs with at most 1e-18 in each
-    tail (stats._trimmed_window), and spec.coefficients is the coefficient
+    tail (stats._trimmed_windows), and spec.coefficients is the coefficient
     window on {0..3k}. Rows with g(j) = 0 or 1 are single masses at k and 2k;
     the others are evaluated a chunk at a time on Bernstein windows that leave
     out at most 1e-18 per tail (stats._binom_windows), each row divided by its
@@ -384,7 +384,7 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
     at most 2.4e-14 and 1.6e-14.
     """
     k = params.k
-    j0, weights, _ = _trimmed_window(3 * k, ONE_THIRD)
+    ((j0, weights, _),) = _trimmed_windows(3 * k, [ONE_THIRD])
     success = g_clamp(np.arange(3 * k + 1), params)
     g = success[j0 : j0 + len(weights)]
     # g is nondecreasing in j: rows before first have g = 0, rows from last on g = 1
@@ -398,7 +398,7 @@ def build_dd_mixture(params: HardParams) -> tuple[MixtureSpec, CountDist, CountD
         mix_masses[k + c : k + c + rows.shape[1]] += weights[first + a : first + a + len(rows)] @ rows
     mix = CountDist(0, mix_masses / mix_masses.sum())
 
-    b0, noise, _ = _trimmed_window(k, params.eps)
+    ((b0, noise, _),) = _trimmed_windows(k, [params.eps])
     star_window = np.convolve(weights, noise)
     star_masses = np.zeros(4 * k + 1)
     star_masses[j0 + b0 : j0 + b0 + len(star_window)] = star_window / star_window.sum()

@@ -9,13 +9,12 @@ binom_pmf_rows: it evaluates the columns within sqrt(380 n) of the mean, and
 Hoeffding bounds every other log-mass below -760, where the formula rounds to
 exactly 0.0, so its rows are the bits of the formula on every column. Every
 other caller takes Bernstein windows (_binom_windows), which leave out at most
-_WINDOW_TAIL = 1e-18 of a law per tail; _trimmed_window cuts one to its
-shortest run. Normal CDF values go through scipy's erf-based ndtr, evaluated
+_WINDOW_TAIL = 1e-18 of a law per tail; _trimmed_windows cuts them to their
+shortest runs. Normal CDF values go through scipy's erf-based ndtr, evaluated
 only where it is neither 0.0 nor 1.0."""
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -167,20 +166,26 @@ def _binom_windows(n: int, ps: np.ndarray):
         yield a, c, block
 
 
-def _trimmed_window(n: int, p: float) -> tuple[int, np.ndarray, float]:
-    """(offset, masses, dropped): Bin(n, p)'s _binom_windows row cut by _trim,
-    or a single mass at 0 or n for p = 0 or 1; n above SIZE_CAP raises.
+def _trimmed_windows(n: int, ps: Sequence[float]) -> list[tuple[int, np.ndarray, float]]:
+    """(offset, masses, dropped) of Bin(n, p) for each p of ps: a single mass
+    at 0 or n for p = 0 or 1, else its _binom_windows row cut by _trim, all
+    rows from one _binom_windows call; n above SIZE_CAP raises.
 
-    dropped is the mass the cut takes from the row, at most _WINDOW_TAIL per
-    tail; the window leaves out at most _WINDOW_TAIL more per tail of the law.
+    dropped bounds the mass of the law outside the run: the cut takes at most
+    _WINDOW_TAIL per tail from the row, and Bernstein's inequality puts at
+    most _WINDOW_TAIL more beyond each end of the evaluated window that stops
+    short of 0 or n.
     """
     if n > SIZE_CAP:
         raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
-    if p == 0.0 or p == 1.0:
-        return (n if p == 1.0 else 0), np.ones(1), 0.0
-    ((_, c, block),) = _binom_windows(n, np.array([p]))
-    lo, masses, dropped = _trim(block[0])
-    return c + lo, masses, dropped
+    windows = [(n * int(p == 1.0), np.ones(1), 0.0) for p in ps]
+    live = [r for r, p in enumerate(ps) if 0.0 < p < 1.0]
+    for a, c, block in _binom_windows(n, np.array([ps[r] for r in live])) if live else ():
+        left_off = _WINDOW_TAIL * ((c > 0) + (c + block.shape[1] <= n))
+        for r, row in zip(live[a:], block):
+            lo, masses, dropped = _trim(row)
+            windows[r] = c + lo, masses, dropped + left_off
+    return windows
 
 
 def binom_pmf_rows(n: int, ps: np.ndarray) -> np.ndarray:
@@ -340,23 +345,14 @@ def chernoff_check(
 ) -> ChernoffReport:
     """Exact Pr[|X - mu| >= delta * mu] of a Bernoulli sum X against 2 exp(-delta^2 mu / 3).
 
-    The report _chernoff_reports gives for the one delta. reps and rng are
-    ignored; they stay only while bench/workloads.py still passes them.
-    """
-    return _chernoff_reports(ps, [delta])[0]
-
-
-def _chernoff_reports(ps: Sequence[float], deltas: Sequence[float]) -> list[ChernoffReport]:
-    """chernoff_check at each delta, every tail read from one law of X.
-
-    mu is the float sum of ps. Each tail sums the masses of sum_of_binomials,
+    mu is the float sum of ps. The tail sums the masses of sum_of_binomials,
     one (count, p) part per distinct p, where |x - mu| >= delta * mu in
-    floating point, or |x| > 0 at mu = 0: a run at each end of the support
-    (_tail_bounds), summed as one array in support order. A p or delta out of
-    range (NaN too), more than SIZE_CAP parameters or folds over CONVOLVE_CAP
-    raise ValueError before any row is built.
+    floating point, or |x| > 0 at mu = 0. A p or delta out of range (NaN too),
+    more than SIZE_CAP parameters or folds over CONVOLVE_CAP raise ValueError
+    before any row is built. reps and rng are ignored; they stay only while
+    bench/workloads.py still passes them.
     """
-    if not all(0.0 < delta < 1.0 for delta in deltas):
+    if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     if len(ps) > SIZE_CAP:
         raise ValueError(f"{len(ps)} Bernoulli parameters exceed the cap of {SIZE_CAP}")
@@ -364,28 +360,7 @@ def _chernoff_reports(ps: Sequence[float], deltas: Sequence[float]) -> list[Cher
     mu = float(ps.sum())
     values, counts = np.unique(ps, return_counts=True)
     law = sum_of_binomials(list(zip(counts.tolist(), values.tolist())))
-    reports = []
-    for delta in deltas:
-        lo, hi = _tail_bounds(law, mu, delta)
-        tail = float(np.concatenate((law.masses[:lo], law.masses[hi:])).sum())
-        bound = 2.0 * math.exp(-delta * delta * mu / 3.0)
-        reports.append(ChernoffReport(mu=mu, delta=delta, tail=tail, bound=bound))
-    return reports
-
-
-def _tail_bounds(law: CountDist, mu: float, delta: float) -> tuple[int, int]:
-    """(lo, hi): law.masses[:lo] and law.masses[hi:] are the masses at the x
-    with |x - mu| >= delta * mu in floating point (|x - mu| > 0 at mu = 0).
-
-    The rounded gap never grows toward mu, so the x at or below floor(mu) that
-    meet the test are a prefix of the support and those above it a suffix;
-    each end is found by bisection, lo <= hi. floor(mu) is in the support: a
-    float sum of the ps is at least their count of ones and at most their
-    count.
-    """
-    t = delta * mu
-    far = (lambda x: abs(x - mu) >= t) if mu > 0.0 else (lambda x: x != mu)
-    mid = math.floor(mu)
-    lo = bisect.bisect_left(range(law.offset, mid + 1), True, key=lambda x: not far(x))
-    hi = bisect.bisect_left(range(mid + 1, law.upper + 1), True, key=far)
-    return lo, mid + 1 - law.offset + hi
+    gap = np.abs(np.arange(law.offset, law.upper + 1) - mu)
+    hits = gap >= delta * mu if mu > 0.0 else gap > 0.0
+    bound = 2.0 * math.exp(-delta * delta * mu / 3.0)
+    return ChernoffReport(mu=mu, delta=delta, tail=float(law.masses[hits].sum()), bound=bound)

@@ -312,8 +312,8 @@ def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
 
 
 def dense_trimmed_window(n: int, p: float) -> tuple[int, np.ndarray, float]:
-    """stats._trimmed_window by the dense rule: the full (n + 1)-long
-    binom_pmf_rows row cut by _trim."""
+    """A stats._trimmed_windows window by the dense rule: the full
+    (n + 1)-long binom_pmf_rows row cut by _trim."""
     return _trim(binom_pmf_rows(n, [p])[0])
 
 

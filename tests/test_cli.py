@@ -720,28 +720,6 @@ def test_stats_check(tmp_path):
     assert result["sandwich"]["violations"] == 0
 
 
-
-def test_stats_check_builds_the_bernoulli_law_once(tmp_path, monkeypatch):
-    from prophet_samples import stats
-
-    built = []
-
-    def counted(specs):
-        built.append(specs)
-        return real(specs)
-
-    real = stats.sum_of_binomials
-    monkeypatch.setattr(stats, "sum_of_binomials", counted)
-    cfg = write_json(
-        tmp_path / "sc.json",
-        {"command": "stats-check", "chernoff": {"n": 300, "p": 0.5, "deltas": [0.1, 0.2, 0.3]}},
-    )
-    out = tmp_path / "sc.json.out"
-    assert run_cli(["stats-check", "--config", cfg, "--out", str(out)]) == 0
-    rows = json.loads(out.read_text())["chernoff"]
-    assert built == [[(300, 0.5)]]
-    assert [row["tail"] for row in rows] == [stats.chernoff_check([0.5] * 300, d).tail for d in (0.1, 0.2, 0.3)]
-
 def test_stats_check_reports_sandwich_violations(tmp_path, monkeypatch):
     # the sweep counts a violation where threshold_diagnostics would raise
     terms = evaluation._sandwich_terms

@@ -25,8 +25,7 @@ from prophet_samples.stats import (
     SIZE_CAP,
     _binom_windows,
     _normal_bin_masses,
-    _tail_bounds,
-    _trimmed_window,
+    _trimmed_windows,
     binom_pmf_rows,
     point_mass,
 )
@@ -258,29 +257,35 @@ def test_binom_windows_leave_at_most_1e_18_per_tail(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 1000, 10_000, SIZE_CAP])
-def test_trimmed_window_matches_the_dense_trim(n):
-    # the window's trim against the old rule, the dense row's. The window's
-    # cut never sees the at most 1e-18 per tail that the Bernstein window left
-    # off the row, so it can end a few columns inside the dense run (4 at each
-    # end at n = 2^22, p = 1/3, where a column near the cut holds about 1e-20);
-    # the columns it cuts beyond the dense run hold at most 1e-18 per end
-    for p in (0.0, 1e-12, 1e-8, 0.01, 1 / 3, 0.5, 0.99, 1 - 1e-12, 1.0):
-        offset, masses, dropped = _trimmed_window(n, p)
-        want_offset, want, _ = dense_trimmed_window(n, p)
-        end, want_end = offset + len(masses), want_offset + len(want)
-        assert want_offset <= offset < end <= want_end, (p, offset, end, want_offset, want_end)
-        lo, hi = offset - want_offset, end - want_offset
-        assert want[:lo].sum() <= _WINDOW_TAIL and want[hi:].sum() <= _WINDOW_TAIL, p
-        np.testing.assert_allclose(masses, want[lo:hi], rtol=1e-15, atol=0.0)
-        assert 0.0 <= dropped <= 2 * _WINDOW_TAIL
-        if p in (0.0, 1.0):
-            assert (offset, masses.tolist(), dropped) == (n * int(p), [1.0], 0.0)
+def test_trimmed_windows_match_the_dense_trim(n):
+    # the windows' trims against the old rule, the dense row's: each p alone,
+    # as the 1-D count laws and the mixture take it, and pairs from one call,
+    # as the trinomial count laws take them. A window's cut never sees the at
+    # most 1e-18 per tail that the Bernstein window left off the row, so it
+    # can end a few columns inside the dense run (4 at each end at n = 2^22,
+    # p = 1/3, where a column near the cut holds about 1e-20); the columns it
+    # cuts beyond the dense run hold at most 1e-18 per end
+    ps = (0.0, 1e-12, 1e-8, 0.01, 1 / 3, 0.5, 0.99, 1 - 1e-12, 1.0)
+    for call in [[p] for p in ps] + [[1 / 3, 0.5], [1.0, 0.5], [0.01, 0.0]]:
+        for p, (offset, masses, dropped) in zip(call, _trimmed_windows(n, call), strict=True):
+            want_offset, want, want_dropped = dense_trimmed_window(n, p)
+            end, want_end = offset + len(masses), want_offset + len(want)
+            assert want_offset <= offset < end <= want_end, (call, p, offset, end, want_offset, want_end)
+            lo, hi = offset - want_offset, end - want_offset
+            assert want[:lo].sum() <= _WINDOW_TAIL and want[hi:].sum() <= _WINDOW_TAIL, (call, p)
+            np.testing.assert_allclose(masses, want[lo:hi], rtol=1e-15, atol=0.0)
+            # dropped bounds the mass the law has outside the run (up to
+            # rounding): at most 1e-18 per tail cut, 1e-18 per tail left off
+            outside = want_dropped + want[:lo].sum() + want[hi:].sum()
+            assert outside <= dropped * (1.0 + 1e-12) and dropped <= 4 * _WINDOW_TAIL, (call, p, outside, dropped)
+            if p in (0.0, 1.0):
+                assert (offset, masses.tolist(), dropped) == (n * int(p), [1.0], 0.0)
 
 
-def test_trimmed_window_checks_the_cap_first():
+def test_trimmed_windows_check_the_cap_first():
     for p in (0.0, 0.5, 1.0):
         with pytest.raises(ValueError, match=f"n = {SIZE_CAP + 1} exceeds the cap of {SIZE_CAP}"):
-            _trimmed_window(SIZE_CAP + 1, p)
+            _trimmed_windows(SIZE_CAP + 1, [p])
 
 
 @pytest.mark.parametrize(
@@ -430,37 +435,6 @@ def test_chernoff_tail_within_five_standard_errors_of_monte_carlo(rng):
         report = chernoff_check(ps, delta)
         freq, stderr = mc_chernoff_tail(ps, delta, 100_000, rng)
         assert abs(freq - report.tail) <= 5.0 * stderr, (freq, report.tail, stderr)
-
-
-@pytest.mark.parametrize(
-    "ps",
-    [
-        [0.5] * 1000,
-        [0.3] * 400 + [0.6] * 300,
-        [0.1] * 2000,
-        [1 / 3] * 7,
-        [0.0] * 50,  # mu = 0
-        [1.0] * 30,  # p = 1: one mass at mu
-        [1.0] * 20 + [0.5] * 40,  # a support that starts at 20
-        [0.999] * 1500 + [1.0] * 500,
-        [0.2] * 300 + [0.7] * 200 + [1.0] * 10,
-        [1e-3] * 1000,
-        [5e-324],  # delta * mu rounds to 0: every x meets the test
-    ],
-)
-def test_tail_bounds_match_the_dense_predicate(ps):
-    values, counts = np.unique(ps, return_counts=True)
-    law = sum_of_binomials(list(zip(counts.tolist(), values.tolist())))
-    mu = float(np.asarray(ps).sum())
-    gap = np.abs(np.arange(law.offset, law.upper + 1) - mu)
-    at = np.arange(len(gap))
-    for delta in (1e-9, 0.01, 0.1, 0.2, 0.5, 0.9, 1 - 1e-12):
-        hits = gap >= delta * mu if mu > 0.0 else gap > 0.0
-        lo, hi = _tail_bounds(law, mu, delta)
-        assert lo <= hi
-        assert np.array_equal((at < lo) | (at >= hi), hits), (delta, lo, hi)
-        tail = chernoff_check(ps, delta).tail
-        assert tail.hex() == float(law.masses[hits].sum()).hex()
 
 
 def test_chernoff_all_zero():
