@@ -11,7 +11,6 @@ Library layout:
 """
 
 from .algorithms import (
-    ExplicitT,
     MaxSample,
     OrdinalRank,
     ThresholdDiagnostics,

@@ -17,17 +17,10 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 from scipy.special import lambertw
 
-from .distributions import Instance, _check_keys, _is_int, _is_number
+from .distributions import Instance, _check_keys, _is_int
 
 
 # -- rules --------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExplicitT:
-    """Fixed numeric threshold (mostly a diagnostic device)."""
-
-    t: float
 
 
 @dataclass(frozen=True)
@@ -46,24 +39,18 @@ class MaxSample:
     """The single-sample rule: threshold at the highest sample."""
 
 
-ThresholdRule = Union[ExplicitT, OrdinalRank, MaxSample]
+ThresholdRule = Union[OrdinalRank, MaxSample]
 
 
-def effective_rank(rule: ThresholdRule) -> int | None:
-    """Ordinal rank of a rule, or None for explicit thresholds."""
-    if isinstance(rule, MaxSample):
-        return 1
-    if isinstance(rule, OrdinalRank):
-        return rule.rank
-    return None
+def effective_rank(rule: ThresholdRule) -> int:
+    """Ordinal rank of a rule: 1 for the max-sample rule."""
+    return 1 if isinstance(rule, MaxSample) else rule.rank
 
 
 def rule_to_config(rule: ThresholdRule) -> dict:
     if isinstance(rule, MaxSample):
         return {"rule": "max_sample"}
-    if isinstance(rule, OrdinalRank):
-        return {"rule": "ordinal", "rank": rule.rank}
-    return {"rule": "explicit", "t": rule.t}
+    return {"rule": "ordinal", "rank": rule.rank}
 
 
 def rule_from_config(obj: dict) -> ThresholdRule:
@@ -76,11 +63,6 @@ def rule_from_config(obj: dict) -> ThresholdRule:
         if not _is_int(rank):
             raise ValueError(f"ordinal rule requires an integer 'rank', got {rank!r}")
         rule = OrdinalRank(rank)
-    elif kind == "explicit":
-        t = obj.get("t")
-        if not _is_number(t) or not math.isfinite(t):
-            raise ValueError(f"explicit rule requires a finite number 't', got {t!r}")
-        rule = ExplicitT(float(t))
     else:
         raise ValueError(f"unknown rule kind {kind!r}")
     _check_keys(obj, tuple(rule_to_config(rule)))
@@ -173,9 +155,9 @@ def threshold_value_with_rank_law(inst: Instance, t: float, alpha=1, beta=1):
     """Exact expected value of the static-threshold walk at threshold t.
 
     The threshold's latent rank is Beta(alpha, beta) distributed: (1, 1) for a
-    fresh rank (explicit thresholds), and (m + 1 - j, j) when the threshold is
-    the j-th ranked of m tied samples. The walk value is a polynomial in the
-    rank quantile, so pairing its coefficients with Beta moments is exact.
+    fresh rank, and (m + 1 - j, j) when the threshold is the j-th ranked of m
+    tied samples. The walk value is a polynomial in the rank quantile, so
+    pairing its coefficients with Beta moments is exact.
     Integer arrays give one value per rank law from a single polynomial;
     scalars give a float.
     """

@@ -191,12 +191,12 @@ def _rule(fields: _Fields):
         return rule_from_config(section.obj)
 
 
-def _check_pools(instances: list[tuple[Any, Instance]], rule, ks: list[int], mc: bool) -> int | None:
+def _check_pools(instances: list[tuple[Any, Instance]], rule, ks: list[int], mc: bool) -> int:
     """The rule's rank, checked before anything runs: it must fit the smallest
     pool n*k, and a Monte Carlo pool must fit MC_POOL_CAP."""
     rank = effective_rank(rule)
     for inst_id, inst in instances:
-        if rank is not None and rank > inst.n * min(ks):
+        if rank > inst.n * min(ks):
             raise _fail(
                 "rule.rank",
                 f"rank {rank} exceeds n*k = {inst.n * min(ks)} samples of instance {inst_id!r}",
@@ -211,12 +211,10 @@ def _check_pools(instances: list[tuple[Any, Instance]], rule, ks: list[int], mc:
 
 
 def _csv_row(*fields: Any) -> str:
-    """One CSV line: floats by repr, booleans lower-case, None as an empty field."""
+    """One CSV line: floats by repr, booleans lower-case."""
     out = []
     for f in fields:
-        if f is None:
-            out.append("")
-        elif isinstance(f, bool):
+        if isinstance(f, bool):
             out.append(str(f).lower())
         elif isinstance(f, float):
             out.append(repr(float(f)))
@@ -239,8 +237,6 @@ def _run_eval(fields: _Fields, threads: int) -> str:
     seed = fields.integer("seed", 0, _SEED_MAX)
     method = fields.choice("method", ("mc", "semi_exact"), "mc")
     rank = _check_pools(instances, rule, ks, mc=method == "mc")
-    if method == "semi_exact" and rank is None:
-        raise _fail("method", "semi_exact requires an ordinal rule")
     for inst_id, inst in instances:
         try:
             inst.check_prophet_cost()

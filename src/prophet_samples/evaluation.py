@@ -26,7 +26,6 @@ from .algorithms import (
     effective_rank,
     threshold_value_with_rank_law,
     walk_reach,
-    walk_terms,
     walk_value,
 )
 from .distributions import Instance, ValueDist
@@ -213,31 +212,26 @@ def _simulate_chunk(
     ranks, then the threshold's rank. Latent ranks are drawn only when the
     instance has atoms; without atoms ties are a null event.
 
-    An ordinal rule's threshold is the pooled entry at column n*k - rank in
-    (value, latent rank) order: a partition in place gives its value, and one
-    draw from `_tie_law` per row its latent rank, with no rank per sample.
-    mc_ratio has checked that the rank lies in [1, n*k].
+    The threshold is the pooled entry at column n*k - rank in (value, latent
+    rank) order: a partition in place gives its value, and one draw from
+    `_tie_law` per row its latent rank, with no rank per sample. mc_ratio has
+    checked that the rank lies in [1, n*k].
     """
     n = inst.n
     ranked = inst.has_atoms
-    rank = effective_rank(rule)
-
-    if rank is not None:
-        pos = n * k - rank
-        samples = np.empty((rows, n * k))
-        for i, box in enumerate(inst.boxes):
-            samples[:, i * k : (i + 1) * k] = box.sample_many(rng, (rows, k))
-        samples.partition(pos, axis=1)
-        thresh = samples[:, pos].copy()
-        if ranked:
-            law = _tie_law(samples, thresh, pos)
-    else:
-        thresh = np.full(rows, rule.t)
+    pos = n * k - effective_rank(rule)
+    samples = np.empty((rows, n * k))
+    for i, box in enumerate(inst.boxes):
+        samples[:, i * k : (i + 1) * k] = box.sample_many(rng, (rows, k))
+    samples.partition(pos, axis=1)
+    thresh = samples[:, pos].copy()
+    if ranked:
+        law = _tie_law(samples, thresh, pos)
 
     values = np.stack([box.sample_many(rng, rows) for box in inst.boxes], axis=1)
     if ranked:
         value_ranks = rng.random((rows, n))
-        thresh_rank = rng.random(rows) if rank is None else rng.beta(*law)
+        thresh_rank = rng.beta(*law)
 
     out = np.zeros(rows)
     alive = np.ones(rows, dtype=bool)
@@ -262,10 +256,10 @@ def mc_ratio(
 ) -> RatioReport:
     """Plain Monte Carlo competitive-ratio estimate with an exact denominator.
 
-    An ordinal rank outside [1, n*k] raises ValueError before anything runs.
+    A rank outside [1, n*k] raises ValueError before anything runs.
     """
     rank = effective_rank(rule)
-    if rank is not None and not 1 <= rank <= inst.n * k:
+    if not 1 <= rank <= inst.n * k:
         raise ValueError(f"rank {rank} outside [1, {inst.n * k}]")
     prophet = inst.prophet_expectation()
     chunk = _mc_chunk_size(inst.n, k)
@@ -600,47 +594,40 @@ def _exact_tails(inst: Instance, rule: ThresholdRule, k: int, grid: Sequence[flo
     """Pr[ALG accepts a value >= x] at each x of `grid`, exactly, on any instance.
 
     A box the walk reaches pays Pr[v >= x] while the threshold t lies below
-    x, and once t >= x it pays 1 - stay, the chance its value beats t. An
-    ordinal threshold lies in a stratum of _level_structure when the pooled
-    counts A above it and C inside it (_stratum_counts) satisfy A < rank <=
-    A + C, as the r-th highest of the C samples there, r = rank - A: on an
-    atom its latent rank, on an interval its position s from the bottom, is
+    x, and once t >= x it pays 1 - stay, the chance its value beats t. The
+    threshold lies in a stratum of _level_structure when the pooled counts A
+    above it and C inside it (_stratum_counts) satisfy A < rank <= A + C, as
+    the r-th highest of the C samples there, r = rank - A: on an atom its
+    latent rank, on an interval its position s from the bottom, is
     Beta(C + 1 - r, r), and every stay and accept is linear in it, with the
     box's masses above, inside and below the stratum from the stratum table.
     On an atom t the split at x is the step 1{x > t}; on an interval (a, b)
     t crosses x at s* = (x - a)/(b - a), which splits the Beta moments:
-    E[U^m; U <= s*] = E[U^m] betainc(alpha + m, beta, s*). An explicit
-    threshold is an atom whose one sample has a uniform latent rank. At
-    x = 0 the tail is the chance that anything is accepted.
+    E[U^m; U <= s*] = E[U^m] betainc(alpha + m, beta, s*). At x = 0 the
+    tail is the chance that anything is accepted.
 
     The count windows leave out at most 2e-18 of mass per tail for each box
     and stratum. That bounds the error from the windows only: a count law
     that spreads along both axes folds through the FFT (_fold), whose
-    rounding is absolute, about 1e-17 of the unit mass, so a small tail can
-    be off by much more than 1e-12 relative (1.9e-11 on a mass of 3.4e-8 at
-    k = 3). Raises ValueError before allocating a count window of more than
-    stats.SIZE_CAP entries.
+    rounding is absolute, below 3e-16 of the unit mass per entry; summed
+    over a tail's entries it reached 8.0e-15 against direct 2-D convolution
+    on random mixtures at k = 50 to 400. So a small tail can be off by much
+    more than 1e-12 relative (1.9e-11 on a mass of 3.4e-8 at k = 3). Raises
+    ValueError before allocating a count window of more than stats.SIZE_CAP
+    entries.
     """
     xs = np.asarray(grid, dtype=float)
     beats = np.array([box.exceedance(xs) for box in inst.boxes])
-    # per stratum the threshold can reach: its ends, the stays and accepts,
-    # and the mass and Beta law of each count pair that puts it there
-    rank = effective_rank(rule)
-    if rank is None:
-        stays = list(walk_terms(inst, rule.t))
-        one = np.ones(1, dtype=np.int64)
-        accepts = [np.array([box.exceedance(rule.t), -m]) for box, (_, m) in zip(inst.boxes, stays)]
-        laws = [(rule.t, rule.t, stays, accepts, np.ones(1), one, one)]
-    else:
-        _, los, his, probs = _level_structure(inst)
-        laws = []
-        for j, (_, mass, c, r, _) in enumerate(_stratum_counts(probs, k, [rank])):
-            if len(mass):
-                stays = [np.array([row[j + 1 :].sum(), row[j]]) for row in probs]
-                accepts = [np.array([row[: j + 1].sum(), -row[j]]) for row in probs]
-                laws.append((los[j], his[j], stays, accepts, mass, c + 1 - r, r))
+    _, los, his, probs = _level_structure(inst)
     tails = np.zeros(len(xs))
-    for lo, hi, stays, accepts, mass, alpha, beta in laws:
+    # per stratum the threshold can reach: the stays and accepts, and the
+    # mass and Beta law of each count pair that puts it there
+    for j, (_, mass, c, beta, _) in enumerate(_stratum_counts(probs, k, [effective_rank(rule)])):
+        if not len(mass):
+            continue
+        lo, hi, alpha = los[j], his[j], c + 1 - beta
+        stays = [np.array([row[j + 1 :].sum(), row[j]]) for row in probs]
+        accepts = [np.array([row[: j + 1].sum(), -row[j]]) for row in probs]
         # the moments of the threshold's position on t < x (below) and on t >= x (over)
         moments = beta_moments(alpha, beta, inst.n)
         cut = np.clip((xs - lo) / (hi - lo), 0.0, 1.0) if hi > lo else (xs > lo) * 1.0

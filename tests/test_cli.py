@@ -112,9 +112,10 @@ def test_eval_missing_seed_is_config_error(tmp_path, capsys):
         {"rule": "ordinal"},
         {"rule": "ordinal", "rank": 1.7},
         {"rule": "ordinal", "rank": True},
-        {"rule": "explicit", "t": float("nan")},
+        # a fixed numeric threshold is not a rule: every rule is a rank
+        {"rule": "explicit", "t": 0.5},
     ],
-    ids=["no-rank", "fractional-rank", "boolean-rank", "nan-t"],
+    ids=["no-rank", "fractional-rank", "boolean-rank", "explicit"],
 )
 def test_eval_bad_rule_is_config_error(tmp_path, capsys, rule):
     cfg = write_json(
@@ -217,6 +218,15 @@ _BAD_INPUTS = [
     ("dominance-count-window-cap", "dominance",
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1_000_000, "gamma": 0.5},
      {}, "instances[0]"),
+    # rank k of 2k samples lies in the middle atom's stratum, whose 2-D count
+    # window is over the cap: a window the threshold does reach
+    ("dominance-reached-count-window-cap", "dominance",
+     {"instances": [{"boxes": [{"segments": [[1 / 3, v, v] for v in (0.0, 1.0, 2.0)]}] * 2}],
+      "rule": {"rule": "ordinal", "rank": 100_000}, "k": 100_000, "gamma": 0.5},
+     {}, "instances[0]"),
+    ("dominance-explicit-rule", "dominance",
+     {"instances": [INSTANCE_A], "rule": {"rule": "explicit", "t": 0.5}, "k": 1, "gamma": 0.5},
+     {}, "rule"),
     ("dominance-mode-mc", "dominance",
      {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "gamma": 0.5, "mode": "mc"},
      {}, "mode"),
@@ -751,13 +761,17 @@ def test_stats_check_boolean_p_is_config_error(tmp_path, capsys):
 
 
 def test_eval_golden_bytes(tmp_path):
-    # a sure-thing instance yields a fully deterministic row, frozen here
+    # the threshold is the second box's sure 0, so the first box's sure 1 is
+    # always accepted: a fully deterministic row, frozen here
     cfg = write_json(
         tmp_path / "golden.json",
         {
             "command": "eval",
-            "instances": [{"id": "sure", "boxes": [{"segments": [[1.0, 1.0, 1.0]]}]}],
-            "rule": {"rule": "explicit", "t": 0.5},
+            "instances": [{"id": "sure", "boxes": [
+                {"segments": [[1.0, 1.0, 1.0]]},
+                {"segments": [[1.0, 0.0, 0.0]]},
+            ]}],
+            "rule": {"rule": "ordinal", "rank": 2},
             "k": 1,
             "reps": 100,
             "seed": 0,
@@ -770,7 +784,7 @@ def test_eval_golden_bytes(tmp_path):
     run_seed = derive_seed(0, 0, 1)
     want = (
         "instance_id,rule,k,l,reps,seed,alg_value,prophet_value,ratio,ci\n"
-        f"sure,explicit,1,,100,{run_seed},1.0,1.0,1.0,0.0\n"
+        f"sure,ordinal,1,2,100,{run_seed},1.0,1.0,1.0,0.0\n"
     )
     assert out.read_text() == want
 

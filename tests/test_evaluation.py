@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from prophet_samples import (
-    ExplicitT,
     Instance,
     MaxSample,
     OrdinalRank,
@@ -68,8 +67,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_mc_ratio_sure_thing():
-    inst = Instance((ValueDist.atom(1.0),))
-    report = mc_ratio(inst, ExplicitT(0.5), 1, 5000, seed=1)
+    # the lower of the two samples is the sure 0, so the first box always wins
+    inst = Instance((ValueDist.atom(1.0), ValueDist.atom(0.0)))
+    report = mc_ratio(inst, OrdinalRank(2), 1, 5000, seed=1)
     assert report.alg_value == 1.0
     assert report.ratio == 1.0
     assert report.ci_halfwidth == 0.0
@@ -433,27 +433,13 @@ def test_mc_pool_path_golden(which, rule, k, reps, alg_hex, ci_hex, ratio_hex, t
 
 
 def test_ci_at_spike_scale_matches_the_uniform_spread():
-    # every replication accepts the first sample of U(1e8, 1e8 + 1), whose
-    # variance is 1/12; summing squares about 0 would cancel it away
-    inst = Instance((ValueDist.uniform(1e8, 1e8 + 1.0),))
-    report = mc_ratio(inst, ExplicitT(0.0), 1, 100_000, seed=1)
+    # the threshold is the second box's sure 0, so every replication accepts
+    # the first value, from U(1e8, 1e8 + 1), whose variance is 1/12; summing
+    # squares about 0 would cancel it away
+    inst = Instance((ValueDist.uniform(1e8, 1e8 + 1.0), ValueDist.atom(0.0)))
+    report = mc_ratio(inst, OrdinalRank(2), 1, 100_000, seed=1)
     want = 1.96 * math.sqrt(1.0 / 12.0 / 100_000)
     assert report.ci_halfwidth == pytest.approx(want, rel=0.01)
-
-
-def test_exact_selected_law_golden_many_boxes():
-    # the selected law's tails at every atom, bits recorded from the walk of
-    # _exact_tails; they are the tails of the law recorded from the per-box
-    # convolve walk to within 1.4e-17
-    inst = Instance(tuple(
-        ValueDist.discrete({float(i % 3): (i + 1) / (2 * i + 3), float(i % 3 + 1): (i + 2) / (2 * i + 3)})
-        for i in range(18)
-    ))
-    got = {t: [p.hex() for p in _exact_tails(inst, ExplicitT(t), 1, [1.0, 2.0, 3.0]).tolist()] for t in (1.0, 2.0)}
-    assert got == {
-        1.0: ["0x1.0000000000000p+0", "0x1.1c71c71c71c72p-1", "0x1.6c16c16c16c17p-4"],
-        2.0: ["0x1.ff764fcf53a61p-1", "0x1.ff764fcf53a61p-1", "0x1.06b879e24e35ap-1"],
-    }
 
 
 def lexsort_select_oracle(samples, sample_ranks, pos):
@@ -745,6 +731,27 @@ def test_box_count_law_of_a_box_that_rounds_into_one_category():
         assert inside > 0.0 and (above > 0.0 or below > 0.0)
         pmf, b0, d0, dropped = evaluation._box_count_law(7, above, inside, below)
         assert (pmf.tolist(), b0, d0, dropped) == ([[1.0]], a0, c0, 0.0)
+
+
+def test_fold_rounding_against_direct_convolution():
+    # the FFT fold of trinomial box laws against scipy's direct 2-D
+    # convolution, within the figures of _exact_tails' docstring: 3e-16 of the
+    # unit mass per entry, 8.0e-15 summed over the entries of a corner
+    from scipy.signal import convolve2d
+
+    rng = np.random.default_rng(20261021)
+    worst_entry = worst_sum = 0.0
+    for _ in range(24):
+        k = int(rng.choice([3, 10, 30]))
+        fft = direct = np.ones((1, 1))
+        for _ in range(int(rng.integers(2, 5))):
+            pmf = evaluation._box_count_law(k, *rng.dirichlet([1.0, 1.0, 1.0]))[0]
+            fft, direct = evaluation._fold(fft, pmf), convolve2d(direct, pmf)
+        diff = fft - direct
+        worst_entry = max(worst_entry, np.abs(diff).max())
+        worst_sum = max(worst_sum, np.abs(np.cumsum(np.cumsum(diff, axis=0), axis=1)).max())
+    assert 0.0 < worst_entry <= 3e-16
+    assert worst_sum <= 8.0e-15
 
 
 def test_windowed_laws_build_no_dense_row(monkeypatch):
@@ -1155,17 +1162,14 @@ def test_mixture_tails_match_quadrature_oracle():
 
 
 def test_simulated_tails_within_5_sigma_of_exact():
-    # the simulator's accepted values against the exact tails, under ordinal
-    # and explicit rules; a sigma floor of one count keeps tiny tails testable
+    # the simulator's accepted values against the exact tails at random
+    # ranks; a sigma floor of one count keeps tiny tails testable
     rng = np.random.default_rng(20261021)
     rows = 100_000
     for case in range(16):
         inst = random_mixture_instance(rng)
         k = int(rng.integers(1, 6))
-        if case % 4 == 3:
-            rule = ExplicitT(float(rng.uniform(0.0, inst.breakpoints()[-1])))
-        else:
-            rule = OrdinalRank(int(rng.integers(1, inst.n * k + 1)))
+        rule = OrdinalRank(int(rng.integers(1, inst.n * k + 1)))
         xs = _tail_grid(inst, rng, 2)
         want = _exact_tails(inst, rule, k, xs)
         accepted = _simulate_chunk(inst, rule, k, rows, np.random.default_rng(case))

@@ -101,3 +101,22 @@ def test_run_benchmarks_regenerates_stable_artifacts_byte_for_byte(tmp_path):
             *want_keys, want_tv = want_row.split(",")
             assert got_keys == want_keys, name
             assert float(got_tv) == pytest.approx(float(want_tv), rel=1e-10, abs=0.0), (name, want_row)
+
+
+def test_readme_rank_table_matches_the_rank_curve():
+    # every cell of the README's best-rank table, recomputed at its printed digits
+    spec = importlib.util.spec_from_file_location("run_rank_curve", ROOT / "scripts" / "run_rank_curve.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    rows = [line.strip("| ").split(" | ") for line in readme if line.startswith("| 1e")]
+    assert [row[0] for row in rows] == ["1e2", "1e3", "1e4", "1e5"]
+    for cells in rows:
+        k = int(float(cells[0]))
+        best = module.best_rank(k)
+        rank = module.recommended_rank(k)
+        (row,) = module.ordinal_upper_bound_sweep(k, [rank])
+        got = [best.rank, best.min_ratio, rank, row.min_ratio]
+        for cell, value in zip(cells[1:], got):
+            digits = len(cell.partition(".")[2])
+            assert cell == (f"{value:.{digits}f}" if digits else str(value)), (cells, got)
