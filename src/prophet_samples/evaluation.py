@@ -477,7 +477,8 @@ def _stratum_polys(inst: Instance, a: float, b: float, tops: Sequence[bool] = (F
     thresholds close to either end free of cancellation. No atom lies inside
     the stratum, so the walk is tie-free: every CDF is linear in s, and each
     tail is quadratic, factored as (hi - t)(hi + t) as in
-    ValueDist.tail_expectation. The degree is at most n + 1.
+    ValueDist.tail_expectation, its weight taken into the first factor so
+    that tiny supports do not underflow. The degree is at most n + 1.
     """
     rows = []
     for base, step in ((b, a - b) if top else (a, b - a) for top in tops):
@@ -491,7 +492,7 @@ def _stratum_polys(inst: Instance, a: float, b: float, tops: Sequence[bool] = (F
                     tail[0] += w * (lo + hi) / 2.0
                 else:
                     cdf += w / (hi - lo) * np.array([base - lo, step])
-                    tail += (w / (2.0 * (hi - lo))) * np.convolve([hi - base, -step], [hi + base, step])
+                    tail += np.convolve(w / (2.0 * (hi - lo)) * np.array([hi - base, -step]), [hi + base, step])
             stays.append(cdf)
             pays.append(tail)
         rows.append(walk_value(stays, pays, inst.n + 2))

@@ -3,15 +3,13 @@
 CountDist is a dense pmf over consecutive integers. Binomial pmfs are computed
 in log space with log-gamma for n up to SIZE_CAP, by one kernel (_pmf_chunks);
 at n = 1e6 a bin is off by 1e-10 to 1.1e-9 relative (against 40-digit
-arithmetic; not mended here). Only the dense laws, binom and sum_of_binomials
-(whose exact Chernoff tails reach down to 1e-21), take (n + 1)-long rows, from
-binom_pmf_rows: it evaluates the columns within sqrt(380 n) of the mean, and
-Hoeffding bounds every other log-mass below -760, where the formula rounds to
-exactly 0.0, so its rows are the bits of the formula on every column. Every
-other caller takes Bernstein windows (_binom_windows), which leave out at most
-_WINDOW_TAIL = 1e-18 of a law per tail; _trimmed_windows cuts them to their
-shortest runs. Normal CDF values go through scipy's erf-based ndtr, evaluated
-only where it is neither 0.0 nor 1.0."""
+arithmetic; not mended here). It evaluates Bin(n, p) only on a Bernstein
+window, off which each tail holds at most exp(-L) of the law: L = _TAIL_LOG
+(at most _WINDOW_TAIL = 1e-18 per tail) for the count laws, the adversary,
+the mixture and the TV, and L = _EXACT_TAIL_LOG = 760 for the exact laws,
+binom and sum_of_binomials (whose Chernoff tails reach down to 1e-21), off
+which the formula is exactly 0.0. Normal CDF values go through scipy's
+erf-based ndtr, evaluated only where it is neither 0.0 nor 1.0."""
 
 from __future__ import annotations
 
@@ -22,23 +20,28 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, ndtr
 
+from .distributions import _is_int
+
 _MASS_TOL = 1e-10
 # Largest binomial n and Bernoulli count the TV and tail checks accept,
 # checked before allocation. In a fresh process (55 MB after import),
-# binom(2^22) peaks at 90 MB and tv_binom_vs_normal at 2^22 adds about 1 MB.
-# chernoff_check of 2^22 equal p takes 0.19 s on a 2-core Xeon and peaks at
-# 224 MB, 137 MB above its 2^22-long input list.
+# binom(2^22, 0.5) keeps 78,641 masses and peaks at 59 MB, and
+# tv_binom_vs_normal at 2^22 adds about 1 MB. chernoff_check of 2^22 equal p
+# takes 0.12 s on a 2-core Xeon and peaks at 160 MB, 73 MB above its input list.
 SIZE_CAP = 1 << 22
 # Largest multiply-add count the direct convolutions of sum_of_binomials may
-# take, checked before any row is built: four parts of n = 10_000 take 6e8.
+# take, counted on the parts' Bernstein windows before any is evaluated: four
+# parts of n = 2^17 at p = 0.5 take 1.3e9.
 CONVOLVE_CAP = 1 << 30
 # np.exp rounds every argument at or below this to exactly 0.0.
 _EXP_ZERO = -745.2
 # Rows of binomial pmf evaluated together, each group on its own column window.
 _CHUNK = 32
-# Largest mass a trimmed window leaves out of each tail of a law, and its -log.
+# Largest mass a count-law window leaves out of each tail of a law, and its -log.
 _WINDOW_TAIL = 1e-18
 _TAIL_LOG = -math.log(_WINDOW_TAIL)
+# Tail level of the exact laws: it puts every column off the window below _EXP_ZERO.
+_EXACT_TAIL_LOG = 760.0
 # ndtr is exactly 0.0 at and below the first value and 1.0 at and above the second.
 _NDTR_RANGE = (-40.0, 9.0)
 
@@ -54,8 +57,8 @@ class CountDist:
         masses = np.asarray(self.masses, dtype=float)
         if masses.ndim != 1 or masses.size == 0:
             raise ValueError("masses must be a nonempty 1-d array")
-        if np.any(masses < -1e-15):
-            raise ValueError("masses must be nonnegative")
+        if not np.all(np.isfinite(masses) & (masses >= -1e-15)):
+            raise ValueError("masses must be finite and nonnegative")
         total = float(np.sum(masses))
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"masses sum to {total!r}, expected 1")
@@ -89,33 +92,36 @@ class CountDist:
         return float(np.sum(idx * self.masses))
 
 
-def point_mass(value: int) -> CountDist:
-    return CountDist(value, np.array([1.0]))
-
-
-def _trim(row: np.ndarray) -> tuple[int, np.ndarray, float]:
+def _trim(row: np.ndarray, tail: float) -> tuple[int, np.ndarray, float]:
     """(offset, masses, dropped): the shortest run of a pmf row whose two
-    tails each hold at most _WINDOW_TAIL, and the mass it leaves out."""
-    lo = int(np.searchsorted(np.cumsum(row), _WINDOW_TAIL, side="right"))
-    hi = len(row) - int(np.searchsorted(np.cumsum(row[::-1]), _WINDOW_TAIL, side="right"))
+    tails each hold at most tail, and the mass it leaves out."""
+    lo = int(np.searchsorted(np.cumsum(row), tail, side="right"))
+    hi = len(row) - int(np.searchsorted(np.cumsum(row[::-1]), tail, side="right"))
     return lo, row[lo:hi], float(row[:lo].sum() + row[hi:].sum())
 
 
-def _pmf_chunks(n: int, ps: np.ndarray, half: float | np.ndarray):
+def _bernstein_spans(n: int | np.ndarray, ps: np.ndarray, tail_log: float) -> tuple[np.ndarray, np.ndarray]:
+    """(los, his): the first and last column of each Bin(n, ps[r]) window, n an int or
+    per row: those within t = L/3 + sqrt(L^2/9 + 2 L sigma^2) of n ps[r], L = tail_log,
+    sigma^2 = n ps[r] (1 - ps[r]), rounded out and clipped to [0, n]. By Bernstein's
+    inequality each tail beyond t holds at most exp(-t^2 / (2 (sigma^2 + t/3))) = exp(-L)."""
+    half = tail_log / 3.0 + np.sqrt(tail_log**2 / 9.0 + 2.0 * tail_log * n * ps * (1.0 - ps))
+    return np.maximum(np.floor(n * ps - half), 0.0), np.minimum(np.ceil(n * ps + half), n)
+
+
+def _pmf_chunks(n: int, ps: np.ndarray, tail_log: float):
     """Yield (first row, first column, block) for each _CHUNK rows of ps, every ps[r] in (0, 1).
 
-    The block holds the chunk's unnormalized Bin(n, ps[r]) pmf on the columns
-    within half (a scalar or one value per row) of n * ps[r], rounded out and
-    clipped to [0, n]. An entry is i log(p), then + log C(n, i) by log-gamma,
-    then + (n - i) log1p(-p), then exp if above _EXP_ZERO, else 0.0.
+    The block holds the chunk's unnormalized Bin(n, ps[r]) pmf on the union
+    of its rows' _bernstein_spans. An entry is i log(p), then + log C(n, i)
+    by log-gamma, then + (n - i) log1p(-p), then exp if above _EXP_ZERO, else 0.0.
     """
-    los = np.floor(n * ps - half)
-    his = np.ceil(n * ps + half)
-    starts = range(0, len(ps), _CHUNK)
-    windows = [(max(0, int(los[a : a + _CHUNK].min())), min(n, int(his[a : a + _CHUNK].max())) + 1) for a in starts]
-    if not windows:
+    if not len(ps):
         return
-    lo, hi = min(c for c, _ in windows), max(d for _, d in windows)
+    los, his = _bernstein_spans(n, ps, tail_log)
+    starts = range(0, len(ps), _CHUNK)
+    windows = [(int(los[a : a + _CHUNK].min()), int(his[a : a + _CHUNK].max()) + 1) for a in starts]
+    lo, hi = int(los.min()), int(his.max()) + 1
     i = np.arange(lo, hi, dtype=float)
     lg = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
     log_p = np.log(ps)[:, None]
@@ -135,100 +141,70 @@ def _pmf_chunks(n: int, ps: np.ndarray, half: float | np.ndarray):
         yield a, c, out
 
 
-def _fill_binom_rows(n: int, ps: np.ndarray, rows: np.ndarray) -> None:
-    """Fill the zeroed rows with the Bin(n, ps[r]) pmf, every ps[r] in (0, 1).
-
-    Each chunk is evaluated on the columns within sqrt(380 n) of n * ps:
-    Hoeffding puts the log-mass of every other column below -760, so the
-    formula there would round to exp(<= _EXP_ZERO) = 0.0 anyway. The window is
-    divided by the sum of the whole zero-padded row, whose pairwise grouping
-    sets the bits: each row has the bits of the formula on every column.
-    """
-    for a, c, block in _pmf_chunks(n, ps, math.sqrt(380.0 * n)):
-        out = rows[a : a + len(block), c : c + block.shape[1]]
-        out[...] = block
-        out /= rows[a : a + len(block)].sum(axis=1, keepdims=True)
-
-
-def _binom_windows(n: int, ps: np.ndarray):
-    """Yield (first row, first column, block): the Bin(n, ps[r]) pmf, every
-    ps[r] in (0, 1), a chunk of rows at a time on the chunk's trimmed window.
-
-    Row r keeps the columns within t_r = L/3 + sqrt(L^2/9 + 2 L sigma_r^2) of
-    n ps[r], L = -log(_WINDOW_TAIL), sigma_r^2 = n ps[r] (1 - ps[r]). By
-    Bernstein's inequality each tail beyond t_r holds at most
-    exp(-t_r^2 / (2 (sigma_r^2 + t_r / 3))) = _WINDOW_TAIL of the law. Each
-    row is divided by its own window sum.
-    """
-    half = _TAIL_LOG / 3.0 + np.sqrt(_TAIL_LOG**2 / 9.0 + 2.0 * _TAIL_LOG * n * ps * (1.0 - ps))
-    for a, c, block in _pmf_chunks(n, ps, half):
+def _binom_windows(n: int, ps: np.ndarray, tail_log: float = _TAIL_LOG):
+    """Yield (first row, first column, block): the _pmf_chunks blocks of
+    Bin(n, ps[r]) at tail_log, every ps[r] in (0, 1), each row divided by its
+    own window sum."""
+    for a, c, block in _pmf_chunks(n, ps, tail_log):
         block /= block.sum(axis=1, keepdims=True)
         yield a, c, block
 
 
-def _trimmed_windows(n: int, ps: Sequence[float]) -> list[tuple[int, np.ndarray, float]]:
+def _trimmed_windows(n: int, ps: Sequence[float], tail_log: float = _TAIL_LOG) -> list[tuple[int, np.ndarray, float]]:
     """(offset, masses, dropped) of Bin(n, p) for each p of ps: a single mass
-    at 0 or n for p = 0 or 1, else its _binom_windows row cut by _trim, all
-    rows from one _binom_windows call; n above SIZE_CAP raises.
-
-    dropped bounds the mass of the law outside the run: the cut takes at most
-    _WINDOW_TAIL per tail from the row, and Bernstein's inequality puts at
-    most _WINDOW_TAIL more beyond each end of the evaluated window that stops
-    short of 0 or n.
-    """
+    at 0 or n for p = 0 or 1, else its row of one _binom_windows call at
+    tail_log, cut by _trim at tail exp(-tail_log); n above SIZE_CAP raises.
+    dropped bounds the law's mass off the run: at most the tail per end from
+    the cut, and per end of the window short of 0 or n (Bernstein). At
+    _EXACT_TAIL_LOG the tail is 0.0, and the cut takes only exact zeros."""
     if n > SIZE_CAP:
         raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
+    tail = math.exp(-tail_log)
     windows = [(n * int(p == 1.0), np.ones(1), 0.0) for p in ps]
     live = [r for r, p in enumerate(ps) if 0.0 < p < 1.0]
-    for a, c, block in _binom_windows(n, np.array([ps[r] for r in live])) if live else ():
-        left_off = _WINDOW_TAIL * ((c > 0) + (c + block.shape[1] <= n))
+    for a, c, block in _binom_windows(n, np.array([ps[r] for r in live]), tail_log):
+        left_off = tail * ((c > 0) + (c + block.shape[1] <= n))
         for r, row in zip(live[a:], block):
-            lo, masses, dropped = _trim(row)
+            lo, masses, dropped = _trim(row, tail)
             windows[r] = c + lo, masses, dropped + left_off
     return windows
 
 
 def binom_pmf_rows(n: int, ps: np.ndarray) -> np.ndarray:
-    """Row r holds the Bin(n, ps[r]) pmf over {0..n}; log-space, renormalized.
-
-    A row with p = 0 or 1 is a single 1.0; the others go through
-    _fill_binom_rows, which evaluates and divides only each chunk's window.
-    A p outside [0, 1] raises ValueError.
+    """Row r holds the Bin(n, ps[r]) pmf over {0..n}, the bits of the
+    log-space formula on every column divided by the row's sum; a p outside
+    [0, 1] raises. Only the benchmark's tracer binds it; it goes with that
+    binding (ROADMAP item 2a). Each row is evaluated on its window at
+    _EXACT_TAIL_LOG, off which the formula is exactly 0.0.
     """
     if n > SIZE_CAP:
         raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
     ps = np.asarray(ps, dtype=float)
-    rows = np.zeros((len(ps), n + 1))
-    interior = (ps > 0.0) & (ps < 1.0)
-    if len(ps) and interior.all():
-        _fill_binom_rows(n, ps, rows)
-        return rows
-    if not np.all(interior | (ps == 0.0) | (ps == 1.0)):
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise ValueError("success probabilities must be in [0, 1]")
-    if interior.any():
-        part = np.zeros((np.count_nonzero(interior), n + 1))
-        _fill_binom_rows(n, ps[interior], part)
-        rows[interior] = part
+    rows = np.zeros((len(ps), n + 1))
     rows[ps == 0.0, 0] = 1.0
     rows[ps == 1.0, n] = 1.0
-    return rows
+    live = np.flatnonzero((ps > 0.0) & (ps < 1.0))
+    for a, c, block in _pmf_chunks(n, ps[live], _EXACT_TAIL_LOG):
+        rows[live[a : a + len(block)], c : c + block.shape[1]] = block
+    return rows / rows.sum(axis=1, keepdims=True)
 
 
 def _check_binom(n: int, p: float) -> None:
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"n must be an int >= 0, got {n!r}")
+    if n > SIZE_CAP:
+        raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
 
 
 def binom(n: int, p: float) -> CountDist:
-    """Exact binomial pmf over {0..n}, renormalized after log-space evaluation."""
+    """Exact binomial pmf on its nonzero masses: its window at _EXACT_TAIL_LOG."""
     _check_binom(n, p)
-    if n == 0 or p == 0.0:
-        return point_mass(0)
-    if p == 1.0:
-        return point_mass(n)
-    return CountDist(0, binom_pmf_rows(n, np.array([p]))[0])
+    ((offset, masses, _),) = _trimmed_windows(n, [p], _EXACT_TAIL_LOG)
+    return CountDist(offset, masses)
 
 
 def convolve(a: CountDist, b: CountDist) -> CountDist:
@@ -237,32 +213,32 @@ def convolve(a: CountDist, b: CountDist) -> CountDist:
 
 
 def sum_of_binomials(specs: Sequence[tuple[int, float]]) -> CountDist:
-    """Left-fold of np.convolve over the Bin(n_i, p_i) masses, validated once.
+    """Left-fold of np.convolve over the binom windows of the Bin(n_i, p_i), validated once.
 
     A degenerate part only moves the offset (convolving with [1.0] is exact),
-    and the other parts with the same n come from one binom_pmf_rows call.
-    Raises ValueError before any row is built when the folds would take more
-    than CONVOLVE_CAP multiply-adds, or a part's n exceeds SIZE_CAP.
+    and the other parts with the same n come from one _trimmed_windows call.
+    Raises ValueError before any window is evaluated when a part's n exceeds
+    SIZE_CAP, or the folds, counted on the parts' _bernstein_spans, would take
+    more than CONVOLVE_CAP multiply-adds.
     """
     if not specs:
         raise ValueError("need at least one (n, p) spec")
     for n, p in specs:
         _check_binom(n, p)
     offset = sum(n for n, p in specs if p == 1.0)
-    interior = [(n, p) for n, p in specs if n > 0 and 0.0 < p < 1.0]
-    work, length = 0, 1
-    for n, _ in interior:
-        if n > SIZE_CAP:
-            raise ValueError(f"n = {n} exceeds the cap of {SIZE_CAP}")
-        work += length * (n + 1)
-        length += n
+    interior = [part for part in specs if part[0] > 0 and 0.0 < part[1] < 1.0]
+    ns, ps = [n for n, _ in interior], [p for _, p in interior]
+    los, his = _bernstein_spans(np.array(ns, dtype=float), np.array(ps, dtype=float), _EXACT_TAIL_LOG)
+    grow = his - los  # each fold lengthens the law by its window's length less one
+    work = int(np.dot(np.cumsum(grow) - grow + 1.0, grow + 1.0))
     if work > CONVOLVE_CAP:
         raise ValueError(f"folding the parts takes {work} multiply-adds, over the cap of {CONVOLVE_CAP}")
-    ns = dict.fromkeys(n for n, _ in interior)
-    rows = {n: iter(binom_pmf_rows(n, [q for m, q in interior if m == n])) for n in ns}
+    rows = {n: iter(_trimmed_windows(n, [q for m, q in interior if m == n], _EXACT_TAIL_LOG)) for n in set(ns)}
     masses = np.ones(1)
     for n, _ in interior:
-        masses = np.convolve(masses, next(rows[n]))
+        lo, window, _ = next(rows[n])
+        offset += lo
+        masses = np.convolve(masses, window)
     return CountDist(offset, masses)
 
 
@@ -349,7 +325,7 @@ def chernoff_check(
     one (count, p) part per distinct p, where |x - mu| >= delta * mu in
     floating point, or |x| > 0 at mu = 0. A p or delta out of range (NaN too),
     more than SIZE_CAP parameters or folds over CONVOLVE_CAP raise ValueError
-    before any row is built. reps and rng are ignored; they stay only while
+    before any window is built. reps and rng are ignored; they stay only while
     bench/workloads.py still passes them.
     """
     if not 0.0 < delta < 1.0:

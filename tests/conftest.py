@@ -10,7 +10,7 @@ from scipy.special import gammaln, ndtr
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
 from prophet_samples.distributions import _gauss_nodes
 from prophet_samples.hardness import ANCHOR, PREFIXES, STOPS, T1, XI
-from prophet_samples.stats import _trim, binom_pmf_rows
+from prophet_samples.stats import _WINDOW_TAIL, _trim, binom_pmf_rows
 
 
 @pytest.fixture
@@ -131,7 +131,7 @@ def loop_stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
                     tail[0] += w * (lo + hi) / 2.0
                 else:
                     cdf += w / (hi - lo) * np.array([base - lo, step])
-                    tail += (w / (2.0 * (hi - lo))) * np.convolve([hi - base, -step], [hi + base, step])
+                    tail += np.convolve(w / (2.0 * (hi - lo)) * np.array([hi - base, -step]), [hi + base, step])
             value[: len(reach) + 2] += np.convolve(reach, tail)
             reach = np.convolve(reach, cdf)
     return out
@@ -314,7 +314,7 @@ def dense_binom_pmf_rows(n: int, ps) -> np.ndarray:
 def dense_trimmed_window(n: int, p: float) -> tuple[int, np.ndarray, float]:
     """A stats._trimmed_windows window by the dense rule: the full
     (n + 1)-long binom_pmf_rows row cut by _trim."""
-    return _trim(binom_pmf_rows(n, [p])[0])
+    return _trim(binom_pmf_rows(n, [p])[0], _WINDOW_TAIL)
 
 
 def dense_tv_binom_vs_normal(n: int, p: float) -> float:

@@ -114,3 +114,29 @@ def test_library_calls_include_the_pinned_keywords():
 
 def test_bench_clients_include_the_workloads():
     assert {"run.py", "spans.py", "workloads.py"} <= set(_CLIENTS)
+
+
+@pytest.fixture(scope="module")
+def bench_workloads():
+    sys.path.insert(0, str(BENCH))  # workloads imports its oracles as a top-level module
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+BENCH_WORKLOADS = ("semi-atoms", "paper-sweep", "mc-pool", "exact-oracles")
+
+
+@pytest.mark.parametrize("name", BENCH_WORKLOADS)
+def test_workload_checks_pass_on_one_pass(bench_workloads, name, tmp_path):
+    """One pass of each benchmark workload at a fixed seed satisfies the
+    workload's own output checks, which the benchmark counts as failures."""
+    assert bench_workloads.WORKLOADS == BENCH_WORKLOADS
+    workload = bench_workloads.build(name, 1, tmp_path)
+    try:
+        outputs = [task.call() for task in workload.tasks]
+    finally:
+        workload.close()
+    problems = [p for p in workload.check(workload.tasks, outputs) if p]
+    assert not problems, problems

@@ -632,6 +632,25 @@ def test_exact_ordinal_value_matches_the_closed_forms(k):
             )
 
 
+def scaled_instance(inst: Instance, s: float) -> Instance:
+    return Instance(tuple(ValueDist(tuple((w, lo * s, hi * s) for w, lo, hi in box.segments)) for box in inst.boxes))
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-160, 1e-200, 1e-300])
+def test_exact_values_are_scale_invariant_on_tiny_supports(s):
+    # on a support near 1e-160 or below, the stratum walk's product of two tiny
+    # factors (hi - t)(hi + t) underflows to 0 unless the weight is taken in first
+    for inst, k, rank in (
+        (Instance((ValueDist(((1.0, 0.0, 1.0),)), ValueDist(((1.0, 0.0, 2.0),)))), 1, 2),
+        (Instance((ValueDist(((0.5, 0.0, 1.0), (0.5, 2.0, 2.0))), ValueDist.discrete({1.0: 0.3, 3.0: 0.7}))), 5, 4),
+    ):
+        tiny = scaled_instance(inst, s)
+        want = exact_ordinal_value(inst, k, rank)[0]
+        assert exact_ordinal_value(tiny, k, rank)[0] / s == pytest.approx(want, rel=1e-13, abs=0.0)
+        semi, tiny_semi = (semi_exact_ordinal(x, k, rank, 50, 7).alg_value for x in (inst, tiny))
+        assert tiny_semi / s == pytest.approx(semi, rel=1e-13, abs=0.0)
+
+
 def test_exact_ordinal_value_matches_enumeration_on_atoms():
     rng = np.random.default_rng(20261018)
     checked = 0
@@ -761,7 +780,7 @@ def test_windowed_laws_build_no_dense_row(monkeypatch):
     def no_dense_row(*args):
         raise AssertionError("a dense pmf row was built")
 
-    monkeypatch.setattr(stats, "_fill_binom_rows", no_dense_row)
+    monkeypatch.setattr(stats, "binom_pmf_rows", no_dense_row)
     inst = Instance((ValueDist(((0.5, 0.0, 1.0), (0.5, 2.0, 2.0))), ValueDist.discrete({1.0: 0.3, 3.0: 0.7})))
     assert exact_ordinal_value(inst, 50, 20)[0] > 0.0
     assert dominance_check(inst, MaxSample(), 3, 0.5).worst_ratio > 0.0

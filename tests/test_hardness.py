@@ -21,7 +21,7 @@ from prophet_samples import (
     tv_distance,
 )
 from prophet_samples import hardness
-from prophet_samples.stats import CountDist, _binom_windows, binom, convolve
+from prophet_samples.stats import CountDist, _binom_windows, convolve
 from prophet_samples.hardness import (
     ANCHOR,
     DELTA1,
@@ -539,14 +539,15 @@ def dense_dd_mixture_oracle(params: HardParams) -> tuple[CountDist, CountDist]:
     """build_dd_mixture from dense Bin(k, g(j)) rows, 512 coefficients at a time,
     and the stand-in from the full Bin(3k, 1/3) and Bin(k, eps) rows."""
     k = params.k
-    coeff = binom(3 * k, ONE_THIRD)
+    coeff = CountDist(0, dense_binom_pmf_rows(3 * k, [ONE_THIRD])[0])
     success = g_clamp(np.arange(3 * k + 1), params)
     mix_masses = np.zeros(4 * k + 1)
     for start in range(0, 3 * k + 1, 512):
         stop = min(start + 512, 3 * k + 1)
         if coeff.masses[start:stop].any():
             mix_masses[k : 2 * k + 1] += coeff.masses[start:stop] @ dense_binom_pmf_rows(k, success[start:stop])
-    return CountDist(0, mix_masses / mix_masses.sum()), convolve(coeff, binom(k, params.eps))
+    noise = CountDist(0, dense_binom_pmf_rows(k, [params.eps])[0])
+    return CountDist(0, mix_masses / mix_masses.sum()), convolve(coeff, noise)
 
 
 # Two units in the last place of 1.0: the trimmed build moved no mass and no
@@ -587,7 +588,7 @@ def test_build_dd_mixture_evaluates_only_the_trimmed_ramp_rows(monkeypatch):
     # the coefficients kept are those with more than 1e-18 of Bin(9600, 1/3) on
     # each side, and of these only the rows with 0 < g(j) < 1 get a pmf
     # evaluation: 728 rows, of the 2155 ramp rows whose coefficient is above 0.0
-    coeff = binom(3 * 3200, ONE_THIRD).masses
+    (coeff,) = dense_binom_pmf_rows(3 * 3200, [ONE_THIRD])
     kept = (np.cumsum(coeff) > 1e-18) & (np.cumsum(coeff[::-1])[::-1] > 1e-18)
     success = g_clamp(np.arange(3 * 3200 + 1), params)
     assert np.array_equal(evaluated, success[kept & (success > 0.0) & (success < 1.0)])

@@ -1,3 +1,4 @@
+import gc
 import math
 import time
 from fractions import Fraction
@@ -27,7 +28,6 @@ from prophet_samples.stats import (
     _normal_bin_masses,
     _trimmed_windows,
     binom_pmf_rows,
-    point_mass,
 )
 
 from conftest import (
@@ -87,7 +87,7 @@ def test_convolve_bernoulli_sum():
 
 
 def test_convolve_point_mass_shift():
-    d = convolve(binom(3, 0.25), point_mass(4))
+    d = convolve(binom(3, 0.25), CountDist(4, [1.0]))
     assert d.offset == 4
     assert np.allclose(d.masses, binom(3, 0.25).masses, atol=1e-15)
 
@@ -132,6 +132,9 @@ def test_sum_of_binomials_is_the_convolve_fold_bit_for_bit(specs):
         ([(3, math.nan)], "p must be"),
         ([(3, 0.5), (4, math.nan)], "p must be"),
         ([(0, math.nan)], "p must be"),
+        ([(2.5, 0.5)], "n must be an int >= 0, got 2.5"),
+        ([(True, 0.5)], "n must be an int >= 0, got True"),
+        ([(3, 0.5), (np.float64(4.0), 0.5)], "n must be an int"),
     ],
 )
 def test_sum_of_binomials_rejects_bad_parts(specs, match):
@@ -142,11 +145,11 @@ def test_sum_of_binomials_rejects_bad_parts(specs, match):
 def test_sum_of_binomials_makes_one_row_call_per_trial_count(monkeypatch):
     calls = []
 
-    def counted(n, ps):
+    def counted(n, ps, tail_log):
         calls.append((n, len(ps)))
-        return binom_pmf_rows(n, ps)
+        return _trimmed_windows(n, ps, tail_log)
 
-    monkeypatch.setattr(stats, "binom_pmf_rows", counted)
+    monkeypatch.setattr(stats, "_trimmed_windows", counted)
     d = ones_count_dist(ProbVector((1.0, 1 / 3, 1 / 3, 1 / 3, 1e-4, 0.0)), 16)
     assert calls == [(16, 4)] and d.offset == 0
     calls.clear()
@@ -154,17 +157,26 @@ def test_sum_of_binomials_makes_one_row_call_per_trial_count(monkeypatch):
     assert calls == [(5, 2), (7, 1)] and d.offset == 3
 
 
+def no_windows(*args):
+    raise AssertionError("a pmf window was built")
+
+
 def test_sum_of_binomials_bounds_the_fold_before_building_rows(monkeypatch):
-    # four parts of 2^17 each pass the per-part cap, but their folds would take 1e11 steps
-    monkeypatch.setattr(stats, "binom_pmf_rows", lambda n, ps: pytest.fail("a row was built"))
+    # four parts of 2^17 each pass the per-part cap, but their folds would take 1.3e9 steps
+    monkeypatch.setattr(stats, "_trimmed_windows", no_windows)
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="multiply-adds"):
         sum_of_binomials([(2**17, 0.5)] * 4)
     assert time.perf_counter() - t0 < 0.1
     monkeypatch.undo()
-    # the adversary's largest ones-count law stays inside the cap
+    # the adversary's largest ones-count law stays inside the cap, and spans the four parts' windows
     d = ones_count_dist(ProbVector((1.0, 0.5, 0.5, 0.5, 0.5, 0.0)), 10_000)
-    assert d.upper == 40_000
+    part = binom(10_000, 0.5)
+    assert (d.offset, d.upper) == (4 * part.offset, 4 * part.upper)
+    # the cap counts window lengths: two parts of 2^21 trials at p = 0.01 fold,
+    # 1.4e8 multiply-adds on their windows where full rows would take 4.4e12
+    d = sum_of_binomials([(2**21, 0.01)] * 2)
+    assert d.offset > 0 and d.upper < 2**22 and d.mean() == pytest.approx(2**22 * 0.01, rel=1e-12)
 
 
 # -- windowed kernels against their dense formulas -----------------------------------
@@ -217,6 +229,20 @@ def test_binom_pmf_rows_matches_the_dense_formula_on_random_draws():
         ps[rng.random(len(ps)) < 0.15] = 0.0
         ps[rng.random(len(ps)) < 0.15] = 1.0
         assert_same_bits(binom_pmf_rows(n, ps), dense_binom_pmf_rows(n, ps))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 400, 3200, 10**5, 10**6, 1 << 22])
+def test_binom_keeps_exactly_the_nonzero_columns_of_the_dense_formula(n):
+    # its window drops only exact zeros; each mass is divided by the window's
+    # sum, not the full row's, so it may move a few ulps from the dense row
+    for p in GRID_PS:
+        d = binom(n, p)
+        (want,) = dense_binom_pmf_rows(n, [p])
+        (support,) = np.nonzero(want)
+        assert (d.offset, d.upper) == (support[0], support[-1]) and len(support) == len(d.masses)
+        got = d.masses
+        want = want[d.offset : d.upper + 1]
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want)), (p, np.abs(got - want).max())
 
 
 @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
@@ -313,6 +339,9 @@ def test_count_dist_validation():
         CountDist(0, np.array([0.5, 0.4]))
     with pytest.raises(ValueError):
         CountDist(0, np.array([1.5, -0.5]))
+    for masses in ([math.nan], [0.5, math.nan], [0.5, 0.5, math.inf], [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            CountDist(0, np.array(masses))
 
 
 # -- total variation -----------------------------------------------------------------
@@ -321,7 +350,7 @@ def test_count_dist_validation():
 def test_tv_identical_and_disjoint():
     a = binom(3, 0.4)
     assert tv_distance(a, a) == 0.0
-    assert tv_distance(point_mass(0), point_mass(5)) == 1.0
+    assert tv_distance(CountDist(0, [1.0]), CountDist(5, [1.0])) == 1.0
 
 
 def test_tv_bernoulli_pair():
@@ -485,12 +514,14 @@ def test_sizes_above_the_cap_fail_before_allocation():
 
 
 def test_chernoff_distinct_ps_over_the_convolve_cap_fail_before_any_row(monkeypatch):
-    def no_rows(*args):
-        raise AssertionError("a pmf row was built")
-
-    monkeypatch.setattr(stats, "binom_pmf_rows", no_rows)
+    monkeypatch.setattr(stats, "_trimmed_windows", no_windows)
+    # the call allocates 50,000 tuples; collect first, so that a full collection
+    # of the earlier tests' objects, already due, does not land in the timing
+    gc.collect()
+    t0 = time.perf_counter()
     with pytest.raises(ValueError, match=f"over the cap of {CONVOLVE_CAP}"):
         chernoff_check(np.linspace(0.01, 0.99, 50_000), 0.5)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_chernoff_validation():
