@@ -30,8 +30,8 @@ class OrdinalRank:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+        if not _is_int(self.rank) or self.rank < 1:
+            raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
 
 
 @dataclass(frozen=True)
@@ -151,19 +151,16 @@ def _walk_value(inst: Instance, t: float) -> np.ndarray:
     return walk_value(stays, pays, inst.n + 1)
 
 
-def threshold_value_with_rank_law(inst: Instance, t: float, alpha=1, beta=1):
+def threshold_value_with_rank_law(inst: Instance, t: float, alpha: int = 1, beta: int = 1) -> float:
     """Exact expected value of the static-threshold walk at threshold t.
 
-    The threshold's latent rank is Beta(alpha, beta) distributed: (1, 1) for a
-    fresh rank, and (m + 1 - j, j) when the threshold is the j-th ranked of m
-    tied samples. The walk value is a polynomial in the rank quantile, so
-    pairing its coefficients with Beta moments is exact.
-    Integer arrays give one value per rank law from a single polynomial;
-    scalars give a float.
+    The threshold's latent rank is Beta(alpha, beta) distributed, for integers
+    alpha and beta: (1, 1) for a fresh rank, and (m + 1 - j, j) when the
+    threshold is the j-th ranked of m tied samples. The walk value is a
+    polynomial in the rank quantile, so pairing its coefficients with Beta
+    moments is exact.
     """
-    # vecdot runs np.dot's kernel on each row; matmul would move the last bits
-    vals = np.vecdot(beta_moments(alpha, beta, inst.n), _walk_value(inst, t))
-    return float(vals) if vals.ndim == 0 else vals
+    return float(np.dot(beta_moments(alpha, beta, inst.n), _walk_value(inst, t)))
 
 
 def static_threshold_values(inst: Instance, ts: np.ndarray) -> np.ndarray:

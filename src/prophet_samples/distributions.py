@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
@@ -277,7 +278,8 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """A Python or numpy integer; a bool or a float is not, whatever its value."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

@@ -56,8 +56,8 @@ class HardParams:
     eps: float = 0.0001
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= _MAX_K:
-            raise ValueError("k must be in [1, 10^4] so k^4 stays exact in binary64")
+        if not _is_int(self.k) or not 1 <= self.k <= _MAX_K:
+            raise ValueError(f"k = {self.k!r} must be an integer in [1, 10^4] so k^4 stays exact in binary64")
         if not 0.0 < self.eps < 1.0:
             raise ValueError("eps must be in (0, 1)")
 

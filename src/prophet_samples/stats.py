@@ -283,8 +283,8 @@ def tv_binom_vs_normal(n: int, p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
-    if not 1 <= n <= SIZE_CAP:
-        raise ValueError(f"n = {n} must be in [1, {SIZE_CAP}]")
+    if not _is_int(n) or not 1 <= n <= SIZE_CAP:
+        raise ValueError(f"n = {n!r} must be in [1, {SIZE_CAP}] and an int")
     mu, sigma = n * p, math.sqrt(n * p * (1.0 - p))
     ((_, lo, rows),) = _binom_windows(n, np.array([p]))
     hi = lo + rows.shape[1] - 1

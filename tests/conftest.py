@@ -117,26 +117,6 @@ def fixed_size_walk_value(inst: Instance, ts) -> np.ndarray:
     return acc
 
 
-def loop_stratum_polys(inst: Instance, a: float, b: float) -> np.ndarray:
-    """Reference interval-stratum walk polynomials, with the walk loop written out."""
-    out = np.zeros((2, inst.n + 2))
-    for value, base, step in ((out[0], a, b - a), (out[1], b, a - b)):
-        reach = np.ones(1)
-        for box in inst.boxes:
-            cdf, tail = np.zeros(2), np.zeros(3)
-            for w, lo, hi in box.segments:
-                if hi <= a:
-                    cdf[0] += w
-                elif lo >= b:
-                    tail[0] += w * (lo + hi) / 2.0
-                else:
-                    cdf += w / (hi - lo) * np.array([base - lo, step])
-                    tail += np.convolve(w / (2.0 * (hi - lo)) * np.array([hi - base, -step]), [hi + base, step])
-            value[: len(reach) + 2] += np.convolve(reach, tail)
-            reach = np.convolve(reach, cdf)
-    return out
-
-
 def fixed_size_selected_law(inst: Instance, t: float, moments: np.ndarray) -> dict[float, float]:
     """Reference selected-value law at threshold t whose latent rank has the given moments."""
     dist: dict[float, float] = {}
@@ -165,7 +145,8 @@ def scalar_prophet_expectation(inst: Instance) -> float:
 
 
 def scalar_level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Reference stratum table: a list of strata, then one scalar entry per (box, stratum)."""
+    """Reference stratum table (los, his, probs, firsts): a list of strata,
+    then one scalar entry per (box, stratum) and column."""
     breaks = inst.breakpoints()
     levels: list[tuple[bool, float, float]] = []
     for idx in range(len(breaks) - 1, -1, -1):
@@ -176,6 +157,7 @@ def scalar_level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.n
             a = breaks[idx - 1]
             levels.append((False, a, b))
     probs = np.zeros((inst.n, len(levels)))
+    firsts = np.zeros((inst.n, len(levels)))
     for i, box in enumerate(inst.boxes):
         for j, (atom, a, b) in enumerate(levels):
             if atom:
@@ -186,11 +168,11 @@ def scalar_level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.n
                     if lo < hi and lo <= a and b <= hi:
                         total += w * (b - a) / (hi - lo)
                 probs[i, j] = total
+            firsts[i, j] = probs[i, j] * ((a + b) / 2.0)
     keep = probs.sum(axis=0) > 0.0
     levels = [lv for lv, used in zip(levels, keep) if used]
-    probs = probs[:, keep]
-    is_atom, los, his = (np.array(col) for col in zip(*levels))
-    return is_atom, los, his, probs
+    _, los, his = (np.array(col) for col in zip(*levels))
+    return los, his, probs[:, keep], firsts[:, keep]
 
 
 def random_mixture_instance(rng: np.random.Generator) -> Instance:

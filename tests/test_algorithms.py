@@ -27,7 +27,7 @@ from prophet_samples.algorithms import (
 )
 from prophet_samples.evaluation import (
     _level_structure,
-    _stratum_polys,
+    _stratum_values,
     mc_ratio,
 )
 
@@ -36,7 +36,6 @@ from conftest import (
     fixed_size_walk_terms,
     fixed_size_walk_value,
     instances,
-    loop_stratum_polys,
     random_discrete_instance,
     random_mixture_instance,
 )
@@ -94,6 +93,10 @@ def test_rule_config_round_trip():
         rule_from_config({"rule": "max_sample", "rank": 7})
     with pytest.raises(ValueError, match="'t' is never read"):
         rule_from_config({"rule": "ordinal", "rank": 3, "t": 9.0})
+    for rank in (0, 2.5, True):
+        with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+            OrdinalRank(rank)
+    assert OrdinalRank(np.int64(3)).rank == 3
 
 
 def test_run_static_threshold():
@@ -183,16 +186,14 @@ def _same_bits(got, want) -> bool:
 
 
 def test_walk_kernel_bits_match_fixed_size_oracles():
-    # the one walk kernel against the fixed-size, batched walk and the
-    # written-out stratum loop it replaced: reach and value polynomials,
-    # values under scalar and array rank laws and interval strata must agree
-    # byte for byte; the selected-value law's tails to rounding
+    # the one walk kernel against the fixed-size, batched walk it replaced:
+    # reach and value polynomials and values under rank laws must agree byte
+    # for byte; the selected-value law's tails to rounding
     rng = np.random.default_rng(20261019)
-    alpha, beta = np.array([1, 3, 7, 40]), np.array([1, 2, 5, 3])
     checked_ties = 0
     for it in range(150):
         inst = (random_mixture_instance, _shared_atom_mixture, random_discrete_instance)[it % 3](rng)
-        is_atom, los, his, _ = _level_structure(inst)
+        los, his, _, _ = _level_structure(inst)
         ts = sorted({*inst.breakpoints(), *(0.5 * (lo + hi) for lo, hi in zip(los, his)), -0.5, 7.0})
         fresh = []  # the oracle's values under a fresh latent rank
         for t in ts:
@@ -204,14 +205,11 @@ def test_walk_kernel_bits_match_fixed_size_oracles():
                 assert not reach[len(want) :].any() and not want[i + 1 :].any()
             poly, want = _walk_value(inst, t), fixed_size_walk_value(inst, t)
             assert _same_bits(poly[: len(want)], want) and not poly[len(want) :].any(), (inst, t)
-            for a, b in ((1, 1), (alpha, beta)):
-                value = np.vecdot(beta_moments(a, b, inst.n)[..., : len(want)], want)
+            for a, b in ((1, 1), (3, 2), (7, 5), (40, 3)):
+                value = np.vecdot(beta_moments(a, b, inst.n)[: len(want)], want)
                 assert _same_bits(threshold_value_with_rank_law(inst, t, a, b), value), (inst, t)
             fresh.append(np.vecdot(beta_moments(1, 1, inst.n)[: len(want)], want))
         assert _same_bits(static_threshold_values(inst, np.array(ts)), fresh)
-        for atom, lo, hi in zip(is_atom, los, his):
-            if not atom:
-                assert _same_bits(_stratum_polys(inst, lo, hi), loop_stratum_polys(inst, lo, hi)), (inst, lo, hi)
     assert checked_ties > 150
 
 
@@ -239,29 +237,35 @@ def test_beta_moments_arrays_match_scalar_rows():
 
 
 @pytest.mark.parametrize("alpha, beta", [(np.array([1, 0, 2]), 1), (3, np.array([2, 1, -1]))])
-def test_rank_law_arrays_reject_nonpositive(instance_a, alpha, beta):
+def test_rank_law_arrays_reject_nonpositive(alpha, beta):
     with pytest.raises(ValueError):
         beta_moments(alpha, beta, 3)
-    with pytest.raises(ValueError):
-        threshold_value_with_rank_law(instance_a, 1.0, alpha, beta)  # on an atom
-    with pytest.raises(ValueError):
-        threshold_value_with_rank_law(instance_a, 1.5, alpha, beta)  # off every atom
+    # the stratum valuation takes its rank laws as arrays: on the interval
+    # (1, 2), the atom at 1 and the interval (0, 1)
+    inst = Instance((ValueDist(((0.5, 1.0, 1.0), (0.5, 0.0, 2.0))),))
+    los, his, probs, firsts = _level_structure(inst)
+    assert (los < his).tolist() == [True, False, True]
+    counts, ranks = np.asarray(alpha + beta - 1), np.asarray(beta)
+    for j in range(3):
+        with pytest.raises(ValueError):
+            _stratum_values(probs, firsts, j, los[j], his[j], counts, ranks)
 
 
 def test_rank_law_arrays_match_scalar_calls(instance_a):
+    # the stratum valuation's array rank laws on the atom at 2.0 against the
+    # scalar tie-law walk, to rounding: the two sum the box terms differently
     counts = np.array([1, 2, 5, 40, 3000])
     ranks = np.array([1, 2, 3, 17, 2999])
-    alpha, beta = counts + 1 - ranks, ranks
-    on_atom = threshold_value_with_rank_law(instance_a, 2.0, alpha, beta)
+    los, his, probs, firsts = _level_structure(instance_a)
+    assert (los[0], his[0]) == (2.0, 2.0)
+    on_atom = _stratum_values(probs, firsts, 0, 2.0, 2.0, counts, ranks)
     assert on_atom.shape == (5,)
-    for a, b, v in zip(alpha, beta, on_atom):
-        assert threshold_value_with_rank_law(instance_a, 2.0, int(a), int(b)) == v
+    for c, r, v in zip(counts, ranks, on_atom):
+        assert threshold_value_with_rank_law(instance_a, 2.0, int(c + 1 - r), int(r)) == pytest.approx(v, rel=1e-15)
     assert len(set(on_atom.tolist())) > 1
-    off_atom = threshold_value_with_rank_law(instance_a, 1.5, alpha, beta)
     fixed = static_threshold_values(instance_a, np.array([1.5]))[0]
-    assert off_atom.shape == (5,)
-    assert np.all(off_atom == fixed)
-    assert threshold_value_with_rank_law(instance_a, 1.5, 3, 2) == fixed
+    for c, r in zip(counts, ranks):
+        assert threshold_value_with_rank_law(instance_a, 1.5, int(c + 1 - r), int(r)) == fixed
     assert isinstance(threshold_value_with_rank_law(instance_a, 2.0, 3, 2), float)
 
 

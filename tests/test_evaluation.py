@@ -183,6 +183,38 @@ def test_mc_ratio_checks_the_rank_before_anything_runs(instance_a, monkeypatch):
         mc_ratio(instance_a, OrdinalRank(3), 1, 100, seed=0)
 
 
+@pytest.mark.parametrize(
+    "k, rank, match",
+    [
+        (2.5, 2, "k must be an integer"),
+        (True, 1, "k must be an integer"),
+        (np.float64(3.0), 2, "k must be an integer"),
+        (3, 2.5, "rank must be an integer"),
+        (3, True, "rank must be an integer"),
+        (3, 0, r"rank 0 outside \[1, 6\]"),
+        (3, 7, r"rank 7 outside \[1, 6\]"),
+        (np.int64(3), np.int64(2), None),
+    ],
+)
+def test_evaluators_check_k_and_rank_alike(k, rank, match):
+    # one check for mc_ratio, semi_exact_ordinal and the exact count laws
+    # behind exact_ordinal_value and dominance_check; numpy integers pass
+    inst = Instance((ValueDist.uniform(0.0, 1.0), ValueDist.uniform(0.0, 2.0)))
+    calls = {
+        "semi": lambda k, rank: semi_exact_ordinal(inst, k, rank, 10, seed=1),
+        "exact": lambda k, rank: exact_ordinal_value(inst, k, rank),
+    }
+    if not isinstance(rank, (bool, float)) and rank >= 1:
+        calls["mc"] = lambda k, rank: mc_ratio(inst, OrdinalRank(rank), k, 10, seed=1)
+        calls["dominance"] = lambda k, rank: dominance_check(inst, OrdinalRank(rank), k, 0.5)
+    for name, call in calls.items():
+        if match is None:
+            assert call(k, rank) == call(int(k), int(rank)), name
+        else:
+            with pytest.raises(ValueError, match=match):
+                call(k, rank)
+
+
 # -- semi-exact --------------------------------------------------------------------
 
 
@@ -293,7 +325,7 @@ def test_threshold_strata_draw_has_the_multinomial_law(rank):
         )
     )
     k, rows = 4, 200_000
-    _, _, _, probs = evaluation._level_structure(inst)
+    _, _, probs, _ = evaluation._level_structure(inst)
     assert probs.shape == (3, 5)
     law = _threshold_strata_law(probs, k, rank)
     cond = evaluation._conditional_probs(probs)
@@ -313,7 +345,7 @@ def test_threshold_strata_places_a_sure_box_once():
     # box 0's sample, and box 1 is taken whenever box 0 falls below it, so
     # counting box 1's sample twice would move the value by about 1e16.
     inst = Instance((ValueDist(((1.0, 0.0, 1.0),)), ValueDist(((1.0, 0.0, 1e17),))))
-    _, _, _, probs = evaluation._level_structure(inst)
+    _, _, probs, _ = evaluation._level_structure(inst)
     cond = evaluation._conditional_probs(probs)
     assert (cond[1] == 1.0).all()
     level, c, r = evaluation._threshold_strata(cond, 1, 2, 4096, np.random.default_rng(0))
@@ -362,9 +394,9 @@ def _heavy_atom_mixtures():
         # PCG64DXSM substreams.
         # The rank lands on the heavy atom at 1.0 in nearly every replication
         (0, 220, 1000, 1, "0x1.4756770c33d2dp+0", "0x1.6add2c73c8769p-11"),
-        (1, 380, 1000, 1, "0x1.4ede710bc7714p+0", "0x1.4605c67cdf078p-10"),
+        (1, 380, 1000, 1, "0x1.4ede710bc7714p+0", "0x1.4605c67cdf079p-10"),
         # the rank straddles the atom at 2.0 and the interval below; three chunks
-        (1, 120, 10_000, 2, "0x1.24850055ba8bbp+0", "0x1.01dab35069c9bp-10"),
+        (1, 120, 10_000, 2, "0x1.24850055ba8bbp+0", "0x1.01dab35069c9ap-10"),
     ],
     ids=["two-rank220", "three-rank380", "three-rank120-threads2"],
 )
@@ -668,6 +700,91 @@ def test_exact_ordinal_value_matches_enumeration_on_atoms():
         checked += 1
 
 
+def exact_stratum_value(inst: Instance, lo: float, hi: float, c: int, r: int) -> Fraction:
+    """The walk value with the threshold the r-th highest of c samples in the
+    stratum [lo, hi], in exact rationals over the instance's floats.
+
+    The threshold t = lo + (hi - lo) s has s ~ Beta(c + 1 - r, r), its
+    position on an interval and its latent rank on an atom. Each box's stay
+    and pay are summed segment by segment, as polynomials in s: a segment
+    across t adds w (t - a)/(b - a) to the stay and w (b^2 - t^2)/(2 (b - a))
+    to the pay, and a value tied with t pays t (1 - s).
+    """
+
+    def times(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] += x * y
+        return out
+
+    def plus(p, q):
+        return [x + y for x, y in itertools.zip_longest(p, q, fillvalue=Fraction(0))]
+
+    lo, hi = Fraction(lo), Fraction(hi)
+    t = [lo, hi - lo]
+    value, reach = [Fraction(0)], [Fraction(1)]
+    for box in inst.boxes:
+        stay, pay = [Fraction(0)], [Fraction(0)]
+        for w, a, b in box.segments:
+            w, a, b = Fraction(w), Fraction(a), Fraction(b)
+            if a == b == lo == hi:
+                stay, pay = plus(stay, [0, w]), plus(pay, [a * w, -a * w])
+            elif b <= lo and (a < lo or lo < hi):
+                stay = plus(stay, [w])
+            elif a >= hi:
+                pay = plus(pay, [w * (a + b) / 2])
+            else:  # a <= lo <= hi <= b with a < b
+                stay = plus(stay, [x * w / (b - a) for x in plus([-a], t)])
+                pay = plus(pay, [x * w / (2 * (b - a)) for x in plus([b * b], [-y for y in times(t, t)])])
+        value, reach = plus(value, times(reach, pay)), times(reach, stay)
+    alpha, beta, moment, total = c + 1 - r, r, Fraction(1), Fraction(0)
+    for m, coef in enumerate(value):
+        total += coef * moment
+        moment *= Fraction(alpha + m, alpha + beta + m)
+    return total
+
+
+def _scaled_atom_mixture(rng) -> Instance:
+    """2 to 4 boxes of 1 to 3 segments on a shared pool of ends, so that
+    atoms tie across boxes and sit at interval ends; a fifth of the
+    segments scaled by 1e6."""
+    pool = (0.25, 0.5, 1.0, 1.5, 2.0, 3.0)
+    boxes = []
+    for _ in range(int(rng.integers(2, 5))):
+        weights = rng.random(int(rng.integers(1, 4))) + 0.1
+        parts = []
+        for w in weights / weights.sum():
+            lo = float(rng.choice(pool))
+            hi = lo if rng.random() < 0.4 else lo + float(rng.choice((0.5, 1.0, 2.5)))
+            scale = 1e6 if rng.random() < 0.2 else 1.0
+            parts.append((float(w), lo * scale, hi * scale))
+        boxes.append(ValueDist(tuple(parts)))
+    return Instance(tuple(boxes))
+
+
+def test_stratum_values_match_exact_rationals():
+    # every stratum, atom or interval, read from the table, at counts up to
+    # 3000 and ranks at both ends and the middle; within 1e-15 relative
+    # (measured at most 5.0e-16 on these 6,699 cases)
+    rng = np.random.default_rng(20261021)
+    insts = [_scaled_atom_mixture(rng) for _ in range(40)] + [case1_instance(50), case1_instance(1000)]
+    worst, atoms = 0.0, 0
+    for inst in insts:
+        los, his, probs, firsts = evaluation._level_structure(inst)
+        for j, (lo, hi) in enumerate(zip(los, his)):
+            atoms += lo == hi
+            pairs = {(c, r) for c in (1, 2, 7, 40, 3000) for r in (1, 2, c // 2, c // 2 + 1, c - 1, c) if 1 <= r <= c}
+            c, r = np.array(sorted(pairs)).T
+            got = evaluation._stratum_values(probs, firsts, j, lo, hi, c, r)
+            for ci, ri, g in zip(c.tolist(), r.tolist(), got.tolist()):
+                want = exact_stratum_value(inst, lo, hi, ci, ri)
+                err = abs(Fraction(g) - want)
+                assert err <= Fraction(1, 10**15) * abs(want), (inst, j, ci, ri, g, float(want))
+                worst = max(worst, float(err / want) if want else 0.0)
+    assert atoms > 40 and worst > 0.0
+
+
 def test_exact_ordinal_value_within_the_semi_exact_ci():
     rng = np.random.default_rng(20261019)
     drawn = []
@@ -743,7 +860,7 @@ def test_box_count_law_of_a_box_that_rounds_into_one_category():
     # its mass lies below 1, so inside / total rounds to 1.0 in the top stratum
     # (1, 1e17) and above / total in the bottom one (0, 1)
     inst = Instance((ValueDist(((1.0, 0.0, 1.0),)), ValueDist(((1.0, 0.0, 1e17),))))
-    _, _, _, probs = evaluation._level_structure(inst)
+    _, _, probs, _ = evaluation._level_structure(inst)
     row = probs[1]
     for j, (a0, c0) in enumerate([(0, 7), (7, 0)]):
         above, inside, below = row[:j].sum(), row[j], row[j + 1 :].sum()

@@ -146,6 +146,9 @@ def test_hard_params_defaults():
 def test_hard_params_validation():
     with pytest.raises(ValueError):
         HardParams(k=10_001)
+    for k in (2.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            HardParams(k=k)
     for eps in (0.0, 1.0, math.nan):
         with pytest.raises(ValueError, match="eps"):
             HardParams(k=10, eps=eps)

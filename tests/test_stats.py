@@ -431,6 +431,9 @@ def test_tv_binom_vs_normal_validates_p():
     # nor n: Bin(0, p) has no spread, so there is no matching normal
     with pytest.raises(ValueError, match=r"n = 0 must be in \[1, "):
         tv_binom_vs_normal(0, 0.5)
+    for n in (10.5, True):
+        with pytest.raises(ValueError, match="and an int"):
+            tv_binom_vs_normal(n, 0.3)
 
 
 # -- Chernoff -----------------------------------------------------------------------------
