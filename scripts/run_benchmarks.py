@@ -28,6 +28,7 @@ MANIFESTS = [
     ("eval", "eval_semi_exact.json", "eval_semi_exact.csv"),
     ("dominance", "dominance_corpus.json", "dominance_corpus.csv"),
     ("dominance", "dominance_max_sample_k100.json", "dominance_max_sample_k100.csv"),
+    ("dominance", "dominance_intervals.json", "dominance_intervals.csv"),
     ("ordinal-sweep", "ordinal_sweep_10k.json", "ordinal_sweep_10k.csv"),
     ("hardness-verify", "hardness_k400.json", "hardness_k400.json"),
     ("tv-convergence", "tv_convergence.json", "tv_mixture.csv"),

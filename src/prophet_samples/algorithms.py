@@ -79,8 +79,8 @@ def omega_rho() -> float:
 
 def recommended_rank(k: int) -> int:
     """Rank whose threshold tracks the optimal acceptance level at large k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not _is_int(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     return max(1, math.ceil(omega_rho() * k - k ** (2.0 / 3.0)))
 
 

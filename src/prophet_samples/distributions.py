@@ -124,18 +124,6 @@ class ValueDist:
                 out += w * (arr == lo)
         return float(out) if out.ndim == 0 else out
 
-    def exceedance(self, x):
-        """Pr[v >= x], summed over the segments at or above x, so it is
-        exactly 0 above the support."""
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        for w, lo, hi in self.segments:
-            if lo == hi:
-                out += w * (arr <= lo)
-            else:
-                out += w * np.clip((hi - arr) / (hi - lo), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
-
     def tail_expectation(self, t):
         """E[v * 1{v > t}], exact closed form per segment."""
         arr = np.asarray(t, dtype=float)
@@ -224,15 +212,6 @@ class Instance:
         for b in self.boxes:
             out = out * b.cdf(arr)
         return float(out) if out.ndim == 0 else out
-
-    def max_exceedance(self, x):
-        """Pr[max_i v_i >= x] = 1 - prod_i (1 - Pr[v_i >= x])."""
-        arr = np.asarray(x, dtype=float)
-        out = np.ones_like(arr)
-        for b in self.boxes:
-            out = out * (1.0 - b.exceedance(arr))
-        res = 1.0 - out
-        return float(res) if np.ndim(res) == 0 else res
 
     def check_prophet_cost(self) -> None:
         """Raise ValueError when prophet_expectation would evaluate more than PROPHET_CDF_CAP

@@ -115,8 +115,8 @@ class QPolicy:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not _is_int(self.k) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         table = np.array(self.table, dtype=float)
         if table.shape != (len(STOPS), 4 * self.k + 1):
             raise ValueError(f"table must have shape ({len(STOPS)}, {4 * self.k + 1}), got {table.shape}")

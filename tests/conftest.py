@@ -144,6 +144,13 @@ def scalar_prophet_expectation(inst: Instance) -> float:
     return total
 
 
+def prophet_tail(inst: Instance, xs) -> np.ndarray:
+    """Reference Pr[max_i v_i >= x] at each x: 1 - prod_i (cdf_i(x) - mass_i(x)),
+    the left limits of the box CDFs."""
+    xs = np.asarray(xs, dtype=float)
+    return 1.0 - math.prod(box.cdf(xs) - box.mass_at(xs) for box in inst.boxes)
+
+
 def scalar_level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Reference stratum table (los, his, probs, firsts): a list of strata,
     then one scalar entry per (box, stratum) and column."""

@@ -36,6 +36,7 @@ from conftest import (
     fixed_size_walk_terms,
     fixed_size_walk_value,
     instances,
+    prophet_tail,
     random_discrete_instance,
     random_mixture_instance,
 )
@@ -71,8 +72,9 @@ def test_recommended_rank_values():
     # the README's table
     assert [recommended_rank(k) for k in (100, 1000, 10_000, 100_000)] == [36, 468, 5208, 54560]
     assert recommended_rank(1) == 1
-    with pytest.raises(ValueError):
-        recommended_rank(0)
+    for k in (0, 2.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            recommended_rank(k)
 
 
 # -- rule application -----------------------------------------------------------------
@@ -280,9 +282,9 @@ def test_dominance_floor_on_random_instances(rng):
         diag = threshold_diagnostics(inst, t)
         law = fixed_size_selected_law(inst, t, beta_moments(1, 1, inst.n + 1))
         xs = [x for x in inst.breakpoints() if x > 0.0]
-        for x, prophet_tail in zip(xs, inst.max_exceedance(xs).tolist()):
+        for x, prophet in zip(xs, prophet_tail(inst, xs).tolist()):
             tail = math.fsum(p for v, p in law.items() if v >= x)
-            assert tail >= (diag.h - 1e-12) * prophet_tail, (inst, t, x)
+            assert tail >= (diag.h - 1e-12) * prophet, (inst, t, x)
 
 
 # -- diagnostics -----------------------------------------------------------------------

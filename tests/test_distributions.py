@@ -132,11 +132,15 @@ def test_cdf_monotone(d, x1, x2):
 @settings(max_examples=80, deadline=None)
 @given(value_dists(), st.floats(-1.0, 7.0))
 def test_exceedance_is_the_left_limit_complement_and_0_above_the_support(d, x):
-    assert d.exceedance(x) == pytest.approx(1.0 - (d.cdf(x) - d.mass_at(x)), abs=1e-12)
+    # the prophet tail that _exact_tails reads off the stratum table cut at
+    # its grid, for a one-box instance
     top = max(hi for _, _, hi in d.segments)
-    assert d.exceedance(top + 1.0) == 0.0
+    inst = Instance((d,))
+    tail, above, at_top = evaluation._exact_tails(inst, 1, 1, [x, top + 1.0, top])[1].tolist()
+    assert tail == pytest.approx(1.0 - (d.cdf(x) - d.mass_at(x)), abs=1e-12)
+    assert above == 0.0
     if not d.mass_at(top):
-        assert d.exceedance(top) == 0.0
+        assert at_top == 0.0
 
 
 @settings(max_examples=80, deadline=None)

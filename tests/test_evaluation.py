@@ -1,5 +1,6 @@
 import importlib.util
 import itertools
+import json
 import math
 import sys
 import threading
@@ -54,6 +55,7 @@ from prophet_samples.stats import SIZE_CAP
 
 from conftest import (
     probe_instances,
+    prophet_tail,
     random_discrete_instance,
     random_mixture_instance,
     scalar_level_structure,
@@ -241,6 +243,41 @@ def test_stratum_table_cap_raises_before_allocating():
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+def test_cut_stratum_table_cap_raises_before_allocating(monkeypatch, tmp_path, capsys):
+    # 300 boxes U(i, i + 1): the 300 x 601 table fits a cap of 200,000
+    # entries, but the dominance grid cuts every interval at its midpoint,
+    # and the 300 x 1201 table it would cut (2.9 MB) does not
+    from prophet_samples import cli
+
+    inst = Instance(tuple(ValueDist.uniform(float(i), i + 1.0) for i in range(300)))
+    grid = [x / 2.0 for x in range(1, 601)]
+    monkeypatch.setattr(evaluation, "SIZE_CAP", 200_000)
+    evaluation._level_structure(inst)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="300 x 1201 stratum table"):
+            _exact_tails(inst, 1, 1, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    with pytest.raises(ValueError, match="300 x 1201 stratum table"):
+        dominance_check(inst, MaxSample(), 1, 0.5)
+    manifest = {
+        "command": "dominance",
+        "instances": [{"boxes": [{"segments": [list(s) for s in box.segments]} for box in inst.boxes]}],
+        "rule": {"rule": "max_sample"},
+        "k": 1,
+        "gamma": 0.5,
+    }
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert cli.main(["dominance", "--config", str(path), "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "field 'instances[0]'" in err and "300 x 1201 stratum table" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_semi_exact_instance_a(instance_a):
@@ -888,6 +925,13 @@ def test_fold_rounding_against_direct_convolution():
         worst_sum = max(worst_sum, np.abs(np.cumsum(np.cumsum(diff, axis=0), axis=1)).max())
     assert 0.0 < worst_entry <= 3e-16
     assert worst_sum <= 8.0e-15
+    # a column law (A alone) and a row law (C alone) fold to their outer
+    # product, each entry one rounded product, as direct convolution gives it
+    column = evaluation._box_count_law(50, 0.3, 0.0, 0.7)[0]
+    row = evaluation._box_count_law(50, 0.0, 0.2, 0.8)[0]
+    assert (column.shape, row.shape) == ((46, 1), (1, 40))
+    for x, y in ((column, row), (row, column)):
+        assert np.array_equal(evaluation._fold(x, y), convolve2d(x, y))
 
 
 def test_windowed_laws_build_no_dense_row(monkeypatch):
@@ -967,7 +1011,7 @@ def test_exact_single_sample_large_pool_and_count_cap():
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"n = {SIZE_CAP + 1} exceeds the cap"):
-            _exact_tails(inst, MaxSample(), SIZE_CAP + 1, [1.0])
+            _exact_tails(inst, 1, SIZE_CAP + 1, [1.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -993,7 +1037,7 @@ def test_exact_single_sample_is_the_rank_one_ordinal_value():
         inst = random_discrete_instance(rng)
         want = exact_single_sample_value(inst)
         assert want == exact_ordinal_value(inst, 1, 1)[0]
-        got = survival_integral(inst, lambda xs: _exact_tails(inst, MaxSample(), 1, xs))
+        got = survival_integral(inst, lambda xs: _exact_tails(inst, 1, 1, xs)[0])
         assert got == pytest.approx(want, rel=1e-14, abs=0.0), inst
 
 
@@ -1046,7 +1090,7 @@ def test_grouped_laws_match_per_pool_walk(rng):
                 # a law's masses are the differences of its consecutive tails,
                 # so the tails at every atom pin the whole law
                 atoms = inst.breakpoints()
-                got = _exact_tails(inst, rule, k, atoms)
+                got = _exact_tails(inst, effective_rank(rule), k, atoms)[0]
                 want = law_tails(per_pool_selected_distribution(inst, rule, k), atoms)
                 # at k = 3 two count laws that spread along both axes fold
                 # through the FFT, whose rounding is absolute: measured 6.3e-19
@@ -1105,7 +1149,7 @@ def test_selected_distribution_matches_quadrature_oracle(rng):
     for _ in range(6):
         inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
         atoms = inst.breakpoints()
-        got = _exact_tails(inst, MaxSample(), 1, atoms)
+        got = _exact_tails(inst, 1, 1, atoms)[0]
         want = law_tails(quad_selected_distribution_oracle(inst, 1), atoms)
         assert got == pytest.approx(want, abs=1e-10)
 
@@ -1121,7 +1165,7 @@ def test_exact_threshold_value_continuous_off_atoms(instance_a):
 
 def test_survival_identity_for_expectation(instance_a):
     # E[ALG] equals the integral of the tail: sum over levels of gap * Pr[ALG >= x]
-    total = survival_integral(instance_a, lambda xs: _exact_tails(instance_a, MaxSample(), 1, xs))
+    total = survival_integral(instance_a, lambda xs: _exact_tails(instance_a, 1, 1, xs)[0])
     assert total == pytest.approx(exact_single_sample_value(instance_a), abs=1e-10)
 
 
@@ -1166,7 +1210,7 @@ def test_max_sample_accepts_with_chance_one_over_k_plus_one(instance_a, k):
     insts += [random_discrete_instance(rng, max_boxes=3) for _ in range(3 if k < 1000 else 1)]
     for inst in insts:
         # at x = 0 the tail is the chance that anything is accepted
-        accepted = _exact_tails(inst, MaxSample(), k, [0.0])[0]
+        accepted = _exact_tails(inst, 1, k, [0.0])[0][0]
         assert accepted == pytest.approx(1.0 / (k + 1), rel=1e-12, abs=0.0), inst
 
 
@@ -1192,17 +1236,18 @@ def test_dominance_single_deterministic_box():
 
 def test_dominance_grid_stops_where_the_prophet_tail_does(monkeypatch):
     # box 1's weights sum to 1 - 1.1e-16 in floats; the prophet tail at x = 3,
-    # the top of its last interval, sums the segments at or above 3 and is
-    # exactly 0, so the point drops out of the report by its zero tail
+    # the top of its last interval, sums the table's columns at or above 3 and
+    # is exactly 0, so the point drops out of the report by its zero tail
     inst = Instance((ValueDist(((0.7, 0.0, 1.0), (0.2, 1.0, 2.0), (0.1, 2.0, 3.0))), ValueDist.uniform(0.0, 1.0)))
-    assert inst.max_exceedance(3.0) == 0.0
+    assert _exact_tails(inst, 1, 1, [3.0])[1].tolist() == [0.0]
     grids = []
     tails = evaluation._exact_tails
     monkeypatch.setattr(evaluation, "_exact_tails", lambda *args: grids.append(args[3]) or tails(*args))
     report = dominance_check(inst, MaxSample(), 1, 0.5)
     assert grids == [[0.5, 1.0, 1.5, 2.0, 2.5, 3.0]]
-    # the bits of the report when the grid itself stopped below 3
-    assert (report.worst_x, report.worst_ratio) == (0.5, 0.5751262626262625)
+    # the bits of the report when the grid itself stopped below 3: the exact
+    # rational ratio over the stored floats, correctly rounded
+    assert (report.worst_x, report.worst_ratio) == (0.5, 0.5751262626262627)
     # a top atom keeps its point
     dominance_check(Instance((ValueDist(((0.5, 0.0, 1.0), (0.5, 3.0, 3.0))),)), MaxSample(), 1, 0.5)
     assert grids[1] == [0.5, 1.0, 3.0]
@@ -1283,18 +1328,116 @@ def test_mixture_tails_match_quadrature_oracle():
     for _ in range(20):
         inst = random_mixture_instance(rng)
         xs = _tail_grid(inst, rng, 3)
-        got = _exact_tails(inst, MaxSample(), 1, xs)
+        got, table_prophet = _exact_tails(inst, 1, 1, xs)
         want = quad_max_sample_tails(inst, xs)
+        prophet = prophet_tail(inst, xs)
         assert np.max(np.abs(got - want)) <= 1e-10, inst
+        assert np.max(np.abs(table_prophet - prophet)) <= 1e-15, inst
         # the dominance check's grid holds every positive breakpoint below the
         # top of the support, and its worst point is one of xs
         report = dominance_check(inst, MaxSample(), 1, 0.5)
-        prophet = inst.max_exceedance(xs)
         worst = xs.index(report.worst_x)
         assert report.worst_ratio == pytest.approx(want[worst] / prophet[worst], abs=1e-10)
         on_breaks = np.isin(xs, inst.breakpoints()) & (prophet > 1e-12)
         assert report.worst_ratio <= np.min(want[on_breaks] / prophet[on_breaks]) + 1e-10
         assert report.worst_ratio >= 0.5 - 1e-9
+
+
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_integral(p):
+    """The integral over [0, 1] of a polynomial, lowest coefficient first."""
+    return sum((c / (i + 1) for i, c in enumerate(p)), Fraction(0))
+
+
+def exact_max_sample_tails(inst, xs):
+    """(Pr[ALG >= x], Pr[max >= x]) of the max-sample rule at k = 1 on an
+    atomless instance, in exact rationals over its stored floats.
+
+    Each box's weights are divided by their sum. Between adjacent points of
+    the breakpoints and xs, the threshold T, the largest of one sample per
+    box, lies at a + s (b - a) with Pr[T <= a + s (b - a)] = prod_i (B_i +
+    C_i s), B_i and C_i box i's masses below a and in (a, b); the walk's
+    tail at x is integrated exactly against the density in s. No count law
+    and no Beta moment is used.
+    """
+    boxes = []
+    for box in inst.boxes:
+        total = sum((Fraction(w) for w, _, _ in box.segments), Fraction(0))
+        boxes.append([(Fraction(w) / total, Fraction(lo), Fraction(hi)) for w, lo, hi in box.segments])
+
+    def mass(segs, a, b):
+        return sum((w * (min(hi, b) - max(lo, a)) / (hi - lo) for w, lo, hi in segs if min(hi, b) > max(lo, a)),
+                   Fraction(0))
+
+    xs = [Fraction(x) for x in xs]
+    pts = sorted({*map(Fraction, inst.breakpoints()), *xs})
+    bottom, top = pts[0] - 1, pts[-1] + 1
+    beats = [[mass(segs, x, top) for segs in boxes] for x in xs]
+    strata = []
+    for a, b in zip(pts, pts[1:]):
+        inside = [mass(segs, a, b) for segs in boxes]
+        if not any(inside):
+            continue
+        cdf, reaches = [Fraction(1)], []
+        for segs, c in zip(boxes, inside):
+            reaches.append(cdf)
+            cdf = _poly_mul(cdf, [mass(segs, bottom, a), c])
+        density = [i * c for i, c in enumerate(cdf)][1:]
+        # while T < x a reached box pays Pr[v >= x]; once T >= x it pays Pr[v > T]
+        under = [_poly_integral(_poly_mul(density, r)) for r in reaches]
+        over = sum(
+            (_poly_integral(_poly_mul(density, _poly_mul(r, [mass(segs, a, top), -c])))
+             for segs, r, c in zip(boxes, reaches, inside)),
+            Fraction(0),
+        )
+        strata.append((a, b, under, over))
+    alg = []
+    for x, beat in zip(xs, beats):
+        # no stratum straddles x, since xs are among the points
+        tail = Fraction(0)
+        for a, b, under, over in strata:
+            tail += sum((u * e for u, e in zip(under, beat)), Fraction(0)) if b <= x else over
+        alg.append(tail)
+    prophet = [1 - math.prod((1 - e for e in beat), start=Fraction(1)) for beat in beats]
+    return alg, prophet
+
+
+def test_max_sample_tails_match_exact_rationals(monkeypatch):
+    # k = 1 on atomless mixtures, at the dominance check's own grid, so every
+    # interval stratum is cut at its midpoint. Here, 256 tails: the worst is
+    # 2.2e-16 absolute off and the worst ratio 4.4e-16 relative. The gates
+    # hold over 300 such instances (5.1e-16 and 8.9e-16): each cut adds a
+    # stratum whose count law folds through the FFT, whose rounding is
+    # absolute (ROADMAP item 3)
+    calls = []
+    tails = evaluation._exact_tails
+
+    def recorded(*args):
+        calls.append((args[3], tails(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(evaluation, "_exact_tails", recorded)
+    rng = np.random.default_rng(20261022)
+    checked = 0
+    while checked < 12:
+        inst = random_mixture_instance(rng)
+        if inst.has_atoms:
+            continue
+        report = dominance_check(inst, MaxSample(), 1, 0.5)
+        grid, (alg, prophet) = calls[-1]
+        want_alg, want_prophet = exact_max_sample_tails(inst, grid)
+        for got, want in zip([*alg.tolist(), *prophet.tolist()], want_alg + want_prophet):
+            assert abs(Fraction(got) - want) <= Fraction(6e-16), (inst, got, float(want))
+        worst = min(a / m for a, m in zip(want_alg, want_prophet) if m > 0)
+        assert abs(Fraction(report.worst_ratio) - worst) <= Fraction(1.1e-15) * worst, (inst, report, float(worst))
+        checked += 1
 
 
 def test_simulated_tails_within_5_sigma_of_exact():
@@ -1307,7 +1450,7 @@ def test_simulated_tails_within_5_sigma_of_exact():
         k = int(rng.integers(1, 6))
         rule = OrdinalRank(int(rng.integers(1, inst.n * k + 1)))
         xs = _tail_grid(inst, rng, 2)
-        want = _exact_tails(inst, rule, k, xs)
+        want = _exact_tails(inst, rule.rank, k, xs)[0]
         accepted = _simulate_chunk(inst, rule, k, rows, np.random.default_rng(case))
         got = (accepted[:, None] >= np.array(xs)).mean(axis=0)
         sigma = np.sqrt(np.maximum(want * (1.0 - want), 1.0 / rows) / rows)
@@ -1323,8 +1466,9 @@ def test_case1_structure():
     weights = [w for w, _, _ in inst.boxes[1].segments]
     assert weights == pytest.approx([0.99, 0.01], abs=1e-15)
     assert inst.prophet_expectation() >= 10.0
-    with pytest.raises(ValueError):
-        case1_instance(1)
+    for k in (1, 2.5, True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            case1_instance(k)
 
 
 def test_case1_spike_stays_an_interval_up_to_its_k_bound():
@@ -1343,8 +1487,9 @@ def test_case2_structure():
     assert inst.n == 3
     assert len(set(inst.boxes)) == 1
     assert inst.prophet_expectation() >= 25.0
-    with pytest.raises(ValueError):
-        case2_instance(25, 1)
+    for k, n in ((25, 1), (2.5, 3), (True, 3), (10, 2.5), (10, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            case2_instance(k, n)
 
 
 def test_case2_k_bounded_so_boxes_stay_segments():

@@ -882,6 +882,10 @@ def test_policy_table_validation():
         QPolicy(k=2, table=np.full((16, 9), 1.5))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         QPolicy(k=2, table=np.full((16, 9), np.nan))
+    # a count is an integer: 2.5 and True fail whatever table comes with them
+    for k in (0, 2.5, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            QPolicy(k=k, table=np.zeros((16, 5)))
 
 
 def test_policy_table_is_one_read_only_array_over_stops():

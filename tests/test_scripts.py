@@ -1,6 +1,7 @@
 """Runs of the standalone scripts under scripts/: smoke runs on small inputs,
 and the artifact regeneration byte for byte."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -70,6 +71,7 @@ STABLE_ARTIFACTS = (
     "eval_semi_exact.csv",
     "dominance_corpus.csv",
     "dominance_max_sample_k100.csv",
+    "dominance_intervals.csv",
     "ordinal_sweep_10k.csv",
     "hardness_k400.json",
     "stats_check.json",
@@ -85,7 +87,7 @@ def test_run_benchmarks_regenerates_stable_artifacts_byte_for_byte(tmp_path):
         capture_output=True, text=True, timeout=300, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert len([line for line in proc.stderr.splitlines() if line.startswith("time ")]) == 9
+    assert len([line for line in proc.stderr.splitlines() if line.startswith("time ")]) == 10
     out = tmp_path / "out"
     for name in STABLE_ARTIFACTS:
         assert (out / name).read_bytes() == (ROOT / "results" / name).read_bytes(), name
@@ -108,3 +110,18 @@ def test_readme_rank_table_matches_the_rank_curve():
         for cell, value in zip(cells[1:], got):
             digits = len(cell.partition(".")[2])
             assert cell == (f"{value:.{digits}f}" if digits else str(value)), (cells, got)
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Typical library use:\n\n```python\n", 1)[1].split("```", 1)[0]
+    comments = [line.partition("  # ")[2] for line in block.splitlines() if line.startswith("print(")]
+    assert comments == ["~0.5", "0.5 exactly", "0.41423: case2's counts never vary", "(value, error bound)"]
+    exec(compile(block, "README.md", "exec"), {})
+    mc, dominance, semi, exact = capsys.readouterr().out.splitlines()
+    # 10^6 replications put the 95% halfwidth near 1e-3
+    assert abs(float(mc) - 0.5) < 5e-3
+    assert float(dominance) == 0.5
+    assert f"{float(semi):.5f}" == "0.41423"
+    value, err = ast.literal_eval(exact)
+    assert value > 0.0 and 0.0 <= err <= 1e-12 * value
