@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from . import evaluation, hardness, stats
+from . import distributions, evaluation, hardness, stats
 from .algorithms import effective_rank, rule_from_config, rule_to_config
 from .distributions import Instance, _is_int, _is_number, instance_from_json, instance_to_json, load_instance
 from .evaluation import (
@@ -239,9 +239,7 @@ def _run_eval(fields: _Fields, threads: int) -> str:
     rank = _check_pools(instances, rule, ks, mc=method == "mc")
     for inst_id, inst in instances:
         try:
-            inst.check_prophet_cost()
-            if method == "semi_exact":
-                evaluation.check_strata(inst)
+            distributions.check_strata(inst)
         except ValueError as exc:
             raise _fail("instances", f"instance {inst_id!r}: {exc}") from None
     fields.done()

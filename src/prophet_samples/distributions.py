@@ -12,31 +12,28 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 WEIGHT_TOL = 1e-12
 VALUE_MAX = 2.0**64  # sums of squares over 2^63 replications stay far below 1.8e308
-# Array entries per block of the prophet integral's (interval, node) grid.
-_GRID_BUDGET = 1 << 15
-# Largest count of box CDF entries the prophet integral may evaluate: n per point
-# of its (interval, node) grid. 600 boxes, 2.2e8 entries, take 1.5 s on 2 x86-64 cores.
-PROPHET_CDF_CAP = 1 << 28
+# Largest stratum table (_level_structure), in entries, and largest binomial n
+# and Bernoulli count the TV and tail checks accept, checked before
+# allocation. In a fresh process (55 MB after import), binom(2^22, 0.5) keeps
+# 78,641 masses and peaks at 59 MB, and tv_binom_vs_normal at 2^22 adds about
+# 1 MB. chernoff_check of 2^22 equal p takes 0.12 s on a 2-core Xeon and peaks
+# at 160 MB, 73 MB above its input list.
+SIZE_CAP = 1 << 22
+# Largest walk over a stratum table, in multiply-adds: n(n + 1)/2 per stratum,
+# the cost of the product of n box CDFs that _prophet_value builds on each.
+WALK_CAP = 1 << 28
 # Most CDF boundaries (segments - 1) whose segment pick sample_many counts in
 # uint8. Per (5140, 100) block on PCG64DXSM, one per thread on 2 x86-64 cores,
 # best of 15, counting took 15.8 ms at 1 boundary, 23.3 at 63 and 39.2 at 127,
 # searchsorted 27.2, 34.2 and 39.6 ms; at 143 and 159 boundaries searchsorted
 # won, 38.0 ms against 41.0 and 41.6 against 43.6.
 _COUNTED_BOUNDARIES = 127
-
-
-@lru_cache(maxsize=128)
-def _gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = leggauss(count)
-    return nodes, weights
 
 
 @dataclass(frozen=True)
@@ -205,47 +202,105 @@ class Instance:
             pts.update(b.breakpoints())
         return sorted(pts)
 
-    def product_cdf(self, x):
-        """CDF of the maximum: product of the per-box CDFs."""
-        arr = np.asarray(x, dtype=float)
-        out = np.ones_like(arr)
-        for b in self.boxes:
-            out = out * b.cdf(arr)
-        return float(out) if out.ndim == 0 else out
-
-    def check_prophet_cost(self) -> None:
-        """Raise ValueError when prophet_expectation would evaluate more than PROPHET_CDF_CAP
-        box CDF entries: n per interval of [0, max breakpoint] per ceil((n+1)/2) nodes."""
-        intervals = sum(1 for p in self.breakpoints() if p > 0.0)
-        entries = self.n * intervals * ((self.n + 2) // 2)
-        if entries > PROPHET_CDF_CAP:
-            raise ValueError(f"prophet integral: {entries} CDF entries exceed the cap of {PROPHET_CDF_CAP}")
-
     def prophet_expectation(self) -> float:
-        """Exact E[max_i v_i] as the integral of 1 - prod F_i.
+        """Exact E[max_i v_i] from the stratum table (_prophet_value); raises
+        ValueError before the table is allocated when check_strata does."""
+        return _prophet_value(*_level_structure(self)[:3])
 
-        Between consecutive breakpoints every per-box CDF is linear, so the
-        integrand is a polynomial of degree <= n; ceil((n+1)/2) Gauss-Legendre
-        nodes integrate it exactly. The (interval, node) grid is evaluated in
-        blocks of whole intervals of at most _GRID_BUDGET entries (one
-        interval at least), one product_cdf call per block, so the scratch
-        memory is bounded for any n. Each interval's node terms are summed
-        along its row and scaled by its half width; the interval totals are
-        then added left to right in Python floats. Raises ValueError
-        (check_prophet_cost) before any CDF is evaluated.
-        """
-        self.check_prophet_cost()
-        pts = np.array([0.0] + [p for p in self.breakpoints() if p > 0.0])
-        x, w = _gauss_nodes((self.n + 2) // 2)
-        mid, half = 0.5 * (pts[:-1] + pts[1:]), 0.5 * (pts[1:] - pts[:-1])
-        step = max(1, _GRID_BUDGET // len(x))
-        total = 0.0
-        for s in range(0, len(mid), step):
-            m, h = mid[s : s + step], half[s : s + step]
-            terms = w * (1.0 - self.product_cdf(m[:, None] + h[:, None] * x))
-            for part in (h * np.sum(terms, axis=1)).tolist():
-                total += part
-        return total
+
+def _check_table(n: int, points: int) -> None:
+    # one column per breakpoint and per gap between adjacent breakpoints
+    strata = 2 * points - 1
+    if n * strata > SIZE_CAP:
+        raise ValueError(f"the {n} x {strata} stratum table exceeds the cap of {SIZE_CAP} entries")
+    work = n * (n + 1) // 2 * strata
+    if work > WALK_CAP:
+        raise ValueError(f"the {n} x {strata} stratum table takes {work} multiply-adds to walk, over the cap of {WALK_CAP}")
+
+
+def check_strata(inst: Instance) -> None:
+    """Raise ValueError when the stratum table of `inst` would exceed SIZE_CAP
+    entries, or a walk over it WALK_CAP multiply-adds.
+
+    The table has one row per box and a column per breakpoint and per gap
+    between adjacent breakpoints, before empty strata are dropped. Every
+    reader of it, the exact evaluators and the prophet value, walks the n
+    boxes on each stratum.
+    """
+    _check_table(inst.n, len(inst.breakpoints()))
+
+
+def _level_structure(
+    inst: Instance, cuts: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Descending strata of the pooled sample distribution: (los, his, probs, firsts).
+
+    Each stratum is either an atom (lo = hi) or an open interval between
+    adjacent breakpoints, the instance's and the extra `cuts`; probs[i, j] is
+    the chance one sample of box i lands in stratum j, and firsts[i, j] =
+    probs[i, j] (lo_j + hi_j)/2 is E[v_i; v_i in stratum j], since every
+    segment is uniform across a stratum. The prophet value (_prophet_value)
+    and the exact, semi-exact and dominance evaluators read every box from
+    these tables alone: with the threshold in stratum j, its stay and pay
+    are column sums of them (_stratum_values, within 6.9e-16 relative of
+    exact rationals per stratum, and _exact_tails). _exact_tails cuts the
+    table at its grid, so that no stratum straddles a grid point, and every
+    other caller at nothing; an interval is split by the same per-segment
+    rule w (b - a) / (hi - lo). The per-stratum counts of k samples per box (Multinomial(k,
+    probs[i])) can be drawn one stratum at a time from the top down
+    (_threshold_strata), and within an interval stratum the points are
+    conditionally iid uniform. Strata no box can land in, such as the atom
+    at a cut between breakpoints, are dropped. Raises ValueError before the
+    table is allocated (check_strata), counted over the merged breakpoints.
+    """
+    breaks = np.unique(np.concatenate((inst.breakpoints(), cuts)))[::-1]
+    _check_table(inst.n, len(breaks))
+    # column 2j is the atom at breaks[j], column 2j + 1 the interval (breaks[j + 1], breaks[j])
+    doubled = np.repeat(breaks, 2)
+    los, his = doubled[1:], doubled[:-1]
+    a, b = breaks[1:], breaks[:-1]
+    probs = np.zeros((inst.n, len(los)))
+    for row, box in zip(probs, inst.boxes):
+        row[0::2] = box.mass_at(breaks)
+        total = row[1::2]
+        for w, lo, hi in box.segments:
+            if lo < hi:
+                total += np.where((lo <= a) & (b <= hi), w * (b - a) / (hi - lo), 0.0)
+    keep = probs.sum(axis=0) > 0.0
+    # in C order, a sum over a row's columns is that row's pairwise sum
+    los, his, probs = los[keep], his[keep], np.ascontiguousarray(probs[:, keep])
+    return los, his, probs, probs * ((los + his) / 2.0)
+
+
+def _prophet_value(los: np.ndarray, his: np.ndarray, probs: np.ndarray) -> float:
+    """E[max_i v_i], the integral of 1 - prod_i F_i from 0 up, from the
+    stratum table (los, his, probs) of _level_structure.
+
+    On stratum j, F_i = below_ij + probs_ij s at x = lo + (hi - lo) s, with
+    below_ij box i's mass under the stratum, so prod_i F_i is a polynomial
+    Q_j in s with nonnegative coefficients. It is built box by box, of
+    degree i after box i, n(n + 1)/2 multiply-adds per stratum, and its
+    coefficient m integrates to 1/(m + 1). On the gap under stratum j, down
+    to the next stratum or to 0, every F_i is below_ij, so prod_i F_i is
+    Q_j(0). The value is the sum over strata of (hi - lo)(1 - int Q_j) +
+    gap_j (1 - Q_j(0)), added top down in Python floats.
+    """
+    n, strata = probs.shape
+    below = np.zeros_like(probs)
+    below[:, :-1] = np.cumsum(probs[:, :0:-1], axis=1)[:, ::-1]
+    coefs = np.zeros((n + 1, strata))
+    coefs[0] = 1.0
+    for i, (b, p) in enumerate(zip(below, probs)):
+        shifted = coefs[: i + 1] * p
+        coefs[: i + 1] *= b
+        coefs[1 : i + 2] += shifted
+    integral = np.sum(coefs / np.arange(1.0, n + 2.0)[:, None], axis=0)
+    gaps = los - np.append(his[1:], 0.0)
+    parts = (his - los) * (1.0 - integral) + gaps * (1.0 - coefs[0])
+    total = 0.0
+    for part in parts.tolist():
+        total += part
+    return total
 
 
 # -- JSON interchange --------------------------------------------------------

@@ -27,8 +27,8 @@ from .algorithms import (
     walk_reach,
     walk_value,
 )
-from .distributions import Instance, ValueDist, _is_int
-from .stats import SIZE_CAP, _trimmed_windows
+from .distributions import SIZE_CAP, Instance, ValueDist, _is_int, _level_structure, _prophet_value
+from .stats import _trimmed_windows
 
 _MASK64 = (1 << 64) - 1
 
@@ -284,65 +284,6 @@ def mc_ratio(
 # -- semi-exact ordinal evaluation --------------------------------------------------
 
 
-def _check_table(n: int, points: int) -> None:
-    # one column per breakpoint and per gap between adjacent breakpoints
-    strata = 2 * points - 1
-    if n * strata > SIZE_CAP:
-        raise ValueError(f"the {n} x {strata} stratum table exceeds the cap of {SIZE_CAP} entries")
-
-
-def check_strata(inst: Instance) -> None:
-    """Raise ValueError when the stratum table of `inst` would exceed SIZE_CAP.
-
-    The table has one row per box and a column per breakpoint and per gap
-    between adjacent breakpoints, before empty strata are dropped.
-    """
-    _check_table(inst.n, len(inst.breakpoints()))
-
-
-def _level_structure(
-    inst: Instance, cuts: Sequence[float] = ()
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Descending strata of the pooled sample distribution: (los, his, probs, firsts).
-
-    Each stratum is either an atom (lo = hi) or an open interval between
-    adjacent breakpoints, the instance's and the extra `cuts`; probs[i, j] is
-    the chance one sample of box i lands in stratum j, and firsts[i, j] =
-    probs[i, j] (lo_j + hi_j)/2 is E[v_i; v_i in stratum j], since every
-    segment is uniform across a stratum. The exact, semi-exact and dominance
-    evaluators read every box from these two tables alone: with the
-    threshold in stratum j, its stay and pay are column sums of them
-    (_stratum_values, within 6.9e-16 relative of exact rationals per
-    stratum, and _exact_tails). _exact_tails cuts the table at its grid, so
-    that no stratum straddles a grid point, and every other caller at
-    nothing; an interval is split by the same per-segment rule w (b - a) /
-    (hi - lo). The per-stratum counts of k samples per box (Multinomial(k,
-    probs[i])) can be drawn one stratum at a time from the top down
-    (_threshold_strata), and within an interval stratum the points are
-    conditionally iid uniform. Strata no box can land in, such as the atom
-    at a cut between breakpoints, are dropped. Raises ValueError before the table is allocated
-    when it would exceed SIZE_CAP entries, counted over the merged
-    breakpoints.
-    """
-    breaks = np.unique(np.concatenate((inst.breakpoints(), cuts)))[::-1]
-    _check_table(inst.n, len(breaks))
-    # column 2j is the atom at breaks[j], column 2j + 1 the interval (breaks[j + 1], breaks[j])
-    doubled = np.repeat(breaks, 2)
-    los, his = doubled[1:], doubled[:-1]
-    a, b = breaks[1:], breaks[:-1]
-    probs = np.zeros((inst.n, len(los)))
-    for row, box in zip(probs, inst.boxes):
-        row[0::2] = box.mass_at(breaks)
-        total = row[1::2]
-        for w, lo, hi in box.segments:
-            if lo < hi:
-                total += np.where((lo <= a) & (b <= hi), w * (b - a) / (hi - lo), 0.0)
-    keep = probs.sum(axis=0) > 0.0
-    # in C order, a sum over a row's columns is that row's pairwise sum
-    los, his, probs = los[keep], his[keep], np.ascontiguousarray(probs[:, keep])
-    return los, his, probs, probs * ((los + his) / 2.0)
-
-
 def _conditional_probs(probs: np.ndarray) -> np.ndarray:
     """cond[i, j] = probs[i, j] / tail[i, j], where tail[i, j] is box i's mass
     in stratum j and below (0 where that mass is 0).
@@ -418,10 +359,9 @@ def semi_exact_ordinal(
     replication draws the same counts (case2) this is exact_ordinal_value.
     """
     _check_ranks(inst.n, k, [rank])
-    # the stratum table's size check runs before the prophet integral
     los, his, probs, firsts = _level_structure(inst)
     cond = _conditional_probs(probs)
-    prophet = inst.prophet_expectation()
+    prophet = _prophet_value(los, his, probs)
 
     def run(rows: int, rng: np.random.Generator) -> tuple[float, float, int]:
         lvl, n_at, r = _threshold_strata(cond, k, rank, rows, rng)
@@ -555,13 +495,14 @@ def _stratum_counts(
         yield which, law[ai, ci][entry], c[entry], ranks[which] - a[entry], dropped
 
 
-def _exact_ordinal_values(inst: Instance, k: int, ranks: Sequence[int]) -> tuple[np.ndarray, float]:
-    """exact_ordinal_value at every rank, from one count law per stratum.
+def _exact_ordinal_values(inst: Instance, table: tuple, k: int, ranks: Sequence[int]) -> tuple[np.ndarray, float]:
+    """exact_ordinal_value at every rank, from one count law per stratum of
+    the instance's stratum table (_level_structure).
 
     The laws and the stratum polynomials do not depend on the rank, so they
     are built once; the error bound is shared by every rank.
     """
-    los, his, probs, firsts = _level_structure(inst)
+    los, his, probs, firsts = table
     values = np.zeros(len(ranks))
     dropped = 0.0
     for j, (which, mass, c, r, lost) in enumerate(_stratum_counts(probs, k, ranks)):
@@ -593,7 +534,7 @@ def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float
     to 6.3e-16. Raises ValueError before allocating a count window of more
     than stats.SIZE_CAP entries.
     """
-    values, err = _exact_ordinal_values(inst, k, [rank])
+    values, err = _exact_ordinal_values(inst, _level_structure(inst), k, [rank])
     return float(values[0]), err
 
 
@@ -763,10 +704,11 @@ def ordinal_upper_bound_sweep(
     """
     reports = []
     for inst in (case1_instance(k), case2_instance(k, default_case2_boxes(k))):
-        values, err = _exact_ordinal_values(inst, k, ranks)
+        table = _level_structure(inst)
+        values, err = _exact_ordinal_values(inst, table, k, ranks)
         if np.any(err > _SWEEP_REL_ERR * values):
             raise ValueError(f"error bound {err!r} exceeds {_SWEEP_REL_ERR} of a value in {values!r}")
-        prophet = inst.prophet_expectation()
+        prophet = _prophet_value(*table[:3])
         reports.append([RatioReport(float(v), prophet, 0.0) for v in values])
     return [SweepRow(rank=rank, case1=r1, case2=r2) for rank, r1, r2 in zip(ranks, *reports)]
 

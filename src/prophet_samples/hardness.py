@@ -107,6 +107,11 @@ STOPS: tuple[tuple, ...] = tuple(p for p in PREFIXES if p == T1 or p[-1] == 1)
 _STOP_ROW = {p: j for j, p in enumerate(STOPS)}
 
 
+def _check_policy_k(k) -> None:
+    if not _is_int(k) or not 1 <= k <= _MAX_K:
+        raise ValueError(f"k must be an integer in [1, {_MAX_K}], got {k!r}")
+
+
 @dataclass
 class QPolicy:
     """Acceptance table q(prefix, ones-count): one read-only (16, 4k+1) array over STOPS."""
@@ -115,8 +120,7 @@ class QPolicy:
     table: np.ndarray
 
     def __post_init__(self) -> None:
-        if not _is_int(self.k) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        _check_policy_k(self.k)
         table = np.array(self.table, dtype=float)
         if table.shape != (len(STOPS), 4 * self.k + 1):
             raise ValueError(f"table must have shape ({len(STOPS)}, {4 * self.k + 1}), got {table.shape}")
@@ -134,11 +138,13 @@ class QPolicy:
 
     @classmethod
     def constant(cls, k: int, value: float) -> "QPolicy":
+        _check_policy_k(k)
         return cls(k=k, table=np.full((len(STOPS), 4 * k + 1), float(value)))
 
     @classmethod
     def random(cls, k: int, rng: np.random.Generator) -> "QPolicy":
         """One uniform row per prefix in PREFIXES order; the rows of STOPS are kept."""
+        _check_policy_k(k)
         rows = rng.random((len(PREFIXES), 4 * k + 1))
         return cls(k=k, table=rows[[PREFIXES.index(p) for p in STOPS]])
 

@@ -1,15 +1,16 @@
 """Finite integer-support distributions and the distance/tail toolkit.
 
 CountDist is a dense pmf over consecutive integers. Binomial pmfs are computed
-in log space with log-gamma for n up to SIZE_CAP, by one kernel (_pmf_chunks);
-at n = 1e6 a bin is off by 1e-10 to 1.1e-9 relative (against 40-digit
-arithmetic; not mended here). It evaluates Bin(n, p) only on a Bernstein
-window, off which each tail holds at most exp(-L) of the law: L = _TAIL_LOG
-(at most _WINDOW_TAIL = 1e-18 per tail) for the count laws, the adversary,
-the mixture and the TV, and L = _EXACT_TAIL_LOG = 760 for the exact laws,
-binom and sum_of_binomials (whose Chernoff tails reach down to 1e-21), off
-which the formula is exactly 0.0. Normal CDF values go through scipy's
-erf-based ndtr, evaluated only where it is neither 0.0 nor 1.0."""
+in log space with log-gamma for n up to SIZE_CAP (distributions.SIZE_CAP, the
+stratum table's cap too), by one kernel (_pmf_chunks); at n = 1e6 a bin is
+off by 1e-10 to 1.1e-9 relative (against 40-digit arithmetic; not mended
+here). It evaluates Bin(n, p) only on a Bernstein window, off which each
+tail holds at most exp(-L) of the law: L = _TAIL_LOG (at most _WINDOW_TAIL =
+1e-18 per tail) for the count laws, the adversary, the mixture and the TV,
+and L = _EXACT_TAIL_LOG = 760 for the exact laws, binom and
+sum_of_binomials (whose Chernoff tails reach down to 1e-21), off which the
+formula is exactly 0.0. Normal CDF values go through scipy's erf-based ndtr,
+evaluated only where it is neither 0.0 nor 1.0."""
 
 from __future__ import annotations
 
@@ -20,15 +21,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import gammaln, ndtr
 
-from .distributions import _is_int
+from .distributions import SIZE_CAP, _is_int
 
 _MASS_TOL = 1e-10
-# Largest binomial n and Bernoulli count the TV and tail checks accept,
-# checked before allocation. In a fresh process (55 MB after import),
-# binom(2^22, 0.5) keeps 78,641 masses and peaks at 59 MB, and
-# tv_binom_vs_normal at 2^22 adds about 1 MB. chernoff_check of 2^22 equal p
-# takes 0.12 s on a 2-core Xeon and peaks at 160 MB, 73 MB above its input list.
-SIZE_CAP = 1 << 22
 # Largest multiply-add count the direct convolutions of sum_of_binomials may
 # take, counted on the parts' Bernstein windows before any is evaluated: four
 # parts of n = 2^17 at p = 0.5 take 1.3e9.
@@ -258,7 +253,9 @@ def _normal_bin_masses(mu: float, sigma: float, lo: int, hi: int) -> np.ndarray:
 
 
 def tv_distance(a: CountDist, b: CountDist) -> float:
-    """Total variation distance: half the L1 gap, the sup-over-events value."""
+    """Total variation distance, the sup over events: half the L1 gap, half the total mass on disjoint supports."""
+    if a.upper < b.offset or b.upper < a.offset:
+        return float(0.5 * (a.masses.sum() + b.masses.sum()))
     lo = min(a.offset, b.offset)
     hi = max(a.upper, b.upper)
     return float(0.5 * np.abs(a.pmf_on(lo, hi) - b.pmf_on(lo, hi)).sum())

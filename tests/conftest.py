@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, ndtr
 
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
-from prophet_samples.distributions import _gauss_nodes
 from prophet_samples.hardness import ANCHOR, PREFIXES, STOPS, T1, XI
 from prophet_samples.stats import _WINDOW_TAIL, _trim, binom_pmf_rows
 
@@ -133,15 +132,32 @@ def fixed_size_selected_law(inst: Instance, t: float, moments: np.ndarray) -> di
     return dist
 
 
-def scalar_prophet_expectation(inst: Instance) -> float:
-    """Reference E[max_i v_i]: one product_cdf call and one Python add per interval."""
-    pts = [0.0] + [p for p in inst.breakpoints() if p > 0.0]
-    x, w = _gauss_nodes((inst.n + 2) // 2)
-    total = 0.0
+def rational_prophet_expectation(inst: Instance) -> Fraction:
+    """Reference E[max_i v_i]: the integral of 1 - prod_i F_i in exact
+    rationals over the instance's floats, one interval between adjacent
+    breakpoints (and 0) at a time, on which every F_i is linear."""
+    pts = [Fraction(0)] + [Fraction(p) for p in inst.breakpoints() if p > 0.0]
+    segs = [[tuple(map(Fraction, s)) for s in box.segments] for box in inst.boxes]
+
+    def cdf(segments, x: Fraction, left: bool) -> Fraction:
+        # F(x) at the right of x, or at its left where `left`
+        total = Fraction(0)
+        for w, lo, hi in segments:
+            if lo == hi:
+                total += w if (lo < x if left else lo <= x) else 0
+            else:
+                total += w * min(max((x - lo) / (hi - lo), Fraction(0)), Fraction(1))
+        return total
+
+    value = Fraction(0)
     for a, b in zip(pts, pts[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        total += float(half * np.sum(w * (1.0 - inst.product_cdf(mid + half * x))))
-    return total
+        prod = [Fraction(1)]  # coefficients in s, x = a + (b - a) s
+        for box in segs:
+            c = cdf(box, a, False)
+            d = cdf(box, b, True) - c
+            prod = [x * c + y * d for x, y in zip(prod + [0], [0] + prod)]
+        value += (b - a) * (1 - sum(x / (m + 1) for m, x in enumerate(prod)))
+    return value
 
 
 def prophet_tail(inst: Instance, xs) -> np.ndarray:
@@ -205,7 +221,7 @@ def random_mixture_instance(rng: np.random.Generator) -> Instance:
 
 
 def set_up_oracle_instances() -> list[Instance]:
-    """Instances on which the array set-up passes must match the scalar oracles
+    """Instances on which the array stratum table must match the scalar oracle
     bit for bit: 2000 random mixtures, then named edges."""
     from prophet_samples.distributions import VALUE_MAX
     from prophet_samples.evaluation import (
@@ -230,8 +246,7 @@ def set_up_oracle_instances() -> list[Instance]:
         # bounds at and near VALUE_MAX
         Instance((ValueDist.uniform(0.0, VALUE_MAX), ValueDist(((0.5, VALUE_MAX / 2, VALUE_MAX), (0.5, VALUE_MAX, VALUE_MAX))))),
         Instance((ValueDist.atom(VALUE_MAX), ValueDist.uniform(VALUE_MAX / 4, VALUE_MAX / 2))),
-        # 20 boxes: 11 Gauss nodes per interval, past the 8 terms below which
-        # numpy sums a row one term at a time
+        # 20 boxes: more than the 8 terms below which numpy sums a row one term at a time
         Instance(tuple(ValueDist(((0.4, i / 7, 1.0 + i / 3), (0.6, 0.5, 2.0 + i / 5))) for i in range(20))),
     ]
     return out

@@ -281,7 +281,7 @@ _BAD_INPUTS = [
      {"instances": [{"boxes": [{"segments": [[1.0, i, i + 1]]} for i in range(1500)]}],
       "rule": {"rule": "ordinal", "rank": 1}, "k": 1, "reps": 10, "seed": 1, "method": "semi_exact"},
      {}, "instances"),
-    # 1400 boxes fit the stratum table but not the prophet integral's CDF cap
+    # 1400 boxes fit the stratum table's entry cap but not its walk cap
     ("semi-exact-prophet-cost-cap", "eval",
      {"instances": [{"boxes": [{"segments": [[1.0, i, i + 1]]} for i in range(1400)]}],
       "rule": {"rule": "ordinal", "rank": 1}, "k": 1, "reps": 10, "seed": 1, "method": "semi_exact"},
@@ -385,20 +385,20 @@ def test_bad_input_exits_2_on_its_field(tmp_path, monkeypatch, capsys, command, 
 
 @pytest.mark.parametrize("method", ["mc", "semi_exact"])
 def test_eval_prophet_cost_cap_exits_2_before_integrating(tmp_path, capsys, monkeypatch, method):
-    # 10^4 one-segment boxes at k = 1 pass every other cap of the mc method; the
-    # integral would evaluate about 5e11 CDF entries
+    # 10^4 one-segment boxes at k = 1 pass every other cap of the mc method; their
+    # stratum table would hold 10^4 x 20001 entries, and the prophet value reads it
     boxes = [{"segments": [[1.0, i, i + 1]]} for i in range(10_000)]
     cfg = write_json(tmp_path / "wide.json", {
         "command": "eval", "instances": [{"id": "wide", "boxes": boxes}],
         "rule": {"rule": "ordinal", "rank": 1}, "k": 1, "reps": 10, "seed": 1, "method": method,
     })
-    monkeypatch.setattr(ValueDist, "cdf", lambda self, x: pytest.fail("a CDF was evaluated"))
+    monkeypatch.setattr(ValueDist, "mass_at", lambda self, x: pytest.fail("the stratum table was built"))
     start = time.perf_counter()
     code = run_cli(["eval", "--config", cfg, "--threads", "1"])
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code == 2, err
-    assert "field 'instances'" in err and "prophet integral" in err
+    assert "field 'instances'" in err and "10000 x 20001 stratum table exceeds the cap" in err
     assert elapsed < 1.0
 
 

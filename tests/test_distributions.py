@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +16,7 @@ from prophet_samples import (
 from prophet_samples import distributions, evaluation
 from prophet_samples.evaluation import _substream
 
-from conftest import instances, scalar_prophet_expectation, set_up_oracle_instances, value_dists
+from conftest import rational_prophet_expectation, value_dists
 
 
 # -- oracles -------------------------------------------------------------------
@@ -231,25 +230,6 @@ def test_sample_many_bits_match_choice_oracle(shape):
 # -- Instance ---------------------------------------------------------------------
 
 
-def test_product_cdf_two_uniforms():
-    inst = Instance((ValueDist.uniform(0, 1), ValueDist.uniform(0, 1)))
-    assert inst.product_cdf(0.5) == 0.25
-    assert inst.product_cdf(99.0) == 1.0
-
-
-def test_product_cdf_instance_a(instance_a):
-    assert instance_a.product_cdf(1.5) == 0.5
-
-
-@settings(max_examples=60, deadline=None)
-@given(instances(), st.floats(-1.0, 8.0))
-def test_product_cdf_is_product(inst, x):
-    prod = 1.0
-    for b in inst.boxes:
-        prod *= b.cdf(x)
-    assert inst.product_cdf(x) == prod
-
-
 def test_prophet_instance_a(instance_a):
     assert instance_a.prophet_expectation() == pytest.approx(1.5, abs=1e-12)
     assert prophet_enumeration_oracle(instance_a) == pytest.approx(1.5, abs=1e-12)
@@ -275,44 +255,57 @@ def test_prophet_matches_enumeration_on_random_atom_instances(rng):
         )
 
 
-def test_prophet_expectation_bits_match_scalar_oracle(monkeypatch):
-    insts = set_up_oracle_instances()
-    want = [scalar_prophet_expectation(inst).hex() for inst in insts]
-    assert [inst.prophet_expectation().hex() for inst in insts] == want
-    # one interval per block
-    monkeypatch.setattr(distributions, "_GRID_BUDGET", 1)
-    assert [inst.prophet_expectation().hex() for inst in insts] == want
+def _prophet_corpus(instance_a: Instance) -> list[Instance]:
+    """Random mixtures with atoms, then the same with each box scaled by up
+    to 1e6, then named instances: A, the tie instance, case1 and case2."""
+    from conftest import random_mixture_instance
+
+    from prophet_samples.evaluation import CASE1_MAX_K, case1_instance, case2_instance, default_case2_boxes
+
+    rng = np.random.default_rng(3501)
+    out = [random_mixture_instance(rng) for _ in range(200)]
+    for _ in range(100):
+        boxes = random_mixture_instance(rng).boxes
+        scales = 10.0 ** rng.uniform(0.0, 6.0, size=len(boxes))
+        out.append(Instance(tuple(
+            ValueDist(tuple((w, lo * s, hi * s) for w, lo, hi in box.segments)) for box, s in zip(boxes, scales)
+        )))
+    out.append(instance_a)
+    out.append(Instance((
+        ValueDist.discrete({0.0: 0.2, 1.0: 0.5, 2.0: 0.3}),
+        ValueDist.discrete({1.0: 0.6, 2.0: 0.4}),
+        ValueDist.atom(1.0),
+        ValueDist.discrete({0.0: 0.5, 2.0: 0.5}),
+    )))
+    out += [case1_instance(k) for k in (2, 100, 10_000, CASE1_MAX_K)]
+    out += [case2_instance(k, default_case2_boxes(k)) for k in (100, 10_000)]
+    return out
 
 
-def _traced_prophet(inst: Instance) -> tuple[float, int]:
-    tracemalloc.start()
-    try:
-        value = inst.prophet_expectation()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return value, peak
+def test_prophet_expectation_matches_exact_rationals(instance_a):
+    # measured worst: 4.9e-16 relative, on a mixture scaled up to 1e6
+    worst = 0.0
+    for inst in _prophet_corpus(instance_a):
+        want = rational_prophet_expectation(inst)
+        worst = max(worst, abs(float((Fraction(inst.prophet_expectation()) - want) / want)))
+    assert worst <= 2e-15
 
 
-def test_prophet_expectation_grid_is_blocked(monkeypatch):
-    # 300 boxes: 600 intervals of 151 nodes, a grid of about 90k entries
-    inst = Instance(tuple(ValueDist.uniform(i / 3, i / 3 + 1.5) for i in range(300)))
-    blocked, blocked_peak = _traced_prophet(inst)
-    block_bytes = 8 * distributions._GRID_BUDGET
-    monkeypatch.setattr(distributions, "_GRID_BUDGET", 1 << 40)
-    whole, whole_peak = _traced_prophet(inst)
-    assert blocked.hex() == whole.hex()
-    assert blocked_peak < whole_peak / 2
-    assert blocked_peak < 8 * block_bytes
-
-
-def test_prophet_cost_cap_raises_before_any_cdf(monkeypatch):
-    # 1400 boxes over 1400 unit intervals: 1400 * 1400 * 701 CDF entries
+def test_walk_cap_raises_before_the_table(monkeypatch):
+    # 1400 boxes over 1401 breakpoints: the 1400 x 2801 table fits SIZE_CAP,
+    # but its walk takes 1400 * 1401 / 2 * 2801 multiply-adds
     inst = Instance(tuple(ValueDist.uniform(float(i), i + 1.0) for i in range(1400)))
-    monkeypatch.setattr(ValueDist, "cdf", lambda self, x: pytest.fail("a CDF was evaluated"))
-    with pytest.raises(ValueError, match="1373960000 CDF entries exceed the cap"):
+    monkeypatch.setattr(ValueDist, "mass_at", lambda self, x: pytest.fail("the table was built"))
+    with pytest.raises(ValueError, match="1400 x 2801 stratum table takes 2746940700 multiply-adds"):
         inst.prophet_expectation()
-    evaluation.check_strata(inst)  # the stratum table alone would fit
+    with pytest.raises(ValueError, match="2746940700 multiply-adds"):
+        distributions.check_strata(inst)
+    # 30 boxes fit the real cap: a 30 x 61 table, 28,365 multiply-adds
+    small = Instance(tuple(ValueDist.uniform(float(i), i + 1.0) for i in range(30)))
+    distributions.check_strata(small)
+    monkeypatch.setattr(distributions, "WALK_CAP", 28_364)
+    with pytest.raises(ValueError, match="30 x 61 stratum table takes 28365 multiply-adds"):
+        small.prophet_expectation()
 
 
 def test_empty_instance_rejected():

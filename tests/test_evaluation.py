@@ -19,6 +19,7 @@ from prophet_samples import (
     case1_instance,
     case2_instance,
     default_case2_boxes,
+    distributions,
     dominance_check,
     evaluation,
     exact_ordinal_value,
@@ -253,7 +254,7 @@ def test_cut_stratum_table_cap_raises_before_allocating(monkeypatch, tmp_path, c
 
     inst = Instance(tuple(ValueDist.uniform(float(i), i + 1.0) for i in range(300)))
     grid = [x / 2.0 for x in range(1, 601)]
-    monkeypatch.setattr(evaluation, "SIZE_CAP", 200_000)
+    monkeypatch.setattr(distributions, "SIZE_CAP", 200_000)
     evaluation._level_structure(inst)
     tracemalloc.start()
     try:
@@ -486,7 +487,7 @@ def _mc_golden_instances():
         ("a", MaxSample(), 1, 150_000,
          "0x1.7e6e0bbdeaf95p-1", "0x1.12dd53afb119ep-8", "0x1.fde80fa7e3f71p-2"),
         ("ties", MaxSample(), 1, 150_000,
-         "0x1.e50e1e1789d11p-1", "0x1.41c947bacae8dp-8", "0x1.0efb03f08beb7p-1"),
+         "0x1.e50e1e1789d11p-1", "0x1.41c947bacae8dp-8", "0x1.0efb03f08beb8p-1"),
     ],
     ids=["heavy-rank1", "heavy-rank36", "heavy-rank300", "free-rank36", "a-max", "ties-max"],
 )

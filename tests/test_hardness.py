@@ -882,10 +882,24 @@ def test_policy_table_validation():
         QPolicy(k=2, table=np.full((16, 9), 1.5))
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         QPolicy(k=2, table=np.full((16, 9), np.nan))
-    # a count is an integer: 2.5 and True fail whatever table comes with them
-    for k in (0, 2.5, True):
+    # a count is an integer in [1, 10^4]: 2.5, True and 20000 fail whatever
+    # table comes with them, and random checks k before it draws (its block
+    # at k = 10^8 would take about 99 GB)
+
+    class NoDraws:
+        def random(self, *args, **kwargs):
+            pytest.fail("a table was drawn")
+
+    for k in (0, 2.5, True, 20_000, 10**8):
         with pytest.raises(ValueError, match="k must be an integer"):
             QPolicy(k=k, table=np.zeros((16, 5)))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            QPolicy.random(k, NoDraws())
+    # constant is shown only where a missing check would allocate little
+    for k in (0, 2.5, True, 20_000):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            QPolicy.constant(k, 0.5)
+    assert QPolicy.constant(10_000, 0.5).table.shape == (16, 40_001)
 
 
 def test_policy_table_is_one_read_only_array_over_stops():

@@ -1,6 +1,7 @@
 import gc
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,22 @@ def test_tv_identical_and_disjoint():
     a = binom(3, 0.4)
     assert tv_distance(a, a) == 0.0
     assert tv_distance(CountDist(0, [1.0]), CountDist(5, [1.0])) == 1.0
+
+
+def test_tv_of_disjoint_supports_allocates_nothing_over_the_gap():
+    a, b = CountDist(0, [0.25, 0.75]), CountDist(10**6, [0.5, 0.5])
+    tracemalloc.start()
+    try:
+        got = [tv_distance(a, b), tv_distance(b, a)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == [1.0, 1.0]
+    assert peak < 1e6
+    # half the total mass, which may be off 1 by up to 1e-10
+    c = CountDist(10**9, [0.5, 0.5 - 1e-11])
+    assert tv_distance(a, c) == 0.5 * (1.0 + (0.5 + (0.5 - 1e-11)))
+    assert tv_distance(CountDist(3, [1.0]), CountDist(4, [1.0])) == 1.0
 
 
 def test_tv_bernoulli_pair():
