@@ -87,30 +87,11 @@ class ValueDist:
 
     # -- structure ---------------------------------------------------------
 
-    def atoms(self) -> dict[float, float]:
-        """Atom value -> mass (zero-width segments only)."""
-        out: dict[float, float] = {}
-        for w, lo, hi in self.segments:
-            if lo == hi:
-                out[lo] = out.get(lo, 0.0) + w
-        return out
-
     def breakpoints(self) -> list[float]:
         pts = {lo for _, lo, _ in self.segments} | {hi for _, _, hi in self.segments}
         return sorted(pts)
 
     # -- exact functionals ---------------------------------------------------
-
-    def cdf(self, x):
-        """Right-continuous CDF; accepts scalars or arrays."""
-        arr = np.asarray(x, dtype=float)
-        out = np.zeros_like(arr)
-        for w, lo, hi in self.segments:
-            if lo == hi:
-                out += w * (arr >= lo)
-            else:
-                out += w * np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
 
     def mass_at(self, x):
         """Atom mass exactly at x (0 for interior of intervals)."""
@@ -119,19 +100,6 @@ class ValueDist:
         for w, lo, hi in self.segments:
             if lo == hi:
                 out += w * (arr == lo)
-        return float(out) if out.ndim == 0 else out
-
-    def tail_expectation(self, t):
-        """E[v * 1{v > t}], exact closed form per segment."""
-        arr = np.asarray(t, dtype=float)
-        out = np.zeros_like(arr)
-        for w, lo, hi in self.segments:
-            if lo == hi:
-                out += w * lo * (arr < lo)
-            else:
-                cut = np.clip(arr, lo, hi)
-                # factored so a segment far from 0 does not cancel at spike scale
-                out += (w / (2.0 * (hi - lo))) * (hi - cut) * (hi + cut)
         return float(out) if out.ndim == 0 else out
 
     def mean(self) -> float:

@@ -22,6 +22,7 @@ from scipy.special import gammaln
 from .algorithms import (
     _SANDWICH_TOL,
     ThresholdRule,
+    _stratum_walk,
     beta_moments,
     effective_rank,
     walk_reach,
@@ -437,35 +438,11 @@ def _fold(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _stratum_values(probs: np.ndarray, firsts: np.ndarray, j: int, lo: float, hi: float, c, r) -> np.ndarray:
-    """Expected walk value when the threshold is the r-th highest of the c
-    samples in stratum j = [lo, hi] of the table (probs, firsts)
-    (_level_structure), per pair of the integer arrays c and r.
-
-    The threshold t = lo + (hi - lo) s has s ~ Beta(c + 1 - r, r): its
-    position on an interval, its latent rank among c tied samples on an atom
-    (lo = hi). Box i stays past t with chance below + inside s and pays
-    up + inside (1 - s)(lo + (hi - lo)(1 + s)/2), with below and inside its
-    masses under and in the stratum and up its first moment above it; on an
-    atom these are the tie law's. The walk value, of degree n + 1 in s, is
-    expanded in s or, where the threshold lies nearer the top, in 1 - s, so
-    that neither end cancels, and Beta moments integrate it. Against exact
-    rationals over the instance's floats (35,070 cases: 2- to 4-box mixtures
-    with tied atoms and 1e6-scale segments, c up to 3000), the worst value
-    was 6.9e-16 relative off.
-    """
+    """_stratum_walk on stratum j = [lo, hi] of the table (probs, firsts)
+    (_level_structure): each box's mass in it, its mass below it and its
+    first moment above it, per pair of the integer arrays c and r."""
     inside, below, up = probs[:, j], probs[:, j + 1 :].sum(axis=1), firsts[:, :j].sum(axis=1)
-    curve = inside * ((hi - lo) / 2.0)
-    top = 2 * r <= c + 1
-    tops = np.unique(top)
-    polys = []
-    for from_top in tops:
-        if from_top:
-            stays, pays = (below + inside, -inside), (up, inside * hi, -curve)
-        else:
-            stays, pays = (below, inside), (up + firsts[:, j], -inside * lo, -curve)
-        polys.append(walk_value(np.column_stack(stays), np.column_stack(pays), len(probs) + 2))
-    moments = beta_moments(np.where(top, r, c + 1 - r), np.where(top, c + 1 - r, r), len(probs) + 1)
-    return np.vecdot(moments, np.array(polys)[np.searchsorted(tops, top)])
+    return _stratum_walk(inside, below, up, lo, hi, c, r)
 
 
 def _stratum_counts(
@@ -532,7 +509,7 @@ def exact_ordinal_value(inst: Instance, k: int, rank: int) -> tuple[float, float
     mpmath), same windows and fold, two-box atom instances moved by 1.1e-12
     relative at k = 1000 and 9.4e-12 at k = 10_000, while err read 5.8e-17
     to 6.3e-16. Raises ValueError before allocating a count window of more
-    than stats.SIZE_CAP entries.
+    than distributions.SIZE_CAP entries.
     """
     values, err = _exact_ordinal_values(inst, _level_structure(inst), k, [rank])
     return float(values[0]), err
@@ -571,7 +548,7 @@ def _exact_tails(inst: Instance, rank: int, k: int, grid: Sequence[float]) -> tu
     on random mixtures at k = 50 to 400. So a small tail can be off by much
     more than 1e-12 relative (1.9e-11 on a mass of 3.4e-8 at k = 3). Raises
     ValueError before allocating a stratum table or a count window of more
-    than stats.SIZE_CAP entries.
+    than distributions.SIZE_CAP entries.
     """
     xs = np.asarray(grid, dtype=float)
     los, _, probs, _ = _level_structure(inst, xs)
@@ -612,8 +589,8 @@ def dominance_check(
     instance, column sums of one stratum table cut at the grid. Against
     exact rationals on 300 random atomless mixtures at k = 1, the worst
     ratio was 8.9e-16 relative off. Raises ValueError before allocating a
-    cut table or count window of more than stats.SIZE_CAP entries. mode must
-    be "exact", the only mode.
+    cut table or count window of more than distributions.SIZE_CAP entries.
+    mode must be "exact", the only mode.
     """
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}; the only mode is 'exact'")
@@ -758,10 +735,9 @@ def _sandwich_probes(rows: int, rng: np.random.Generator) -> tuple[np.ndarray, n
 def _sandwich_terms(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """F(t) = prod_i cdf_i(t) and g(t) = sum_i (1 - cdf_i(t)) of each probe.
 
-    Each box's CDF adds its segments' terms left to right as ValueDist.cdf
-    does, and F multiplies the boxes in order as threshold_diagnostics does,
-    so F has its bits; g is a plain left-to-right sum, within one rounding
-    of threshold_diagnostics' fsum.
+    Each box's CDF adds its segments' terms left to right, and F multiplies
+    the boxes in order, as the scalar CDF oracle in tests/conftest.py does,
+    so F has its bits; g is a plain left-to-right sum.
     """
     tt = t[:, None, None]
     interval = hi > lo

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, ndtr
 
 from prophet_samples import HardParams, Instance, ProbVector, QPolicy, ValueDist
+from prophet_samples.algorithms import beta_moments, walk_value
 from prophet_samples.hardness import ANCHOR, PREFIXES, STOPS, T1, XI
 from prophet_samples.stats import _WINDOW_TAIL, _trim, binom_pmf_rows
 
@@ -74,6 +75,78 @@ def random_discrete_instance(
             return inst
 
 
+# -- scalar oracles: each box read segment by segment, not from the stratum table
+
+
+def atoms(dist: ValueDist) -> dict[float, float]:
+    """Atom value -> mass (zero-width segments only)."""
+    out: dict[float, float] = {}
+    for w, lo, hi in dist.segments:
+        if lo == hi:
+            out[lo] = out.get(lo, 0.0) + w
+    return out
+
+
+def cdf(dist: ValueDist, x):
+    """Right-continuous CDF; accepts scalars or arrays."""
+    arr = np.asarray(x, dtype=float)
+    out = np.zeros_like(arr)
+    for w, lo, hi in dist.segments:
+        if lo == hi:
+            out += w * (arr >= lo)
+        else:
+            out += w * np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def tail_expectation(dist: ValueDist, t):
+    """E[v * 1{v > t}], exact closed form per segment."""
+    arr = np.asarray(t, dtype=float)
+    out = np.zeros_like(arr)
+    for w, lo, hi in dist.segments:
+        if lo == hi:
+            out += w * lo * (arr < lo)
+        else:
+            cut = np.clip(arr, lo, hi)
+            # factored so a segment far from 0 does not cancel at spike scale
+            out += (w / (2.0 * (hi - lo))) * (hi - cut) * (hi + cut)
+    return float(out) if out.ndim == 0 else out
+
+
+def walk_terms(inst: Instance, t: float):
+    """Per box, Pr[the walk stays past it] at threshold t as a polynomial in
+    the threshold's latent rank quantile u: Pr[v < t] + Pr[v = t] * u."""
+    for box in inst.boxes:
+        mass = box.mass_at(t)
+        yield np.array([cdf(box, t) - mass, mass])
+
+
+def walk_polynomial(inst: Instance, t: float) -> np.ndarray:
+    """Walk value at threshold t as a polynomial in u, of degree at most n.
+
+    A box pays its strict tail, plus t * mass * (1 - u) when its value ties
+    the threshold and its own fresh rank beats u.
+    """
+    stays = list(walk_terms(inst, t))
+    pays = [np.array([tail_expectation(box, t) + t * m, -t * m]) for box, (_, m) in zip(inst.boxes, stays)]
+    return walk_value(stays, pays, inst.n + 1)
+
+
+def scalar_threshold_value(inst: Instance, t: float, alpha: int = 1, beta: int = 1) -> float:
+    """threshold_value_with_rank_law from the scalar box functions above."""
+    return float(np.dot(beta_moments(alpha, beta, inst.n), walk_polynomial(inst, t)))
+
+
+def scalar_diagnostics(inst: Instance, t: float) -> tuple[float, float]:
+    """(F(t), g(t)) of threshold_diagnostics from the scalar CDFs: F the
+    product of the box CDFs in order, g the fsum of their complements."""
+    per_box = [cdf(box, t) for box in inst.boxes]
+    f = 1.0
+    for c in per_box:
+        f *= c
+    return f, math.fsum(1.0 - c for c in per_box)
+
+
 def poly_times_linear(poly: np.ndarray, a, b) -> np.ndarray:
     """Coefficients of poly(u) * (a + b * u), one degree up, lowest first,
     each a sum of at most two products; batched along trailing axes."""
@@ -94,13 +167,13 @@ def fixed_size_walk_terms(inst: Instance, ts):
         reach = np.ones((1,) + ts.shape)
         for box in inst.boxes:
             yield reach, 0.0
-            reach = reach * box.cdf(ts)
+            reach = reach * cdf(box, ts)
         return
     reach = np.zeros((inst.n + 1,) + ts.shape)
     reach[0] = 1.0
     for box, mass in zip(inst.boxes, masses):
         yield reach, mass
-        reach = poly_times_linear(reach, box.cdf(ts) - mass, mass)[:-1]
+        reach = poly_times_linear(reach, cdf(box, ts) - mass, mass)[:-1]
 
 
 def fixed_size_walk_value(inst: Instance, ts) -> np.ndarray:
@@ -108,7 +181,7 @@ def fixed_size_walk_value(inst: Instance, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     acc = 0.0
     for box, (reach, mass) in zip(inst.boxes, fixed_size_walk_terms(inst, ts)):
-        tail = box.tail_expectation(ts)
+        tail = tail_expectation(box, ts)
         if len(reach) == 1:
             acc = acc + reach * tail
         else:
@@ -121,7 +194,7 @@ def fixed_size_selected_law(inst: Instance, t: float, moments: np.ndarray) -> di
     dist: dict[float, float] = {}
     for i, (box, (reach, _)) in enumerate(zip(inst.boxes, fixed_size_walk_terms(inst, t))):
         reach = reach[: i + 1]
-        for v, p in box.atoms().items():
+        for v, p in atoms(box).items():
             if v > t:
                 sel = reach * p
             elif v == t:
@@ -164,7 +237,7 @@ def prophet_tail(inst: Instance, xs) -> np.ndarray:
     """Reference Pr[max_i v_i >= x] at each x: 1 - prod_i (cdf_i(x) - mass_i(x)),
     the left limits of the box CDFs."""
     xs = np.asarray(xs, dtype=float)
-    return 1.0 - math.prod(box.cdf(xs) - box.mass_at(xs) for box in inst.boxes)
+    return 1.0 - math.prod(cdf(box, xs) - box.mass_at(xs) for box in inst.boxes)
 
 
 def scalar_level_structure(inst: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -216,6 +289,22 @@ def random_mixture_instance(rng: np.random.Generator) -> Instance:
                 lo = float(rng.uniform(0.0, 2.0))
                 width = float(rng.uniform(0.5, 2.5))
                 parts.append((float(w), lo, lo + width))
+        boxes.append(ValueDist(tuple(parts)))
+    return Instance(tuple(boxes))
+
+
+def shared_atom_mixture(rng) -> Instance:
+    """1 to 4 boxes of atoms and intervals whose ends come from one small pool,
+    so that several boxes tie at a threshold."""
+    pool = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
+    boxes = []
+    for _ in range(int(rng.integers(1, 5))):
+        weights = rng.random(int(rng.integers(1, 4))) + 0.1
+        parts = []
+        for w in weights / weights.sum():
+            lo = float(rng.choice(pool))
+            hi = lo if rng.random() < 0.6 else lo + float(rng.choice((0.5, 1.0, 2.5)))
+            parts.append((float(w), lo, hi))
         boxes.append(ValueDist(tuple(parts)))
     return Instance(tuple(boxes))
 

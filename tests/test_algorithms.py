@@ -17,13 +17,11 @@ from prophet_samples import (
     threshold_value_with_rank_law,
 )
 from prophet_samples.algorithms import (
-    _walk_value,
     beta_moments,
     rule_from_config,
     rule_to_config,
     static_threshold_values,
     walk_reach,
-    walk_terms,
 )
 from prophet_samples.evaluation import (
     _level_structure,
@@ -39,6 +37,9 @@ from conftest import (
     prophet_tail,
     random_discrete_instance,
     random_mixture_instance,
+    shared_atom_mixture,
+    walk_polynomial,
+    walk_terms,
 )
 
 
@@ -167,34 +168,22 @@ def test_vectorized_matches_scalar_on_atoms(instance_a):
         assert vec.tolist() == [threshold_value_with_rank_law(inst, t) for t in ts]
 
 
-def _shared_atom_mixture(rng) -> Instance:
-    """1 to 4 boxes of atoms and intervals whose ends come from one small pool,
-    so that several boxes tie at a threshold."""
-    pool = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0)
-    boxes = []
-    for _ in range(int(rng.integers(1, 5))):
-        weights = rng.random(int(rng.integers(1, 4))) + 0.1
-        parts = []
-        for w in weights / weights.sum():
-            lo = float(rng.choice(pool))
-            hi = lo if rng.random() < 0.6 else lo + float(rng.choice((0.5, 1.0, 2.5)))
-            parts.append((float(w), lo, hi))
-        boxes.append(ValueDist(tuple(parts)))
-    return Instance(tuple(boxes))
-
-
 def _same_bits(got, want) -> bool:
     return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
 
 
 def test_walk_kernel_bits_match_fixed_size_oracles():
-    # the one walk kernel against the fixed-size, batched walk it replaced:
-    # reach and value polynomials and values under rank laws must agree byte
-    # for byte; the selected-value law's tails to rounding
+    # the one walk kernel, fed the scalar oracle's stays and pays, against the
+    # fixed-size, batched walk it replaced: reach and value polynomials must
+    # agree byte for byte. threshold_value_with_rank_law reads each box from
+    # the stratum table cut at t, whose columns sum the segments in another
+    # order, so its values under rank laws match the oracle's within 2e-15
+    # relative (measured at most 1.6e-15 on these 8,164 cases, 64% of them
+    # bit-identical); the selected-value law's tails to rounding
     rng = np.random.default_rng(20261019)
     checked_ties = 0
     for it in range(150):
-        inst = (random_mixture_instance, _shared_atom_mixture, random_discrete_instance)[it % 3](rng)
+        inst = (random_mixture_instance, shared_atom_mixture, random_discrete_instance)[it % 3](rng)
         los, his, _, _ = _level_structure(inst)
         ts = sorted({*inst.breakpoints(), *(0.5 * (lo + hi) for lo, hi in zip(los, his)), -0.5, 7.0})
         fresh = []  # the oracle's values under a fresh latent rank
@@ -205,13 +194,15 @@ def test_walk_kernel_bits_match_fixed_size_oracles():
                 assert len(reach) == i + 1
                 assert _same_bits(reach[: len(want)], want[: i + 1]), (inst, t, i)
                 assert not reach[len(want) :].any() and not want[i + 1 :].any()
-            poly, want = _walk_value(inst, t), fixed_size_walk_value(inst, t)
+            poly, want = walk_polynomial(inst, t), fixed_size_walk_value(inst, t)
             assert _same_bits(poly[: len(want)], want) and not poly[len(want) :].any(), (inst, t)
-            for a, b in ((1, 1), (3, 2), (7, 5), (40, 3)):
+            for a, b in ((3, 2), (7, 5), (40, 3)):
                 value = np.vecdot(beta_moments(a, b, inst.n)[: len(want)], want)
-                assert _same_bits(threshold_value_with_rank_law(inst, t, a, b), value), (inst, t)
+                got = threshold_value_with_rank_law(inst, t, a, b)
+                assert got == pytest.approx(value, rel=2e-15, abs=0.0), (inst, t, a, b)
             fresh.append(np.vecdot(beta_moments(1, 1, inst.n)[: len(want)], want))
-        assert _same_bits(static_threshold_values(inst, np.array(ts)), fresh)
+        # the rank law (1, 1), through the vectorized entry point
+        assert static_threshold_values(inst, np.array(ts)) == pytest.approx(fresh, rel=2e-15, abs=0.0)
     assert checked_ties > 150
 
 
@@ -255,7 +246,7 @@ def test_rank_law_arrays_reject_nonpositive(alpha, beta):
 
 def test_rank_law_arrays_match_scalar_calls(instance_a):
     # the stratum valuation's array rank laws on the atom at 2.0 against the
-    # scalar tie-law walk, to rounding: the two sum the box terms differently
+    # fixed-threshold walk, which reads the same columns of the same table
     counts = np.array([1, 2, 5, 40, 3000])
     ranks = np.array([1, 2, 3, 17, 2999])
     los, his, probs, firsts = _level_structure(instance_a)
@@ -263,12 +254,48 @@ def test_rank_law_arrays_match_scalar_calls(instance_a):
     on_atom = _stratum_values(probs, firsts, 0, 2.0, 2.0, counts, ranks)
     assert on_atom.shape == (5,)
     for c, r, v in zip(counts, ranks, on_atom):
-        assert threshold_value_with_rank_law(instance_a, 2.0, int(c + 1 - r), int(r)) == pytest.approx(v, rel=1e-15)
+        assert threshold_value_with_rank_law(instance_a, 2.0, int(c + 1 - r), int(r)) == v
     assert len(set(on_atom.tolist())) > 1
     fixed = static_threshold_values(instance_a, np.array([1.5]))[0]
     for c, r in zip(counts, ranks):
         assert threshold_value_with_rank_law(instance_a, 1.5, int(c + 1 - r), int(r)) == fixed
     assert isinstance(threshold_value_with_rank_law(instance_a, 2.0, 3, 2), float)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.5, 1), (True, 1), (1, 2.0), (1, np.True_), (np.float64(3.0), 2)])
+def test_rank_law_parameters_must_be_integers(instance_a, alpha, beta):
+    # a float or a bool is not an integer, whatever its value
+    with pytest.raises(ValueError, match="must be positive integers"):
+        beta_moments(alpha, beta, 3)
+    with pytest.raises(ValueError, match="must be positive integers"):
+        threshold_value_with_rank_law(instance_a, 1.0, alpha, beta)
+
+
+@pytest.mark.parametrize("alpha", [np.array([1.0, 2.0]), np.array([True, True]), np.array([1, 2], dtype=object)])
+def test_rank_law_arrays_must_have_an_integer_dtype(alpha):
+    with pytest.raises(ValueError, match="must be positive integers"):
+        beta_moments(alpha, 1, 3)
+
+
+def test_rank_law_accepts_numpy_integers(instance_a):
+    # 100 + 200 wraps in uint8; the rank law is c = 299 tied samples
+    want = threshold_value_with_rank_law(instance_a, 1.0, 100, 200)
+    assert threshold_value_with_rank_law(instance_a, 1.0, np.uint8(100), np.uint8(200)) == want
+    want = threshold_value_with_rank_law(instance_a, 1.0, 3, 2)
+    assert threshold_value_with_rank_law(instance_a, 1.0, np.int64(3), np.int32(2)) == want
+    rows = beta_moments(np.array([3, 200], dtype=np.uint8), np.uint8(100), 3)
+    assert np.array_equal(rows, beta_moments(np.array([3, 200]), 100, 3))
+    assert np.array_equal(rows[0], beta_moments(3, 100, 3))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_thresholds_raise(instance_a, t):
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        threshold_value_with_rank_law(instance_a, t)
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        static_threshold_values(instance_a, np.array([1.5, t]))
+    with pytest.raises(ValueError, match="threshold must be finite"):
+        threshold_diagnostics(instance_a, t)
 
 
 def test_dominance_floor_on_random_instances(rng):
@@ -302,6 +329,20 @@ def test_threshold_diagnostics_extremes(instance_a):
     bot = threshold_diagnostics(instance_a, -1.0)
     assert bot.f_of_t == 0.0
     assert bot.g >= 1.0
+
+
+@pytest.mark.parametrize("excess", [0.9e-12, -0.9e-12])
+def test_threshold_diagnostics_when_weights_miss_1_by_the_tolerance(excess):
+    # three boxes whose weights sum to 1 + excess: each box's two parts are
+    # read from its columns over their total, so they add up to 1 and the
+    # sandwich holds at every threshold, above the supports too
+    box = ValueDist(((0.5, 0.0, 1.0), (0.5 + excess, 1.0, 2.0)))
+    inst = Instance((box,) * 3)
+    for t in (-1.0, 0.5, 1.0, 1.5, 5.0):
+        d = threshold_diagnostics(inst, t)
+        assert 1.0 - d.g <= d.f_of_t + 1e-15 and d.f_of_t <= math.exp(-d.g) + 1e-15
+    assert (d.f_of_t, d.g) == (1.0, 0.0)
+    assert threshold_diagnostics(inst, 0.5).f_of_t == pytest.approx(0.25**3, rel=1e-11)
 
 
 def test_diagnostics_reject_inconsistent_fields():

@@ -55,12 +55,16 @@ from prophet_samples.evaluation import (
 from prophet_samples.stats import SIZE_CAP
 
 from conftest import (
+    atoms,
+    cdf,
     probe_instances,
     prophet_tail,
     random_discrete_instance,
     random_mixture_instance,
+    scalar_diagnostics,
     scalar_level_structure,
     set_up_oracle_instances,
+    shared_atom_mixture,
 )
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -823,6 +827,26 @@ def test_stratum_values_match_exact_rationals():
     assert atoms > 40 and worst > 0.0
 
 
+def test_threshold_value_matches_exact_rationals():
+    # the fixed-threshold walk, read from the stratum table cut at t, on
+    # mixtures whose atoms tie across boxes, at every breakpoint and midpoint
+    # and under four rank laws: within 1e-15 relative of exact rationals
+    # (measured at most 4.3e-16 on these 3,720 cases; the per-segment walk it
+    # replaced, which formed Pr[v < t] as cdf - mass, was 1.7e-15 off)
+    rng = np.random.default_rng(20261022)
+    insts = [shared_atom_mixture(rng) for _ in range(60)] + [random_discrete_instance(rng) for _ in range(60)]
+    ties = 0
+    for inst in insts:
+        points = inst.breakpoints()
+        for t in sorted({*points, *(0.5 * (a + b) for a, b in zip(points, points[1:]))}):
+            ties += sum(box.mass_at(t) > 0.0 for box in inst.boxes) > 1
+            for alpha, beta in ((1, 1), (3, 2), (7, 5), (40, 3)):
+                want = exact_stratum_value(inst, t, t, alpha + beta - 1, beta)
+                got = threshold_value_with_rank_law(inst, t, alpha, beta)
+                assert abs(Fraction(got) - want) <= Fraction(1, 10**15) * want, (inst, t, alpha, beta, got, float(want))
+    assert ties > 100
+
+
 def test_exact_ordinal_value_within_the_semi_exact_ci():
     rng = np.random.default_rng(20261019)
     drawn = []
@@ -1047,14 +1071,14 @@ def per_pool_selected_distribution(inst, rule, k):
     import itertools
 
     rank = effective_rank(rule)
-    supports = [sorted(box.atoms().items()) for box in inst.boxes]
+    supports = [sorted(atoms(box).items()) for box in inst.boxes]
     dist = {}
 
     def accumulate(t, alpha, beta, weight):
         moments = beta_moments(alpha, beta, inst.n + 1)
         reach = np.ones(1)  # Pr[the walk reaches the box], a polynomial in the threshold's rank
         for box in inst.boxes:
-            for v, p in box.atoms().items():
+            for v, p in atoms(box).items():
                 if v > t:
                     sel = reach * p
                 elif v == t:
@@ -1063,7 +1087,7 @@ def per_pool_selected_distribution(inst, rule, k):
                     continue
                 dist[v] = dist.get(v, 0.0) + weight * float(np.dot(sel, moments[: len(sel)]))
             mass = box.mass_at(t)
-            reach = np.convolve(reach, [box.cdf(t) - mass, mass])
+            reach = np.convolve(reach, [cdf(box, t) - mass, mass])
 
     slots = [s for s in supports for _ in range(k)]
     for combo in itertools.product(*slots):
@@ -1083,16 +1107,16 @@ def test_grouped_laws_match_per_pool_walk(rng):
     checked = 0
     for _ in range(20):
         inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
-        pools = math.prod(len(box.atoms()) for box in inst.boxes)
+        pools = math.prod(len(atoms(box)) for box in inst.boxes)
         for k in (1, 2, 3):
             if pools**k > 750:  # the oracle walks every pool once per rank
                 continue
             for rule in (MaxSample(), *(OrdinalRank(r) for r in range(2, inst.n * k + 1))):
                 # a law's masses are the differences of its consecutive tails,
                 # so the tails at every atom pin the whole law
-                atoms = inst.breakpoints()
-                got = _exact_tails(inst, effective_rank(rule), k, atoms)[0]
-                want = law_tails(per_pool_selected_distribution(inst, rule, k), atoms)
+                points = inst.breakpoints()
+                got = _exact_tails(inst, effective_rank(rule), k, points)[0]
+                want = law_tails(per_pool_selected_distribution(inst, rule, k), points)
                 # at k = 3 two count laws that spread along both axes fold
                 # through the FFT, whose rounding is absolute: measured 6.3e-19
                 # on a mass of 3.4e-8, 1.9e-11 relative
@@ -1114,7 +1138,7 @@ def quad_selected_distribution_oracle(inst, k):
 
     from scipy.integrate import quad
 
-    supports = [sorted(b.atoms().items()) for b in inst.boxes]
+    supports = [sorted(atoms(b).items()) for b in inst.boxes]
     slots = [s for s in supports for _ in range(k)]
     dist = {}
     for combo in itertools.product(*slots):
@@ -1131,7 +1155,7 @@ def quad_selected_distribution_oracle(inst, k):
                 dens = norm * u ** (mult - 1)
                 alive = 1.0
                 for box in inst.boxes[:i]:
-                    alive *= box.cdf(t) - box.mass_at(t) + box.mass_at(t) * u
+                    alive *= cdf(box, t) - box.mass_at(t) + box.mass_at(t) * u
                 sel = 1.0 if w > t else (1.0 - u)
                 return dens * alive * sel
 
@@ -1139,7 +1163,7 @@ def quad_selected_distribution_oracle(inst, k):
             return val
 
         for i, box in enumerate(inst.boxes):
-            for w, p in box.atoms().items():
+            for w, p in atoms(box).items():
                 if w < t:
                     continue
                 dist[w] = dist.get(w, 0.0) + prob * p * weight(i, w)
@@ -1149,9 +1173,9 @@ def quad_selected_distribution_oracle(inst, k):
 def test_selected_distribution_matches_quadrature_oracle(rng):
     for _ in range(6):
         inst = random_discrete_instance(rng, max_boxes=3, max_support=3)
-        atoms = inst.breakpoints()
-        got = _exact_tails(inst, 1, 1, atoms)[0]
-        want = law_tails(quad_selected_distribution_oracle(inst, 1), atoms)
+        points = inst.breakpoints()
+        got = _exact_tails(inst, 1, 1, points)[0]
+        want = law_tails(quad_selected_distribution_oracle(inst, 1), points)
         assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -1277,11 +1301,11 @@ def quad_max_sample_tails(inst, xs):
     breaks = inst.breakpoints()
     intervals = []
     for a, b in zip(breaks, breaks[1:]):
-        base = [box.cdf(a) for box in inst.boxes]
-        slopes = [(box.cdf(b) - box.mass_at(b) - f) / (b - a) for box, f in zip(inst.boxes, base)]
+        base = [cdf(box, a) for box in inst.boxes]
+        slopes = [(cdf(box, b) - box.mass_at(b) - f) / (b - a) for box, f in zip(inst.boxes, base)]
         if any(slopes):
             intervals.append((a, b, base, slopes))
-    atoms = [(t, [box.cdf(t) - box.mass_at(t) for box in inst.boxes], [box.mass_at(t) for box in inst.boxes])
+    ties = [(t, [cdf(box, t) - box.mass_at(t) for box in inst.boxes], [box.mass_at(t) for box in inst.boxes])
              for t in breaks]
 
     def density(slopes, stays):
@@ -1289,7 +1313,7 @@ def quad_max_sample_tails(inst, xs):
 
     out = []
     for x in xs:
-        beats = [1.0 - (box.cdf(x) - box.mass_at(x)) for box in inst.boxes]
+        beats = [1.0 - (cdf(box, x) - box.mass_at(x)) for box in inst.boxes]
 
         def tail(t, stays):
             # a reached box pays Pr[v >= x] while t < x, and accepts once t >= x
@@ -1306,7 +1330,7 @@ def quad_max_sample_tails(inst, xs):
                 return density(slopes, stays) * tail(t, stays)
 
             total += quad(on_interval, a, b, points=[x] if a < x < b else None, epsabs=1e-14, epsrel=1e-13)[0]
-        for t, left, masses in atoms:
+        for t, left, masses in ties:
             if any(masses):
                 def on_atom(u, t=t, left=left, masses=masses):
                     stays = [f + m * u for f, m in zip(left, masses)]
@@ -1557,12 +1581,16 @@ def test_sandwich_probes_match_threshold_diagnostics():
             assert 1 <= len(box.segments) <= 3
             # the arrays keep ValueDist's segment order, absent segments last
             assert box.segments == tuple(zip(bw, blo, bhi))[: len(box.segments)]
+        # the array terms have the scalar CDF oracle's F bit for bit; the
+        # stratum-table diagnostics are within 1e-15 absolute of both of the
+        # oracle's terms (measured 8.9e-16 on F and on g)
+        want_f, want_g = scalar_diagnostics(inst, ti)
+        assert want_f == fi and abs(want_g - gi) <= 1e-15
         diag = threshold_diagnostics(inst, ti)
-        assert diag.f_of_t == fi
-        assert abs(diag.g - gi) <= 1e-15
+        assert abs(diag.f_of_t - want_f) <= 1e-15 and abs(diag.g - want_g) <= 1e-15
         breaks = inst.breakpoints()
         on_break += ti in breaks
-        on_atom += any(ti in box.atoms() for box in inst.boxes)
+        on_atom += any(ti in atoms(box) for box in inst.boxes)
         outside += not breaks[0] <= ti <= breaks[-1]
         worst = max(worst, (1.0 - diag.g) - diag.f_of_t, diag.f_of_t - math.exp(-diag.g))
     assert 0.15 <= on_break / probes <= 0.25

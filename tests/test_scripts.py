@@ -2,8 +2,11 @@
 and the artifact regeneration byte for byte."""
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,3 +128,29 @@ def test_readme_library_example_prints_what_its_comments_say(capsys):
     assert f"{float(semi):.5f}" == "0.41423"
     value, err = ast.literal_eval(exact)
     assert value > 0.0 and 0.0 <= err <= 1e-12 * value
+
+
+def _resolves(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_readme_library_tour_names_resolve():
+    # every backticked `name(` of a prophet_samples.* tour row is an attribute
+    # of the row's module or of a class defined in it
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    checked = 0
+    for line in readme:
+        row = re.fullmatch(r"\| `(prophet_samples\.\w+)` \| (.*) \|", line)
+        if not row:
+            continue
+        module = importlib.import_module(row[1])
+        classes = [obj for obj in vars(module).values() if inspect.isclass(obj) and obj.__module__ == module.__name__]
+        for span in re.findall(r"`([^`]*)`", row[2]):
+            for name in re.findall(r"([A-Za-z_][\w.]*)\(", span):
+                assert any(_resolves(owner, name) for owner in (module, *classes)), (row[1], name)
+                checked += 1
+    assert checked > 40
