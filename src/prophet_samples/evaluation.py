@@ -17,7 +17,6 @@ from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .algorithms import (
     _SANDWICH_TOL,
@@ -48,6 +47,11 @@ MC_POOL_CAP = 1 << 21
 # Largest worker count a chunk map accepts. Worker pools outlive the call, so
 # the count is bounded before any pool exists.
 MAX_THREADS = 64
+# Largest chunk count a chunk map accepts. Executor.map makes a Future per
+# chunk, about 2 KB each, before any chunk runs, so the count is bounded
+# before any pool or Future exists; 1e6 replications of eval_instance_a
+# take 16 chunks.
+MAX_CHUNKS = 1 << 14
 _DOM_TOL = 1e-9
 # Largest error bound the exact sweep accepts, relative to the value.
 _SWEEP_REL_ERR = 1e-12
@@ -101,6 +105,17 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=threads, thread_name_prefix=f"prophet-samples-{threads}")
 
 
+def _chunk_count(reps: int, chunk: int) -> int:
+    """Chunks of `chunk` rows that `reps` rows take; ValueError unless 1 <= reps
+    and the count is at most MAX_CHUNKS."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    chunks = (reps + chunk - 1) // chunk
+    if chunks > MAX_CHUNKS:
+        raise ValueError(f"reps = {reps} takes {chunks} chunks of {chunk} rows, over the cap of {MAX_CHUNKS}")
+    return chunks
+
+
 def _map_chunks(fn: Callable, reps: int, chunk: int, seed: int, tag: int, threads: int) -> list:
     """fn(rows, rng) per chunk of `reps` rows, in chunk order.
 
@@ -108,14 +123,12 @@ def _map_chunks(fn: Callable, reps: int, chunk: int, seed: int, tag: int, thread
     (seed, tag, c), so the worker count cannot change what a chunk sees. With
     threads > 1 the chunks run on the shared pool of that many workers
     (`_pool`), which every map at that worker count reuses, so repeated runs
-    do not start fresh threads. Raises ValueError above MAX_THREADS workers,
-    before any pool is built.
+    do not start fresh threads. Raises ValueError above MAX_THREADS workers
+    or MAX_CHUNKS chunks (_chunk_count), before any pool is built.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    chunks = _chunk_count(reps, chunk)
     if threads > MAX_THREADS:
         raise ValueError(f"threads = {threads} exceeds the cap of {MAX_THREADS}")
-    chunks = (reps + chunk - 1) // chunk
 
     def worker(c: int) -> tuple:
         return fn(min(chunk, reps - c * chunk), _substream(seed, tag, c))
@@ -407,6 +420,8 @@ def _box_count_law(k: int, above: float, inside: float, below: float) -> tuple[n
     if above == 0.0:
         ((c0, masses, dropped),) = _trimmed_windows(k, [inside / total])
         return masses[None, :], 0, c0, dropped
+    from scipy.special import gammaln  # here, so that importing the package does not load scipy
+
     pa, pc, pr = above / total, inside / total, below / total
     (a0, ma, da), (c0, mc, dc) = _trimmed_windows(k, [pa, pc])
     _check_window(len(ma), len(mc))

@@ -10,7 +10,12 @@ the law: L = _TAIL_LOG (at most _WINDOW_TAIL = 1e-18 per tail) for the
 count laws, the adversary, the mixture and the TV, and L = _EXACT_TAIL_LOG
 = 760 for the exact laws, binom and sum_of_binomials (whose Chernoff tails
 reach down to 1e-21), off which the formula is exactly 0.0. Normal CDF values go through scipy's erf-based ndtr,
-evaluated only where it is neither 0.0 nor 1.0."""
+evaluated only where it is neither 0.0 nor 1.0.
+
+Both scipy.special functions are imported inside the functions that call
+them: gammaln in _pmf_chunks, ndtr in _normal_bin_masses and
+tv_binom_vs_normal. Importing this module loads numpy only; scipy loads on
+a process's first binomial window, TV distance or Chernoff check."""
 
 from __future__ import annotations
 
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
 from .distributions import SIZE_CAP, _is_int
 
@@ -113,6 +117,8 @@ def _pmf_chunks(n: int, ps: np.ndarray, tail_log: float):
     """
     if not len(ps):
         return
+    from scipy.special import gammaln
+
     los, his = _bernstein_spans(n, ps, tail_log)
     starts = range(0, len(ps), _CHUNK)
     windows = [(int(los[a : a + _CHUNK].min()), int(his[a : a + _CHUNK].max()) + 1) for a in starts]
@@ -239,6 +245,8 @@ def sum_of_binomials(specs: Sequence[tuple[int, float]]) -> CountDist:
 
 def _normal_bin_masses(mu: float, sigma: float, lo: int, hi: int) -> np.ndarray:
     """N(mu, sigma^2) mass of [i - 0.5, i + 0.5] per bin i in [lo, hi]; the tails are left out."""
+    from scipy.special import ndtr
+
     z = (np.arange(lo, hi + 2, dtype=float) - 0.5 - mu) / sigma
     a = np.searchsorted(z, _NDTR_RANGE[0])
     b = np.searchsorted(z, _NDTR_RANGE[1], side="right")
@@ -282,6 +290,8 @@ def tv_binom_vs_normal(n: int, p: float) -> float:
         raise ValueError("p must be in (0, 1)")
     if not _is_int(n) or not 1 <= n <= SIZE_CAP:
         raise ValueError(f"n = {n!r} must be in [1, {SIZE_CAP}] and an int")
+    from scipy.special import ndtr
+
     mu, sigma = n * p, math.sqrt(n * p * (1.0 - p))
     ((_, lo, rows),) = _binom_windows(n, np.array([p]))
     hi = lo + rows.shape[1] - 1

@@ -63,7 +63,10 @@ def run_static_threshold(values, t: float, rng=None) -> float:
 
 
 def test_omega_rho_residual_and_window():
+    from scipy.special import lambertw
+
     rho = omega_rho()
+    assert rho == float(lambertw(1.0).real)  # bit for bit
     assert rho * math.exp(rho) == 1.0
     assert 0.567143 < rho < 0.567144
     assert 1.0 - rho == pytest.approx(0.432856709590216, abs=1e-12)

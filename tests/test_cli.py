@@ -245,6 +245,14 @@ _BAD_INPUTS = [
      {"instances": [{"generator": {"name": "case1", "k": 208_064}}], "rule": {"rule": "max_sample"},
       "k": 1, "reps": 100, "seed": 1},
      {}, "instances[0].generator.k"),
+    # 1e20 replications take more chunks than MAX_CHUNKS: refused before any Future exists
+    ("eval-reps-above-chunk-cap", "eval",
+     {"instances": [INSTANCE_A], "rule": {"rule": "max_sample"}, "k": 1, "reps": 10**20, "seed": 1},
+     {}, "reps"),
+    ("semi-exact-reps-above-chunk-cap", "eval",
+     {"instances": [INSTANCE_A], "rule": {"rule": "ordinal", "rank": 3}, "k": 10, "reps": 10**20, "seed": 1,
+      "method": "semi_exact"},
+     {}, "reps"),
     ("policy-k-huge", "hardness-verify", {"policy": "p.json"},
      {"p.json": {"k": 10**15, "entries": [{"prefix": ["xi"], "i": 0, "q": 0.5}]}}, "policy"),
     ("policy-file-missing", "hardness-verify", {"policy": "absent.json"}, {}, "policy"),
@@ -802,3 +810,35 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
     assert proc.stdout.startswith("instance_id,")
     assert "eval instA" in proc.stderr
+
+
+_COLD_START = """
+import sys
+import prophet_samples, prophet_samples.cli
+from prophet_samples import MaxSample, case1_instance, evaluation, mc_ratio, recommended_rank, semi_exact_ordinal
+assert "scipy" not in sys.modules
+assert recommended_rank(10**4) == 5208
+inst = case1_instance(20)
+semi_exact_ordinal(inst, 20, 8, 500, seed=1)
+mc_ratio(inst, MaxSample(), 20, 500, seed=1, threads=2)
+assert prophet_samples.cli.main(["eval", "--config", sys.argv[1], "--threads", "2"]) == 0
+assert "scipy" not in sys.modules
+evaluation.exact_ordinal_value(inst, 20, 8)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_cold_start_loads_scipy_only_at_the_first_exact_call(tmp_path):
+    """A fresh process imports the package and the CLI, and runs the
+    recommended rank, the semi-exact and Monte Carlo estimators and an mc
+    eval, without loading scipy; its first exact count law loads it."""
+    cfg = eval_manifest(tmp_path / "eval.json", reps=2000)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, cfg],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

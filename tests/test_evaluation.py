@@ -36,11 +36,13 @@ from prophet_samples.algorithms import beta_moments, effective_rank
 from prophet_samples.evaluation import (
     CASE1_MAX_K,
     CASE2_MAX_K,
+    MAX_CHUNKS,
     MAX_THREADS,
     MC_POOL_CAP,
     _SANDWICH_CHUNK,
     _TAG_MC,
     _TAG_SANDWICH,
+    _chunk_count,
     _exact_tails,
     _map_chunks,
     _mc_chunk_size,
@@ -154,6 +156,24 @@ def test_map_chunks_rejects_threads_above_cap_before_any_pool():
     with pytest.raises(ValueError, match="threads"):
         _map_chunks(lambda rows, rng: rows, 10, 1, seed=1, tag=1, threads=MAX_THREADS + 1)
     assert threading.active_count() == active
+
+
+def test_chunk_count_above_cap_raises_before_any_pool_or_future(instance_a, monkeypatch):
+    """A reps that takes more than MAX_CHUNKS chunks raises before the pool is
+    asked for, so no Future exists: 1e20 replications would otherwise queue
+    a Future per chunk and exhaust memory before the first draw."""
+
+    def no_pool(threads):
+        raise AssertionError("a pool was asked for")
+
+    monkeypatch.setattr(evaluation, "_pool", no_pool)
+    with pytest.raises(ValueError, match="chunks"):
+        _map_chunks(lambda rows, rng: rows, MAX_CHUNKS + 1, 1, seed=1, tag=1, threads=2)
+    with pytest.raises(ValueError, match="chunks"):
+        mc_ratio(instance_a, MaxSample(), 1, 10**20, seed=1, threads=2)
+    with pytest.raises(ValueError, match="chunks"):
+        semi_exact_ordinal(instance_a, 10, 3, 10**20, seed=1, threads=2)
+    assert _chunk_count(MAX_CHUNKS * 7, 7) == MAX_CHUNKS  # the cap itself is accepted
 
 
 def _draws(seed, tag, chunk):
@@ -907,6 +927,29 @@ def test_exact_sweep_rows_are_the_single_rank_values():
         inst2 = case2_instance(k, default_case2_boxes(k))
         assert row.case2.alg_value == exact_ordinal_value(inst2, k, row.rank)[0]
         assert row.case2.prophet_value == inst2.prophet_expectation()
+
+
+def test_sweep_ratios_follow_their_limit_forms():
+    """At rank l of k, case1's ratio is 1 - l/k within 2.51/k and case2's, on
+    n = default_case2_boxes(k) boxes, is 1 - (1 - l/(n k))^n within 0.24/k
+    (measured at most 2.49998/k and 0.2370/k, both at l = k). At l =
+    round(rho k), case2's gap to 1 - e^(-l/k) times n stays in [0.0920,
+    0.0975] (measured 0.0925 to 0.0970) while n goes from 3 to 21: the gap
+    is positive and falls like 1/n, so case2's ratio there approaches
+    1 - e^(-rho) = 1 - rho from above. Ranks are 201 evenly spaced from 1
+    to k, with round(rho k)."""
+    for k in (100, 1000, 10_000, 100_000, CASE1_MAX_K):
+        at_rho = round(omega_rho() * k)
+        ranks = sorted(set(np.linspace(1, k, 201).round().astype(int).tolist()) | {at_rho})
+        rows = ordinal_upper_bound_sweep(k, ranks)
+        n = default_case2_boxes(k)
+        ell = np.array(ranks, dtype=float)
+        case1 = np.array([row.case1.ratio for row in rows])
+        case2 = np.array([row.case2.ratio for row in rows])
+        assert np.max(np.abs(case1 - (1.0 - ell / k))) <= 2.51 / k, k
+        assert np.max(np.abs(case2 - (1.0 - (1.0 - ell / (n * k)) ** n))) <= 0.24 / k, k
+        gap = case2[ranks.index(at_rho)] - (1.0 - math.exp(-at_rho / k))
+        assert 0.0920 <= n * gap <= 0.0975, (k, n, gap)
 
 
 @pytest.mark.parametrize("k", [1, 1000, SIZE_CAP])
